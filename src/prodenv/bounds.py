@@ -8,24 +8,25 @@ no cross-ray improvement possible (the weak axiom of profit maximization):
     p . y_p  = pi(p)           for every observed p,
     p*. y_p* >= p* . y_p       for every pair p, p*.
 
-All counterfactual bounds are linear programs over these constraints plus
-the counterfactual tuple (p_c, y_c).  Infinite bounds are legitimate
-answers (limited price variation cannot always pin profits down) and are
-returned as +/-inf with solver certificates, never raised.
-
-The LP engine (HiGHS via scipy) uses a deterministic pivot order, so results
-are reproducible across runs; grid sweeps parallelize over rays when the
-PRODENV_THREADS environment variable allows it.
+Each y_p lives only on its own face F_p = {y : p . y = pi(p), p* . y <=
+pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
+the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
+cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
+faces are segments from one vectorized pass, so WAPM, L and the fixed-
+quantity sweep are closed forms.  Linear programs (HiGHS) per question,
+d = 2 | d >= 3: wapm_feasible 0 | 1; profit_bounds 1-2 | k + 1-3;
+quantity_bounds 2 | k + 2; sweep 0 | k + 2 per ray, the extra ones certifying
++/-inf bounds, which are answers (limited price variation cannot always pin
+profits down), never raised.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import NumericFailure, ValidationError
@@ -33,13 +34,12 @@ from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay,
                        free_disposal_hull, support_value)
 
 VALUE_TIE_TOL = 1e-9
+PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
+WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
 
 
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("PRODENV_THREADS", "1")))
-    except ValueError:
-        return 1
+def _vec(ray) -> np.ndarray:
+    return ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +67,7 @@ class ProfitData:
 
     @classmethod
     def from_pairs(cls, e: int, pairs: Sequence[tuple]) -> "ProfitData":
-        rays = np.vstack([
-            p.components if isinstance(p, PriceRay) else np.asarray(p, float)
-            for p, _ in pairs])
+        rays = np.vstack([_vec(p) for p, _ in pairs])
         vals = np.array([float(v) for _, v in pairs])
         return cls(e=e, rays=rays, values=vals)
 
@@ -85,13 +83,11 @@ class ProfitData:
         return HalfspaceEnvelope(self.rays, self.values)
 
     def with_pair(self, ray, value: float) -> "ProfitData":
-        rv = ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
-        return ProfitData(self.e, np.vstack([self.rays, rv]),
+        return ProfitData(self.e, np.vstack([self.rays, _vec(ray)]),
                           np.append(self.values, float(value)))
 
     def index_of(self, ray) -> Optional[int]:
-        rv = ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
-        close = np.all(np.abs(self.rays - rv) < 1e-12, axis=1)
+        close = np.all(np.abs(self.rays - _vec(ray)) < 1e-12, axis=1)
         hits = np.nonzero(close)[0]
         return int(hits[0]) if hits.size else None
 
@@ -146,54 +142,133 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# WAPM feasibility
+# Faces and WAPM feasibility
 # ---------------------------------------------------------------------------
 
 
-def _wapm_system(data: ProfitData, sign_caps: Sequence[int] = ()):
-    """Equality/inequality matrices of the WAPM system in stacked y_p."""
+class _Segments(NamedTuple):
+    """Where lines F_i . y = f_i meet the envelope of d = 2 data: segment i
+    is {bases_i + t taus_i : lo_i <= t <= hi_i}, empty when not nonempty_i."""
+
+    bases: np.ndarray         # (m, 2) f_i F_i / |F_i|^2, on the line
+    taus: np.ndarray          # (m, 2) F_i turned by 90 degrees
+    lo: np.ndarray            # (m,) -inf when the segment is unbounded that way
+    hi: np.ndarray
+    nonempty: np.ndarray      # (m,) bool
+
+    @classmethod
+    def cut(cls, F: np.ndarray, f: np.ndarray, data: ProfitData) -> "_Segments":
+        """All m segments in one O(mk) pass: constraint j reads
+        (p_j . tau_i) t <= pi_j - p_j . base_i on line i."""
+        P, v = data.rays, data.values
+        bases = f[:, None] * F / np.sum(F * F, axis=1)[:, None]
+        taus = np.column_stack([-F[:, 1], F[:, 0]])
+        a, r = taus @ P.T, v[None, :] - bases @ P.T         # (m, k) each
+        up, down = a > PARALLEL_TOL, a < -PARALLEL_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = r / a
+        hi = np.min(np.where(up, q, np.inf), axis=1)
+        lo = np.max(np.where(down, q, -np.inf), axis=1)
+        tol = FEAS_TOL * max(1.0, float(np.max(np.abs(v))))
+        nonempty = (lo <= hi + tol) & np.all(up | down | (r >= -tol), axis=1)
+        return cls(bases, taus, lo, hi, nonempty)
+
+    def minima(self, pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least p_c . y on each segment for each row of pcs (n, 2): values
+        (n, m) and attaining parameters t (n, m), +/-inf on a -inf side."""
+        slope, offset = pcs @ self.taus.T, pcs @ self.bases.T
+        flat = np.abs(slope) <= PARALLEL_TOL
+        t = np.where(flat, np.clip(0.0, self.lo, self.hi),
+                     np.where(slope > 0, self.lo, self.hi))
+        with np.errstate(invalid="ignore"):
+            return np.where(flat, offset, offset + slope * t), t
+
+
+def _faces_2d(data: ProfitData) -> _Segments:
+    """The profit-attaining faces of d = 2 data; an empty one is exactly a
+    WAPM violation."""
+    faces = _Segments.cut(data.rays, data.values, data)
+    if not np.all(faces.nonempty):
+        raise ValidationError(WAPM_VIOLATION)
+    return faces
+
+
+def _face_minima(data: ProfitData, pc: np.ndarray):
+    """Least p_c . y on each face (k,) and the attaining points (k, d),
+    non-finite rows on -inf faces; closed form in d = 2."""
+    if data.dimension != 2:
+        return _face_minima_lp(data, pc)
+    faces = _faces_2d(data)
+    lows, t = (m[0] for m in faces.minima(pc[None, :]))
+    with np.errstate(invalid="ignore"):
+        return lows, faces.bases + t[:, None] * faces.taus
+
+
+def _face_minima_lp(data: ProfitData, pc: np.ndarray):
+    """``_face_minima`` for any d: one LP per face."""
+    lows, ys = np.full(data.k, -np.inf), np.full((data.k, data.dimension), np.nan)
+    for i in range(data.k):
+        res = linprog(pc, A_ub=data.rays, b_ub=data.values,
+                      A_eq=data.rays[i][None, :], b_eq=[data.values[i]],
+                      bounds=[(None, None)] * data.dimension, method="highs")
+        if res.status == 2:
+            raise ValidationError(WAPM_VIOLATION)
+        if res.status not in (0, 3):
+            raise NumericFailure(f"face LP failed at ray {i}: {res.message}")
+        if res.status == 0:
+            ys[i], lows[i] = res.x, float(pc @ res.x)
+    return lows, ys
+
+
+def _descent_certificate(env: HalfspaceEnvelope, face_ray: np.ndarray,
+                         pc: np.ndarray) -> np.ndarray:
+    """Feasible direction along the face with the objective decreasing: in
+    d = 2 the face direction +/-tau that descends, otherwise an LP."""
+    if env.dimension == 2:
+        tau = np.array([-face_ray[1], face_ray[0]])
+        return -np.sign(pc @ tau) * tau
+    res = linprog(pc, A_ub=env.normals, b_ub=np.zeros(env.num_constraints),
+                  A_eq=face_ray[None, :], b_eq=[0.0],
+                  bounds=[(-1.0, 1.0)] * env.dimension, method="highs")
+    if res.status != 0 or pc @ res.x >= -FEAS_TOL:
+        raise NumericFailure("unbounded face LP without a descent certificate")
+    w = np.asarray(res.x)
+    return w / np.linalg.norm(w)
+
+
+def _wapm_system(data: ProfitData):
+    """Sparse WAPM system in the stacked y_p: p_i . y_i = pi_i, and
+    p_i . y_j <= pi_i for every i, j (the i = j rows repeat the equalities)."""
     k, d = data.k, data.dimension
-    nv = k * d
-    A_eq = np.zeros((k, nv))
-    for i in range(k):
-        A_eq[i, i * d:(i + 1) * d] = data.rays[i]
-    b_eq = data.values.copy()
-    rows_ub, rhs_ub = [], []
-    for i in range(k):              # p_i . y_j <= pi_i  for j != i
-        for j in range(k):
-            if i == j:
-                continue
-            row = np.zeros(nv)
-            row[j * d:(j + 1) * d] = data.rays[i]
-            rows_ub.append(row)
-            rhs_ub.append(data.values[i])
-    for coord in sign_caps:         # optional input-sign restriction y[coord] <= 0
-        for j in range(k):
-            row = np.zeros(nv)
-            row[j * d + coord] = 1.0
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
-    A_ub = np.vstack(rows_ub) if rows_ub else None
-    b_ub = np.array(rhs_ub) if rows_ub else None
-    return A_eq, b_eq, A_ub, b_ub
+    A_eq = sparse.csr_matrix((data.rays.ravel(), np.arange(k * d),
+                              np.arange(0, k * d + 1, d)), shape=(k, k * d))
+    A_ub = sparse.kron(sparse.identity(k, format="csr"),
+                       sparse.csr_matrix(data.rays), format="csr")
+    return A_eq, data.values, A_ub, np.tile(data.values, k)
 
 
-def wapm_feasible(data: ProfitData, sign_caps: Sequence[int] = ()
-                  ) -> tuple[bool, Optional[dict]]:
-    """Can any production set generate these profits?  Returns the verdict
-    and, when feasible, a certificate assignment {ray index: y_p}."""
-    A_eq, b_eq, A_ub, b_ub = _wapm_system(data, sign_caps)
-    res = linprog(np.zeros(data.k * data.dimension), A_ub=A_ub, b_ub=b_ub,
-                  A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * (data.k * data.dimension),
-                  method="highs")
+def _wapm_lp(data: ProfitData) -> tuple[bool, Optional[dict]]:
+    A_eq, b_eq, A_ub, b_ub = _wapm_system(data)
+    nv = data.k * data.dimension
+    res = linprog(np.zeros(nv), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * nv, method="highs")
     if res.status == 0:
-        d = data.dimension
-        cert = {i: np.asarray(res.x[i * d:(i + 1) * d]) for i in range(data.k)}
-        return True, cert
+        return True, dict(enumerate(np.asarray(res.x).reshape(data.k, -1)))
     if res.status == 2:
         return False, None
     raise NumericFailure(f"WAPM feasibility LP failed: {res.message}")
+
+
+def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
+    """Can any production set generate these profits?  Returns the verdict
+    and, when feasible, a certificate assignment {ray index: y_p}."""
+    if data.dimension != 2:
+        return _wapm_lp(data)
+    faces = _Segments.cut(data.rays, data.values, data)
+    if not np.all(faces.nonempty):
+        return False, None
+    t = np.clip(0.0, faces.lo, faces.hi)
+    return True, dict(enumerate(faces.bases + t[:, None] * faces.taus))
 
 
 # ---------------------------------------------------------------------------
@@ -201,224 +276,141 @@ def wapm_feasible(data: ProfitData, sign_caps: Sequence[int] = ()
 # ---------------------------------------------------------------------------
 
 
-def profit_bounds(data: ProfitData, p_c, sign_caps: Sequence[int] = ()) -> BoundResult:
-    """Sharp bounds on profit at a counterfactual unit price.
+def profit_bounds(data: ProfitData, p_c) -> BoundResult:
+    """Sharp bounds on profit at a counterfactual price.
 
-    Upper: support of the data envelope at p_c (may be +inf).  Lower: best
-    over observed rays p of the least value of p_c . y on the profit-attaining
-    face {y : p . y = pi(p)} of the envelope (may be -inf).  For an off-sphere
-    counterfactual price, bound at p_c/|p_c| and rescale by |p_c|.
+    Upper: support of the data envelope at p_c (may be +inf).  Lower:
+    L(p_c), the best over observed rays p of the least value of p_c . y on
+    the profit-attaining face {y : p . y = pi(p)} of the envelope (may be
+    -inf).  Both scale with |p_c|.  Raises ValidationError when the data
+    violate WAPM.
     """
-    feasible, _ = wapm_feasible(data, sign_caps)
-    if not feasible:
-        raise ValidationError("profit data violate WAPM; bounds are undefined")
-    pc = p_c.components if isinstance(p_c, PriceRay) else np.asarray(p_c, float)
-    env = data.envelope()
-    if sign_caps:
-        extra = np.zeros((len(sign_caps), data.dimension))
-        for r, coord in enumerate(sign_caps):
-            extra[r, coord] = 1.0
-        env = HalfspaceEnvelope(np.vstack([env.normals, extra]),
-                                np.append(env.offsets, np.zeros(len(sign_caps))))
-
+    pc, env = _vec(p_c), data.envelope()
+    lows, ys = _face_minima(data, pc)
+    best = float(np.max(lows))
+    ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
+    i = int(ties[0])
+    lower_cert = ({"y": ys[i], "ray": data.rays[i]} if np.isfinite(best)
+                  else {"ray": _descent_certificate(env, data.rays[i], pc),
+                        "note": "unbounded direction"})
     sup = support_value(env, pc)
-    upper = sup.value
     upper_cert = ({"y": sup.maximizer} if sup.finite
                   else {"ray": sup.direction, "note": "unbounded direction"})
-
-    lows = np.empty(data.k)
-    lo_certs: list[Optional[dict]] = []
-    for i in range(data.k):
-        res = linprog(pc, A_ub=env.normals, b_ub=env.offsets,
-                      A_eq=data.rays[i][None, :], b_eq=[data.values[i]],
-                      bounds=[(None, None)] * data.dimension, method="highs")
-        if res.status == 0:
-            lows[i] = float(pc @ res.x)
-            lo_certs.append({"y": np.asarray(res.x), "ray": data.rays[i]})
-        elif res.status == 3:
-            lows[i] = -np.inf
-            lo_certs.append({"ray": _descent_certificate(env, data.rays[i], pc),
-                             "note": "unbounded direction"})
-        else:
-            raise NumericFailure(f"face LP failed at ray {i}: {res.message}")
-    best = float(np.max(lows))
-    ties = [i for i in range(data.k) if lows[i] >= best - VALUE_TIE_TOL]
-    lower_cert = lo_certs[ties[0]]
     return BoundResult(
-        lower=best, upper=upper,
+        lower=best, upper=sup.value,
         lower_certificate=lower_cert, upper_certificate=upper_cert,
         argmax_rays=tuple(data.rays[i] for i in ties) if np.isfinite(best) else (),
     )
 
 
-def _descent_certificate(env: HalfspaceEnvelope, face_ray: np.ndarray,
-                         pc: np.ndarray) -> np.ndarray:
-    """Feasible direction along the face with the objective decreasing."""
-    d = env.dimension
-    res = linprog(pc, A_ub=env.normals, b_ub=np.zeros(env.num_constraints),
-                  A_eq=face_ray[None, :], b_eq=[0.0],
-                  bounds=[(-1.0, 1.0)] * d, method="highs")
-    if res.status != 0 or pc @ res.x >= -FEAS_TOL:
-        raise NumericFailure("unbounded face LP without a descent certificate")
-    w = np.asarray(res.x)
-    return w / np.linalg.norm(w)
-
-
 # ---------------------------------------------------------------------------
-# Quantity bounds at a counterfactual price
+# The counterfactual bundle y_c
 # ---------------------------------------------------------------------------
 
 
-def _counterfactual_system(data: ProfitData, pc: np.ndarray,
-                           sign_caps: Sequence[int] = (),
-                           fixed_coord: Optional[tuple] = None):
-    """Constraint system in (y_c, y_p stacked): WAPM on observed rays plus
-    the counterfactual bundle dominated at observed rays and maximal at p_c.
-    The counterfactual profit p_c . y_c is left free (not pinned)."""
-    k, d = data.k, data.dimension
-    nv = (k + 1) * d                       # y_c first, then y_p blocks
-    A_eq, b_eq = [], []
-    for i in range(k):
-        row = np.zeros(nv)
-        row[(i + 1) * d:(i + 2) * d] = data.rays[i]
-        A_eq.append(row)
-        b_eq.append(data.values[i])
-    rows_ub, rhs_ub = [], []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            row = np.zeros(nv)
-            row[(j + 1) * d:(j + 2) * d] = data.rays[i]
-            rows_ub.append(row)
-            rhs_ub.append(data.values[i])
-    for i in range(k):                     # p_i . y_c <= pi_i
-        row = np.zeros(nv)
-        row[:d] = data.rays[i]
-        rows_ub.append(row)
-        rhs_ub.append(data.values[i])
-    for j in range(k):                     # p_c . y_j - p_c . y_c <= 0
-        row = np.zeros(nv)
-        row[(j + 1) * d:(j + 2) * d] = pc
-        row[:d] = -pc
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-    for coord in sign_caps:
-        for blk in range(k + 1):
-            row = np.zeros(nv)
-            row[blk * d + coord] = 1.0
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
-    if fixed_coord is not None:
-        coord, val = fixed_coord
-        row = np.zeros(nv)
-        row[coord] = 1.0
-        A_eq.append(row)
-        b_eq.append(float(val))
-    return np.vstack(A_eq), np.array(b_eq), np.vstack(rows_ub), np.array(rhs_ub), nv
-
-
-def _solve_pair(c: np.ndarray, A_eq, b_eq, A_ub, b_ub, nv: int
-                ) -> tuple[float, float, Optional[np.ndarray], Optional[np.ndarray], bool]:
-    """(min, max) of c . v over the system; returns values, optimizers, and
-    a feasibility flag.  Unbounded sides come back as -inf/+inf."""
+def _yc_range(data: ProfitData, pc: np.ndarray, c: np.ndarray, floor: float,
+              fixed: Optional[tuple] = None):
+    """[(min, argmin), (max, argmax)] of c . y_c over the envelope with
+    p_c . y_c >= floor and, if ``fixed`` = (coord, ybar), y_c[coord] = ybar;
+    NaN optimizer on an unbounded side, None when infeasible."""
+    A_ub, b_ub = data.rays, data.values
+    if np.isfinite(floor):
+        A_ub, b_ub = np.vstack([A_ub, -pc]), np.append(b_ub, -floor)
+    bounds = [(None, None)] * data.dimension
+    if fixed is not None:
+        bounds[fixed[0]] = (fixed[1], fixed[1])
     out = []
     for sign in (1.0, -1.0):
-        res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(None, None)] * nv, method="highs")
-        if res.status == 0:
-            out.append((sign * res.fun, np.asarray(res.x)))
-        elif res.status == 3:
-            out.append((-np.inf if sign > 0 else np.inf, None))
-        elif res.status == 2:
-            return np.nan, np.nan, None, None, False
-        else:
+        res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        if res.status == 2:
+            return None
+        if res.status not in (0, 3):
             raise NumericFailure(f"counterfactual LP failed: {res.message}")
-    (lo, x_lo), (hi, x_hi) = out
-    return float(lo), float(hi), x_lo, x_hi, True
+        out.append((sign * res.fun, np.asarray(res.x)) if res.status == 0
+                   else (-sign * np.inf, np.full(data.dimension, np.nan)))
+    return out
 
 
-def quantity_bounds(data: ProfitData, p_c, u,
-                    sign_caps: Sequence[int] = ()) -> BoundResult:
+def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
     """Sharp bounds on u . y_c where y_c is the bundle chosen at the
-    counterfactual price p_c (its profit is not pinned)."""
-    feasible, _ = wapm_feasible(data, sign_caps)
-    if not feasible:
-        raise ValidationError("profit data violate WAPM; bounds are undefined")
-    pc = p_c.components if isinstance(p_c, PriceRay) else np.asarray(p_c, float)
-    uv = np.asarray(u, dtype=float)
-    A_eq, b_eq, A_ub, b_ub, nv = _counterfactual_system(data, pc, sign_caps)
-    c = np.zeros(nv)
-    c[:data.dimension] = uv
-    lo, hi, x_lo, x_hi, ok = _solve_pair(c, A_eq, b_eq, A_ub, b_ub, nv)
-    if not ok:
+    counterfactual price p_c (its profit is not pinned): y_c lies in the
+    envelope with p_c . y_c >= L(p_c)."""
+    pc = _vec(p_c)
+    floor = float(np.max(_face_minima(data, pc)[0]))
+    out = _yc_range(data, pc, np.asarray(u, dtype=float), floor)
+    if out is None:
         raise NumericFailure("counterfactual system infeasible despite WAPM holding")
-    d = data.dimension
+    (lo, x_lo), (hi, x_hi) = out
     return BoundResult(
         lower=lo, upper=hi,
-        lower_certificate={"y_c": x_lo[:d]} if x_lo is not None else None,
-        upper_certificate={"y_c": x_hi[:d]} if x_hi is not None else None,
+        lower_certificate={"y_c": x_lo} if np.isfinite(lo) else None,
+        upper_certificate={"y_c": x_hi} if np.isfinite(hi) else None,
     )
 
 
+def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray):
+    """The fixed-quantity program at every grid row in closed form (d = 2):
+    per ray, feasibility, min and max of p_c . y_c, and their optimizers.
+    The line y[coord] = ybar meets the envelope in a segment; over it p_c . y
+    ranges over [v_lo, v_hi], and the floor L(p_c) cuts that to
+    [max(v_lo, L), v_hi]."""
+    floor = np.max(_faces_2d(data).minima(grid)[0], axis=1)
+    line = _Segments.cut(np.eye(2)[[coord]], np.array([ybar]), data)
+    base, tau = line.bases[0], line.taus[0]
+    (v_lo, t_lo), (v_hi, t_hi) = line.minima(grid), line.minima(-grid)
+    v_lo, t_lo, v_hi, t_hi = v_lo[:, 0], t_lo[:, 0], -v_hi[:, 0], t_hi[:, 0]
+    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(data.values))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = np.where(v_lo >= floor - tol, t_lo, (floor - grid @ base) / (grid @ tau))
+        y_lo, y_hi = base + t_lo[:, None] * tau, base + t_hi[:, None] * tau
+    ok = line.nonempty[0] & (v_hi >= floor - tol)
+    return ok, np.minimum(np.maximum(v_lo, floor), v_hi), v_hi, y_lo, y_hi
+
+
+def _sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray):
+    """General-d twin of ``_sweep_2d``: per ray, L(p_c) from the face LPs,
+    then the y_c program with y_c[coord] = ybar."""
+    n, d = grid.shape
+    ok, lo, hi = np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan)
+    y_lo, y_hi = np.full((n, d), np.nan), np.full((n, d), np.nan)
+    for m, pc in enumerate(grid):
+        floor = float(np.max(_face_minima_lp(data, pc)[0]))
+        out = _yc_range(data, pc, pc, floor, fixed=(coord, ybar))
+        if out is not None:
+            ok[m] = True
+            (lo[m], y_lo[m]), (hi[m], y_hi[m]) = out
+    return ok, lo, hi, y_lo, y_hi
+
+
 def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
-                                 ray_grid: Sequence,
-                                 sign_caps: Sequence[int] = ()) -> BoundResult:
+                                 ray_grid: Sequence) -> BoundResult:
     """Bounds on profit when one bundle coordinate is pinned at ybar and the
     counterfactual price is free on a ray grid.
 
-    Each grid ray contributes an LP; the reported interval is the sup of the
-    per-ray maxima and the inf of the per-ray minima, a conservative-from-
-    below discretization of the quadratic free-price program.  An empty
-    feasible set at every grid ray is a legitimate (infeasible) outcome.
+    At each grid ray the y_c program gains y_c[coord] = ybar; the reported
+    interval is the sup of the per-ray maxima and the inf of the per-ray
+    minima, a conservative-from-below discretization of the quadratic
+    free-price program.  An empty feasible set at every grid ray is a
+    legitimate (infeasible) outcome.
     """
-    feasible, _ = wapm_feasible(data, sign_caps)
-    if not feasible:
-        raise ValidationError("profit data violate WAPM; bounds are undefined")
-    rays = [r.components if isinstance(r, PriceRay) else np.asarray(r, float)
-            for r in ray_grid]
+    rays = [_vec(r) for r in ray_grid]
     if not rays:
         raise ValueError("ray grid must be nonempty")
-
-    def solve_one(pc: np.ndarray):
-        A_eq, b_eq, A_ub, b_ub, nv = _counterfactual_system(
-            data, pc, sign_caps, fixed_coord=(coord, ybar))
-        c = np.zeros(nv)
-        c[:data.dimension] = pc
-        return _solve_pair(c, A_eq, b_eq, A_ub, b_ub, nv)
-
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(solve_one, rays))
-    else:
-        results = [solve_one(pc) for pc in rays]
-
-    best_hi, best_lo = -np.inf, np.inf
-    hi_ray = lo_ray = None
-    hi_cert = lo_cert = None
-    any_feasible = False
-    for pc, (lo, hi, x_lo, x_hi, ok) in zip(rays, results):
-        if not ok:
-            continue
-        any_feasible = True
-        if hi > best_hi:
-            best_hi, hi_ray = hi, pc
-            hi_cert = ({"y_c": x_hi[:data.dimension], "p_c": pc}
-                       if x_hi is not None else {"p_c": pc, "note": "unbounded"})
-        if lo < best_lo:
-            best_lo, lo_ray = lo, pc
-            lo_cert = ({"y_c": x_lo[:data.dimension], "p_c": pc}
-                       if x_lo is not None else {"p_c": pc, "note": "unbounded"})
+    sweep = _sweep_2d if data.dimension == 2 else _sweep_lp
+    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, np.vstack(rays))
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,
-            "n_feasible": int(sum(1 for r in results if r[4]))}
-    if not any_feasible:
+            "n_feasible": int(np.sum(ok))}
+    if not np.any(ok):
         return BoundResult(lower=np.nan, upper=np.nan, feasible=False,
                            grid_metadata=meta)
-    return BoundResult(lower=best_lo, upper=best_hi,
+    i_lo = int(np.argmin(np.where(ok, lo, np.inf)))
+    i_hi = int(np.argmax(np.where(ok, hi, -np.inf)))
+    lo_cert, hi_cert = ({"y_c": y[i], "p_c": rays[i]} if np.isfinite(v[i])
+                        else {"p_c": rays[i], "note": "unbounded"}
+                        for i, v, y in ((i_lo, lo, y_lo), (i_hi, hi, y_hi)))
+    return BoundResult(lower=float(lo[i_lo]), upper=float(hi[i_hi]),
                        lower_certificate=lo_cert, upper_certificate=hi_cert,
-                       argmax_rays=(hi_ray,) if hi_ray is not None else (),
-                       grid_metadata=meta)
+                       argmax_rays=(rays[i_hi],), grid_metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +564,18 @@ def project_rationalizable(data: ProfitData, max_iter: int = 10,
 
 
 def sharpness_check(data: ProfitData, p_c, upper: float) -> bool:
-    """A finite upper bound is attainable: appending (p_c, upper) keeps the
-    dataset rationalizable (its free-disposal hull generates the bound)."""
+    """A finite upper bound is attainable: appending (p_c, upper), rescaled
+    onto the sphere, keeps the dataset rationalizable (its free-disposal
+    hull generates the bound); at an observed ray, when upper is its value."""
     if not np.isfinite(upper):
         return True
-    feasible, _ = wapm_feasible(data.with_pair(p_c, upper))
-    return feasible
+    scale = float(np.linalg.norm(_vec(p_c)))
+    pc, upper = _vec(p_c) / scale, upper / scale
+    i = data.index_of(pc)
+    if i is not None:
+        same = abs(upper - data.values[i]) <= VALUE_TIE_TOL * max(1.0, abs(upper))
+        return same and wapm_feasible(data)[0]
+    return wapm_feasible(data.with_pair(pc, upper))[0]
 
 
 def rationalizing_hull(certificate: dict) -> HalfspaceEnvelope:

@@ -1,12 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import prodenv.bounds
 from prodenv.bounds import (ProfitData, brute_force_bounds,
                             profit_bounds, profit_bounds_fixed_quantity,
                             project_rationalizable, quantity_bounds,
                             rationalizing_hull, sharpness_check, wapm_feasible)
+from prodenv.bounds import (_descent_certificate, _face_minima,
+                            _face_minima_lp, _sweep_2d, _sweep_lp, _wapm_lp)
 from prodenv.errors import ValidationError
 from prodenv.geometry import support_value
 from prodenv.simulate import DiewertTech
@@ -106,6 +112,25 @@ class TestProfitBounds:
         pc = np.array([np.cos(0.7), np.sin(0.7)])
         res = profit_bounds(data, pc)
         assert sharpness_check(data, pc, res.upper)
+
+    def test_sharpness_at_observed_ray(self, rng):
+        # Appending an observed ray again is not possible, so the check must
+        # answer from the observed value itself.
+        b = random_admissible_b(rng)
+        data, _ = diewert_data(b, np.linspace(0.35, 1.25, 3))
+        res = profit_bounds(data, data.rays[1])
+        assert sharpness_check(data, data.rays[1], res.upper)
+        assert sharpness_check(data, data.rays[1], data.values[1])
+        assert not sharpness_check(data, data.rays[1], data.values[1] + 0.1)
+
+    def test_sharpness_off_sphere_price(self, rng):
+        b = random_admissible_b(rng)
+        data, _ = diewert_data(b, np.linspace(0.35, 1.25, 3))
+        pc = np.array([np.cos(0.7), np.sin(0.7)])
+        upper = profit_bounds(data, pc).upper
+        assert sharpness_check(data, 3.0 * pc, 3.0 * upper)
+        assert not sharpness_check(data, 3.0 * pc, 3.0 * upper + 0.3)
+        assert sharpness_check(data, 2.0 * data.rays[0], 2.0 * data.values[0])
 
     def test_lower_bound_ties_reported(self):
         # Symmetric four-ray data: the two middle faces are bounded segments
@@ -207,13 +232,6 @@ class TestFixedQuantityBounds:
                                               self.grid(200))
         assert stable.upper == pytest.approx(fine.upper, abs=2e-3)
 
-    def test_thread_cap_env(self, rng, monkeypatch):
-        monkeypatch.setenv("PRODENV_THREADS", "2")
-        b = random_admissible_b(rng)
-        data, _ = diewert_data(b, np.linspace(0.3, 1.25, 3))
-        res = profit_bounds_fixed_quantity(data, 0, 0.4, self.grid(20))
-        assert res.feasible
-
 
 class TestBruteForce:
     def test_collapse_at_observed_ray(self, rng):
@@ -278,3 +296,218 @@ class TestTripleQuantityCoverage:
             y_true = profit_oracle(tech, e, pc)[1]
             res = quantity_bounds(data, pc, u)
             assert res.lower - 1e-7 <= float(u @ y_true) <= res.upper + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The d = 2 closed form against the general-d LP path
+# ---------------------------------------------------------------------------
+
+CASES = ("plain", "near_parallel", "huge", "single", "out_of_cone",
+         "violating", "projected")
+
+
+def _case_2d(case, rng):
+    """Random d = 2 data, counterfactual ray and fixed quantity for a case."""
+    b = random_admissible_b(rng)
+    k = 1 if case == "single" else int(rng.integers(3, 7))
+    angles = np.sort(rng.uniform(0.2, 1.37, size=k))
+    if case == "near_parallel":
+        angles = np.sort(np.append(angles, angles[k // 2] + 1e-6))
+    data, tech = diewert_data(b, angles)
+    scale = 1e6 if case == "huge" else 1.0
+    values = data.values * scale
+    if case == "violating":
+        # The middle value beats what its neighbours' envelope allows.
+        values[len(values) // 2] += 2.0 * (1.0 + np.max(np.abs(values)))
+    data = ProfitData(1, data.rays, values)
+    if case == "projected":
+        bumped = ProfitData(1, data.rays, values + rng.uniform(0, 0.05, len(values)))
+        data = project_rationalizable(bumped)[0]
+    theta = (rng.choice([0.03, 1.54]) if case == "out_of_cone"
+             else rng.uniform(angles[0], angles[-1]))
+    pc = np.array([np.cos(theta), np.sin(theta)])
+    ybar = scale * float(tech.profit(pc)[1][0]) + rng.normal(0.0, 0.3 * scale)
+    return data, pc, ybar
+
+
+def _check_face_point(data, y, i, pc, low):
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(data.values))))
+    assert data.rays[i] @ y == pytest.approx(data.values[i], abs=tol)
+    assert np.all(data.rays @ y <= data.values + tol)
+    assert pc @ y == pytest.approx(low, abs=tol)
+
+
+def _same_bound(a, b):
+    if np.isinf(a) or np.isinf(b):
+        assert a == b
+    else:
+        assert a == pytest.approx(b, rel=0, abs=1e-7 * max(1.0, abs(b)))
+
+
+class TestClosedFormMatchesLp:
+    @given(st.sampled_from(CASES), st.integers(0, 10_000))
+    @settings(max_examples=70, deadline=None)
+    def test_faces_wapm_and_sweep(self, case, seed):
+        data, pc, ybar = _case_2d(case, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            # The reference LPs run at HiGHS's tightest feasibility tolerance,
+            # relative to the values: a constraint 1e-6 rad from a face may be
+            # violated by tol along it, which lets the LP slide tol / 1e-6
+            # along the face (about 0.05 at the default 1e-7).  Presolve at
+            # that tolerance once called a face of exact data empty.
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(data.values))))
+            mp.setattr(prodenv.bounds, "linprog", functools.partial(
+                linprog, options={"primal_feasibility_tolerance": tol,
+                                  "presolve": False}))
+            self._check(case, data, pc, ybar)
+
+    @staticmethod
+    def _check(case, data, pc, ybar):
+        ok, cert = wapm_feasible(data)
+        ok_lp, cert_lp = _wapm_lp(data)
+        assert ok == ok_lp
+        if case == "violating":
+            assert not ok
+            for minima in (_face_minima, _face_minima_lp):
+                with pytest.raises(ValidationError):
+                    minima(data, pc)
+            return
+        assert ok
+        for assignment in (cert, cert_lp):
+            for i, y in assignment.items():
+                _check_face_point(data, np.asarray(y), i, data.rays[i],
+                                  data.values[i])
+
+        lows, ys = _face_minima(data, pc)
+        lows_lp, ys_lp = _face_minima_lp(data, pc)
+        env = data.envelope()
+        scale = max(1.0, float(np.max(np.abs(data.values))))
+        exact = True
+        for i in range(data.k):
+            assert np.isneginf(lows[i]) == np.isneginf(lows_lp[i])
+            if np.isfinite(lows[i]):
+                _check_face_point(data, ys[i], i, pc, lows[i])
+                _check_face_point(data, ys_lp[i], i, pc, lows_lp[i])
+                if np.max(data.rays @ ys_lp[i] - data.values) <= 1e-12 * scale:
+                    _same_bound(lows[i], lows_lp[i])
+                else:
+                    # The LP stopped inside its tolerance band past a
+                    # constraint 1e-6 rad from the face, so it solved a
+                    # relaxation: its minimum can only be lower.
+                    assert lows_lp[i] <= lows[i] + 1e-7 * scale
+                    exact = False
+            else:
+                w = _descent_certificate(env, data.rays[i], pc)
+                assert pc @ w < 0
+                assert np.all(data.rays @ w <= 1e-12)
+                assert abs(data.rays[i] @ w) <= 1e-12
+        if not exact:
+            return          # the sweep's floors L(p_c) would differ the same way
+
+        grid = np.array(unit_rays_2d(np.linspace(0.05, np.pi / 2 - 0.05, 9)))
+        ok2, lo2, hi2, y_lo2, y_hi2 = _sweep_2d(data, 0, ybar, grid)
+        ok_lp, lo_lp, hi_lp, _, _ = _sweep_lp(data, 0, ybar, grid)
+        np.testing.assert_array_equal(ok2, ok_lp)
+        for m in np.nonzero(ok2)[0]:
+            _same_bound(lo2[m], lo_lp[m])
+            _same_bound(hi2[m], hi_lp[m])
+            for value, y in ((lo2[m], y_lo2[m]), (hi2[m], y_hi2[m])):
+                if np.isfinite(value):
+                    assert y[0] == ybar
+                    assert np.all(data.rays @ y <= data.values + 1e-9 * scale)
+                    assert grid[m] @ y == pytest.approx(value, abs=1e-9 * scale)
+
+
+# ---------------------------------------------------------------------------
+# d = 3: the face-LP path
+# ---------------------------------------------------------------------------
+
+
+def diewert_data_3d(rng, k=12):
+    b = random_admissible_b(rng, d=3)
+    tech = DiewertTech(b)
+    rays = rng.uniform(0.25, 1.0, size=(k, 3))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    vals = np.array([tech.profit(r)[0] for r in rays])
+    return ProfitData(1, rays, vals), tech
+
+
+class TestThreeGoods:
+    def test_bounds_contain_truth(self, rng):
+        data, tech = diewert_data_3d(rng)
+        pc = data.rays.mean(axis=0)
+        pc /= np.linalg.norm(pc)
+        truth, y_true = tech.profit(pc)
+        assert wapm_feasible(data)[0]
+        res = profit_bounds(data, pc)
+        assert np.isfinite(res.lower) and np.isfinite(res.upper)
+        assert res.contains(truth)
+        y = res.lower_certificate["y"]
+        assert np.all(data.rays @ y <= data.values + 1e-7)
+        for u in np.eye(3):
+            qb = quantity_bounds(data, pc, u)
+            assert qb.lower - 1e-7 <= float(u @ y_true) <= qb.upper + 1e-7
+
+    def test_wapm_violation_raises(self, rng):
+        data, _ = diewert_data_3d(rng)
+        mid = data.rays.mean(axis=0)
+        mid /= np.linalg.norm(mid)
+        # A ray inside the cone of the others, with a value far above what
+        # their envelope allows there.
+        bad = data.with_pair(mid, 2.0 * (1.0 + np.max(np.abs(data.values))))
+        pc = np.array([1.0, 2.0, 2.0]) / 3.0
+        assert not wapm_feasible(bad)[0]
+        with pytest.raises(ValidationError):
+            profit_bounds(bad, pc)
+        with pytest.raises(ValidationError):
+            quantity_bounds(bad, pc, np.eye(3)[0])
+
+
+# ---------------------------------------------------------------------------
+# LP budget: the d = 2 questions stay (nearly) LP-free
+# ---------------------------------------------------------------------------
+
+
+class TestLpBudget:
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        import prodenv.bounds
+        import prodenv.geometry
+        calls = []
+        for mod in (prodenv.bounds, prodenv.geometry):
+            def counted(*args, _real=mod.linprog, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, "linprog", counted)
+        return calls
+
+    def test_two_goods_budget(self, rng, lp_calls):
+        b = random_admissible_b(rng)
+        data, tech = diewert_data(b, np.linspace(0.2, 1.37, 40))
+        cut = ProfitData(1, data.rays, np.where(np.arange(40) % 7 == 0,
+                                                0.9 * data.values, data.values))
+        assert wapm_feasible(data)[0] and not wapm_feasible(cut)[0]
+        assert len(lp_calls) == 0
+
+        for pc in (np.array([np.cos(0.8), np.sin(0.8)]),
+                   np.array([np.cos(0.05), np.sin(0.05)])):   # out of cone: +inf
+            del lp_calls[:]
+            profit_bounds(data, pc)
+            assert len(lp_calls) <= 2
+        del lp_calls[:]
+        single = ProfitData(1, np.array([[1 / RT2, 1 / RT2]]), np.array([0.0]))
+        res = profit_bounds(single, np.array([1, 2]) / np.sqrt(5))
+        assert np.isneginf(res.lower) and np.isposinf(res.upper)
+        assert len(lp_calls) <= 2
+
+        del lp_calls[:]
+        quantity_bounds(data, np.array([np.cos(0.8), np.sin(0.8)]), [1.0, 0.0])
+        assert len(lp_calls) <= 4
+
+        del lp_calls[:]
+        star = np.array([np.cos(0.8), np.sin(0.8)])
+        grid = unit_rays_2d(np.linspace(0.01, np.pi / 2 - 0.01, 720))
+        res = profit_bounds_fixed_quantity(data, 0, float(tech.profit(star)[1][0]),
+                                           grid)
+        assert res.feasible
+        assert len(lp_calls) == 0
