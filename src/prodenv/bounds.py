@@ -27,11 +27,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import NumericFailure, ValidationError
 from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay,
-                       free_disposal_hull, support_value)
+                       free_disposal_hull, recession_direction, solve_lp,
+                       support_value)
 
 VALUE_TIE_TOL = 1e-9
 PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
@@ -208,32 +208,24 @@ def _face_minima_lp(data: ProfitData, pc: np.ndarray):
     """``_face_minima`` for any d: one LP per face."""
     lows, ys = np.full(data.k, -np.inf), np.full((data.k, data.dimension), np.nan)
     for i in range(data.k):
-        res = linprog(pc, A_ub=data.rays, b_ub=data.values,
-                      A_eq=data.rays[i][None, :], b_eq=[data.values[i]],
-                      bounds=[(None, None)] * data.dimension, method="highs")
-        if res.status == 2:
+        state, y, _ = solve_lp(pc, data.rays, data.values,
+                               data.rays[i][None, :], [data.values[i]])
+        if state == "infeasible":
             raise ValidationError(WAPM_VIOLATION)
-        if res.status not in (0, 3):
-            raise NumericFailure(f"face LP failed at ray {i}: {res.message}")
-        if res.status == 0:
-            ys[i], lows[i] = res.x, float(pc @ res.x)
+        if state == "optimal":
+            ys[i], lows[i] = y, float(pc @ y)
     return lows, ys
 
 
 def _descent_certificate(env: HalfspaceEnvelope, face_ray: np.ndarray,
                          pc: np.ndarray) -> np.ndarray:
     """Feasible direction along the face with the objective decreasing: in
-    d = 2 the face direction +/-tau that descends, otherwise an LP."""
+    d = 2 the face direction +/-tau that descends, otherwise a recession
+    direction of the envelope within the face's hyperplane."""
     if env.dimension == 2:
         tau = np.array([-face_ray[1], face_ray[0]])
         return -np.sign(pc @ tau) * tau
-    res = linprog(pc, A_ub=env.normals, b_ub=np.zeros(env.num_constraints),
-                  A_eq=face_ray[None, :], b_eq=[0.0],
-                  bounds=[(-1.0, 1.0)] * env.dimension, method="highs")
-    if res.status != 0 or pc @ res.x >= -FEAS_TOL:
-        raise NumericFailure("unbounded face LP without a descent certificate")
-    w = np.asarray(res.x)
-    return w / np.linalg.norm(w)
+    return recession_direction(env, -pc, along=face_ray)
 
 
 def _wapm_system(data: ProfitData):
@@ -249,14 +241,10 @@ def _wapm_system(data: ProfitData):
 
 def _wapm_lp(data: ProfitData) -> tuple[bool, Optional[dict]]:
     A_eq, b_eq, A_ub, b_ub = _wapm_system(data)
-    nv = data.k * data.dimension
-    res = linprog(np.zeros(nv), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * nv, method="highs")
-    if res.status == 0:
-        return True, dict(enumerate(np.asarray(res.x).reshape(data.k, -1)))
-    if res.status == 2:
+    state, y, _ = solve_lp(np.zeros(data.k * data.dimension), A_ub, b_ub, A_eq, b_eq)
+    if state == "infeasible":
         return False, None
-    raise NumericFailure(f"WAPM feasibility LP failed: {res.message}")
+    return True, dict(enumerate(y.reshape(data.k, -1)))    # zero objective: never unbounded
 
 
 def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
@@ -321,12 +309,10 @@ def _yc_range(data: ProfitData, pc: np.ndarray, c: np.ndarray, floor: float,
         bounds[fixed[0]] = (fixed[1], fixed[1])
     out = []
     for sign in (1.0, -1.0):
-        res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if res.status == 2:
+        state, y, value = solve_lp(sign * c, A_ub, b_ub, bounds=bounds)
+        if state == "infeasible":
             return None
-        if res.status not in (0, 3):
-            raise NumericFailure(f"counterfactual LP failed: {res.message}")
-        out.append((sign * res.fun, np.asarray(res.x)) if res.status == 0
+        out.append((sign * value, y) if state == "optimal"
                    else (-sign * np.inf, np.full(data.dimension, np.nan)))
     return out
 

@@ -99,29 +99,34 @@ def profit_data_from_csv(path: str) -> dict:
     return out
 
 
-def table_evaluator(table: ProfitTable, e: int):
-    """Multilinear interpolant of a type's identified profits over the
-    lattice of cell centers."""
+def _lattice_interpolant(X: np.ndarray, values, source: str):
+    """Multilinear interpolant of ``values`` at the rows of ``X``, which must
+    fill the lattice of their coordinates (rounded to 1e-9); returns it with
+    the lattice axes.  ``source`` names the points in the error."""
     from scipy.interpolate import RegularGridInterpolator
-    pts = [np.asarray(c.x_center, float) for c in table.cells if e in c.values]
-    vals = [c.values[e] for c in table.cells if e in c.values]
-    if not pts:
-        raise ValidationError(f"no cells identify type {e}")
-    X = np.vstack(pts)
-    axes = [np.unique(np.round(X[:, j], 9)) for j in range(X.shape[1])]
-    shape = tuple(a.size for a in axes)
-    grid_vals = np.full(shape, np.nan)
-    for x, v in zip(X, vals):
-        idx = tuple(int(np.searchsorted(axes[j], round(float(x[j]), 9)))
-                    for j in range(X.shape[1]))
-        grid_vals[idx] = v
-    if np.any(np.isnan(grid_vals)):
+    coords = np.round(X, 9)
+    axes = [np.unique(col) for col in coords.T]
+    grid_vals = np.full(tuple(a.size for a in axes), np.nan)
+    grid_vals[tuple(np.searchsorted(a, col) for a, col in zip(axes, coords.T))] = values
+    missing = int(np.isnan(grid_vals).sum())
+    if missing:
         raise ValidationError(
-            "cell centers do not form a full lattice; cannot interpolate "
-            f"({int(np.isnan(grid_vals).sum())} of {grid_vals.size} nodes missing)")
+            f"{source} do not form a full lattice; cannot interpolate "
+            f"({missing} of {grid_vals.size} nodes missing)")
     interp = RegularGridInterpolator(axes, grid_vals, bounds_error=False,
                                      fill_value=None)
     return lambda x: float(interp(np.asarray(x, float)[None, :])[0]), axes
+
+
+def table_evaluator(table: ProfitTable, e: int):
+    """Multilinear interpolant of a type's identified profits over the
+    lattice of cell centers."""
+    cells = [c for c in table.cells if e in c.values]
+    if not cells:
+        raise ValidationError(f"no cells identify type {e}")
+    return _lattice_interpolant(np.vstack([c.x_center for c in cells]).astype(float),
+                                [c.values[e] for c in cells],
+                                f"cell centers of type {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +158,6 @@ def stage_identify(cfg: PipelineConfig, data_path: str, out_path: str) -> str:
     return out_path
 
 
-def _profile_evaluator(path: str):
-    """Multilinear interpolant from an aggregate-mean profile CSV whose rows
-    are x coordinates (forming a full lattice) plus a mean-profit column."""
-    from scipy.interpolate import RegularGridInterpolator
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    X, vals = body[:, :-1], body[:, -1]
-    axes = [np.unique(np.round(X[:, j], 9)) for j in range(X.shape[1])]
-    grid_vals = np.full(tuple(a.size for a in axes), np.nan)
-    for x, v in zip(X, vals):
-        idx = tuple(int(np.searchsorted(axes[j], round(float(x[j]), 9)))
-                    for j in range(X.shape[1]))
-        grid_vals[idx] = v
-    if np.any(np.isnan(grid_vals)):
-        raise ValidationError(f"profile {path!r} does not cover a full lattice")
-    interp = RegularGridInterpolator(axes, grid_vals, bounds_error=False,
-                                     fill_value=None)
-    return lambda x: float(interp(np.asarray(x, float)[None, :])[0]), axes
-
-
 def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
     sec = cfg.section("proxies")
     mode = sec.get_str("mode", "euler")
@@ -189,7 +175,10 @@ def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
 
     profile_csv = sec.get_str("profile_csv", None)
     if profile_csv:
-        pi_tilde, axes = _profile_evaluator(profile_csv)
+        # Aggregate-mean profile: x coordinates plus a mean-profit column.
+        body = np.loadtxt(profile_csv, delimiter=",", skiprows=1, ndmin=2)
+        pi_tilde, axes = _lattice_interpolant(body[:, :-1], body[:, -1],
+                                              f"rows of profile {profile_csv!r}")
     else:
         table = ProfitTable.load(table_path)
         e = sec.get_int("type_e", table.d_e)

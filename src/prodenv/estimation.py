@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 
 from .errors import NumericFailure, ValidationError
 from .geometry import (HalfspaceEnvelope, RestrictedPriceSet, _check_schema,
-                       hausdorff_extended, hausdorff_oracle_2d, support_value)
+                       hausdorff_extended, hausdorff_oracle_2d, solve_lp,
+                       support_value)
 
 MIN_DIAG_INCREMENT = 1e-6     # strict monotonicity margin between adjacent types
 
@@ -152,61 +153,40 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
         targets.append(values)
 
     n_obs = sum(t.size for t in targets)
-    nv = d_e * n_coef + 2 * n_obs
-    c = np.zeros(nv)
-    c[d_e * n_coef:d_e * n_coef + n_obs] = tau
-    c[d_e * n_coef + n_obs:] = 1.0 - tau
+    c = np.concatenate([np.zeros(d_e * n_coef), np.full(n_obs, tau),
+                        np.full(n_obs, 1.0 - tau)])
+    # Variables: the d_e coefficient vectors, then the residual splits
+    # u+ and u- with X b + u+ - u- = values.
+    eye = sparse.identity(n_obs, format="csr")
+    A_eq = sparse.hstack([sparse.block_diag(designs), eye, -eye], format="csr")
+    if convexity:
+        coef_bounds = [(0.0, None) if s == j else (None, 0.0) for s, j in pairs]
+    else:
+        coef_bounds = [(None, None)] * n_coef
+    bounds = coef_bounds * d_e + [(0.0, None)] * (2 * n_obs)
 
-    A_eq = np.zeros((n_obs, nv))
-    b_eq = np.concatenate(targets)
-    row = 0
-    for e in range(d_e):
-        X = designs[e]
-        m = X.shape[0]
-        A_eq[row:row + m, e * n_coef:(e + 1) * n_coef] = X
-        A_eq[np.arange(row, row + m), d_e * n_coef + np.arange(row, row + m)] = 1.0
-        A_eq[np.arange(row, row + m),
-             d_e * n_coef + n_obs + np.arange(row, row + m)] = -1.0
-        row += m
-
-    bounds: list[tuple] = []
-    for _ in range(d_e):
-        for (s, j) in pairs:
-            if not convexity:
-                bounds.append((None, None))
-            elif s == j:
-                bounds.append((0.0, None))
-            else:
-                bounds.append((None, 0.0))
-    bounds.extend([(0.0, None)] * (2 * n_obs))
-
-    rows_ub, rhs_ub = [], []
+    A_ub = b_ub = None
     if monotone and d_e > 1:
-        for e in range(d_e - 1):
-            for ci, (s, j) in enumerate(pairs):
-                r = np.zeros(nv)
-                r[e * n_coef + ci] = 1.0
-                r[(e + 1) * n_coef + ci] = -1.0
-                rows_ub.append(r)
-                rhs_ub.append(-MIN_DIAG_INCREMENT if s == j else 0.0)
-    A_ub = np.vstack(rows_ub) if rows_ub else None
-    b_ub = np.array(rhs_ub) if rows_ub else None
+        # b(e) - b(e+1) <= 0 per coefficient, <= -increment on the diagonal.
+        step = sparse.eye(d_e - 1, d_e) - sparse.eye(d_e - 1, d_e, k=1)
+        A_ub = sparse.hstack([sparse.kron(step, sparse.identity(n_coef)),
+                              sparse.csr_matrix((n_coef * (d_e - 1), 2 * n_obs))],
+                             format="csr")
+        diag = np.array([s == j for s, j in pairs])
+        b_ub = np.tile(np.where(diag, -MIN_DIAG_INCREMENT, 0.0), d_e - 1)
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:
+    # The check loss is nonnegative, so the program is never unbounded.
+    state, x, residual = solve_lp(c, A_ub, b_ub, A_eq, np.concatenate(targets),
+                                  bounds=bounds)
+    if state == "infeasible":
         raise ValidationError(
             "no coefficient matrices satisfy the shape constraints for these data")
-    if res.status != 0:
-        raise NumericFailure(f"LAD fit LP failed: {res.message}")
 
-    b_stack = np.empty((d_e, d_y, d_y))
-    for e in range(d_e):
-        vech = res.x[e * n_coef:(e + 1) * n_coef]
-        mat = np.zeros((d_y, d_y))
-        for ci, (s, j) in enumerate(pairs):
-            mat[s, j] = mat[j, s] = vech[ci]
-        b_stack[e] = mat
+    b_stack = np.zeros((d_e, d_y, d_y))
+    rows, cols = np.triu_indices(d_y)          # the order of _vech_indices
+    coefs = x[:d_e * n_coef].reshape(d_e, n_coef)
+    b_stack[:, rows, cols] = coefs
+    b_stack[:, cols, rows] = coefs
     slack = {}
     if monotone and d_e > 1:
         diffs = b_stack[1:] - b_stack[:-1]
@@ -218,7 +198,7 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
         slack["max_offdiagonal"] = float(off.max()) if off.size else 0.0
         slack["min_diagonal"] = float(
             np.min(np.diagonal(b_stack, axis1=1, axis2=2)))
-    return DiewertFit(b_stack=b_stack, residual=float(res.fun), slack_report=slack)
+    return DiewertFit(b_stack=b_stack, residual=residual, slack_report=slack)
 
 
 # ---------------------------------------------------------------------------

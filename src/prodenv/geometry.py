@@ -23,7 +23,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NumericFailure, ValidationError
 
-# LP feasibility tolerance; value comparisons use 1e-6 relative.
+# Feasibility tolerance (solve_lp scales it by the largest right-hand side);
+# value comparisons use 1e-6 relative.
 FEAS_TOL = 1e-9
 UNIT_TOL = 1e-12
 
@@ -237,6 +238,28 @@ class SupportResult:
         return np.isfinite(self.value)
 
 
+def solve_lp(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(None, None)):
+    """The one linear-program entry point: minimize ``c . x`` subject to
+    ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and ``bounds`` (free variables by
+    default) with HiGHS.
+
+    Returns ``(state, x, value)``: state is "optimal", "infeasible" or
+    "unbounded", and x and the minimum are None unless it is optimal.
+    Constraints hold to FEAS_TOL relative to the largest right-hand side.
+    Any other solver outcome raises NumericFailure.
+    """
+    scale = max([1.0] + [float(np.max(np.abs(b))) for b in (b_ub, b_eq)
+                         if b is not None and np.size(b)])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": FEAS_TOL * scale})
+    if res.status == 0:
+        return "optimal", np.asarray(res.x), float(res.fun)
+    if res.status in (2, 3):
+        return ("infeasible" if res.status == 2 else "unbounded"), None, None
+    raise NumericFailure(f"LP failed: status {res.status} ({res.message})")
+
+
 def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
     """Support function of the envelope at direction ``u`` (an LP).
 
@@ -247,33 +270,25 @@ def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
     uv = _ray_array(u, env.dimension) if isinstance(u, PriceRay) else np.asarray(u, float)
     if uv.shape != (env.dimension,):
         raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
-    res = linprog(
-        -uv,
-        A_ub=env.normals,
-        b_ub=env.offsets,
-        bounds=[(None, None)] * env.dimension,
-        method="highs",
-    )
-    if res.status == 0:
-        return SupportResult(value=float(uv @ res.x), maximizer=np.asarray(res.x))
-    if res.status == 3:
-        return SupportResult(value=np.inf, direction=_unbounded_certificate(env, uv))
-    raise NumericFailure(f"support LP failed: status {res.status} ({res.message})")
+    state, x, _ = solve_lp(-uv, env.normals, env.offsets)
+    if state == "optimal":
+        return SupportResult(value=float(uv @ x), maximizer=x)
+    if state == "unbounded":
+        return SupportResult(value=np.inf, direction=recession_direction(env, uv))
+    raise NumericFailure("support LP infeasible on a nonempty envelope")
 
 
-def _unbounded_certificate(env: HalfspaceEnvelope, u: np.ndarray) -> np.ndarray:
-    # Recession direction w with A w <= 0 along which u.w > 0; capping u.w at 1
-    # keeps the certificate LP bounded.
-    res = linprog(
-        -u,
-        A_ub=np.vstack([env.normals, u]),
-        b_ub=np.append(np.zeros(env.num_constraints), 1.0),
-        bounds=[(None, None)] * env.dimension,
-        method="highs",
-    )
-    if res.status != 0 or -res.fun <= FEAS_TOL:
+def recession_direction(env: HalfspaceEnvelope, c, along=None) -> np.ndarray:
+    """Unit recession direction w of the envelope (normals . w <= 0, and
+    along . w = 0 when ``along`` is given) with c . w > 0: the certificate
+    that sup c . y is +inf.  Capping c . w at 1 keeps the LP bounded."""
+    c = np.asarray(c, dtype=float)
+    A_eq, b_eq = (None, None) if along is None else (np.atleast_2d(along), [0.0])
+    state, w, value = solve_lp(-c, np.vstack([env.normals, c]),
+                               np.append(np.zeros(env.num_constraints), 1.0),
+                               A_eq, b_eq)
+    if state != "optimal" or -value <= FEAS_TOL:
         raise NumericFailure("unbounded LP without a recession certificate")
-    w = np.asarray(res.x)
     return w / np.linalg.norm(w)
 
 

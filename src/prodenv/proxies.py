@@ -190,8 +190,10 @@ class ProxyModel:
         _check_schema(doc, "prodenv.proxy-model", 1)
         goods = tuple(ProxyGoodModel(np.array(g["grid"]), np.array(g["g_values"]),
                                      g["observed"]) for g in doc["goods"])
+        gaps = tuple([tuple(run) for run in good_gaps]
+                     for good_gaps in doc.get("gaps", []))
         return cls(goods=goods, anchor_x=np.array(doc["anchor"]["x"]),
-                   anchor_p=np.array(doc["anchor"]["p"]))
+                   anchor_p=np.array(doc["anchor"]["p"]), gaps=gaps)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -1,12 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-import prodenv.bounds
+import prodenv.geometry
 from prodenv.bounds import (ProfitData, brute_force_bounds,
                             profit_bounds, profit_bounds_fixed_quantity,
                             project_rationalizable, quantity_bounds,
@@ -356,10 +354,26 @@ class TestClosedFormMatchesLp:
             # along the face (about 0.05 at the default 1e-7).  Presolve at
             # that tolerance once called a face of exact data empty.
             tol = 1e-10 * max(1.0, float(np.max(np.abs(data.values))))
-            mp.setattr(prodenv.bounds, "linprog", functools.partial(
-                linprog, options={"primal_feasibility_tolerance": tol,
-                                  "presolve": False}))
+
+            def reference_linprog(*args, **kwargs):
+                kwargs["options"] = {"primal_feasibility_tolerance": tol,
+                                     "presolve": False}
+                return linprog(*args, **kwargs)
+
+            mp.setattr(prodenv.geometry, "linprog", reference_linprog)
             self._check(case, data, pc, ybar)
+
+    def test_face_lp_tolerance_near_parallel(self):
+        # At HiGHS's default 1e-7 feasibility tolerance the face LP slid along
+        # a face past a constraint 1e-6 rad away (seed 1 came out 7.5e-3 low).
+        for seed in range(50):
+            data, pc, _ = _case_2d("near_parallel", np.random.default_rng(seed))
+            scale = max(1.0, float(np.max(np.abs(data.values))))
+            lows, lows_lp = _face_minima(data, pc)[0], _face_minima_lp(data, pc)[0]
+            np.testing.assert_array_equal(np.isneginf(lows), np.isneginf(lows_lp))
+            finite = np.isfinite(lows)
+            err = float(np.max(np.abs(lows[finite] - lows_lp[finite]), initial=0.0))
+            assert err <= (1e-7 if seed == 1 else 1e-3) * scale, (seed, err)
 
     @staticmethod
     def _check(case, data, pc, ybar):
@@ -462,6 +476,19 @@ class TestThreeGoods:
         with pytest.raises(ValidationError):
             quantity_bounds(bad, pc, np.eye(3)[0])
 
+    def test_unbounded_lower_has_descent_certificate(self, rng):
+        # Two rays leave every face unbounded below at a p_c outside their
+        # span; the certificate is a recession direction within the face.
+        data, _ = diewert_data_3d(rng, k=2)
+        pc = np.array([1.0, 2.0, 2.0]) / 3.0
+        res = profit_bounds(data, pc)
+        assert np.isneginf(res.lower) and np.isposinf(res.upper)
+        w, face = res.lower_certificate["ray"], data.rays[0]
+        assert pc @ w < 0
+        assert np.all(data.rays @ w <= 1e-9)
+        assert abs(face @ w) <= 1e-9
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+
 
 # ---------------------------------------------------------------------------
 # LP budget: the d = 2 questions stay (nearly) LP-free
@@ -471,14 +498,13 @@ class TestThreeGoods:
 class TestLpBudget:
     @pytest.fixture
     def lp_calls(self, monkeypatch):
-        import prodenv.bounds
-        import prodenv.geometry
         calls = []
-        for mod in (prodenv.bounds, prodenv.geometry):
-            def counted(*args, _real=mod.linprog, **kwargs):
-                calls.append(1)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(mod, "linprog", counted)
+
+        def counted(*args, _real=prodenv.geometry.linprog, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(prodenv.geometry, "linprog", counted)
         return calls
 
     def test_two_goods_budget(self, rng, lp_calls):

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -9,46 +11,12 @@ from prodenv.cli import (golden_table, main, profit_data_from_table,
 from prodenv.errors import ValidationError
 from prodenv.config import PipelineConfig
 
-DEMO_CONFIG = """
-[pipeline]
-stages = simulate identify proxies bounds estimate duality
-out_dir = {out}
-seed = 42
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
-[simulate]
-technology = diewert
-b_1 = 1.1 -0.3 ; -0.3 0.9
-b_2 = 1.9 -0.3 ; -0.3 1.6
-b_3 = 2.8 -0.3 ; -0.3 2.2
-markets = 200
-proxy_1 = square_plus:1.0:0.6,1.4:3
-proxy_2 = identity:0.9,2.1:4
-entry = all
-noise_half_width = 0
-
-[identify]
-bucketing = unique
-max_types = 3
-min_anchor_count = 1
-min_cell_count = 1
-noise_width = 0.0001
-penalty_c = 0.2
-
-[proxies]
-anchor_x = 1.0 1.5
-anchor_p = 2.0 1.5
-trim = 0
-
-[bounds]
-question = profit
-p_c = 1.0 0.6
-repair = project
-
-[estimate]
-
-[duality]
-b_true = 2.8 -0.3 ; -0.3 2.2
-"""
+# The README's pipeline config, so the printed example is the tested one.
+DEMO_CONFIG = re.sub(
+    r"(?m)^out_dir = .*$", "out_dir = {out}",
+    re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1))
 
 
 @pytest.fixture
@@ -72,14 +40,14 @@ class TestPipeline:
             "simulate", "identify", "proxies", "bounds", "estimate", "duality"}
 
     def test_rerun_is_identical(self, demo_config, tmp_path):
+        # Every content artifact; the manifest holds timings.
         cfg_path, out = demo_config
         m1 = run_pipeline(cfg_path)
-        with open(m1["artifacts"]["profit_table"]) as fh:
-            t1 = fh.read()
         m2 = run_pipeline(cfg_path, out_dir=str(tmp_path / "other"))
-        with open(m2["artifacts"]["profit_table"]) as fh:
-            t2 = fh.read()
-        assert t1 == t2
+        assert len(m1["artifacts"]) == 6
+        for name, path in m1["artifacts"].items():
+            with open(path, "rb") as f1, open(m2["artifacts"][name], "rb") as f2:
+                assert f1.read() == f2.read(), name
         assert m1["config_sha256"] == m2["config_sha256"]
 
     def test_stage_order_validated_before_work(self, tmp_path):
@@ -293,6 +261,18 @@ anchor_p = 2.0 1.2
         gv = np.array(doc["goods"][0]["g_values"])
         rel = np.abs(gv - (grid ** 2 + 1)) / (grid ** 2 + 1)
         assert rel.max() <= 0.01
+
+    def test_profile_with_a_hole_is_named(self, tmp_path, capsys):
+        rows = [f"{a},{b},1.0" for a in (1.0, 2.0) for b in (1.0, 2.0, 3.0)]
+        csv_path = tmp_path / "holey.csv"
+        csv_path.write_text("\n".join(["x_1,x_2,mean_profit"] + rows[:-1]))
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(f"[proxies]\nprofile_csv = {csv_path}\n"
+                       "anchor_x = 1.0 1.0\nanchor_p = 1.0 1.0\n")
+        assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
+                     "--out", str(tmp_path / "proxy.json")]) == 2
+        err = capsys.readouterr().err
+        assert "holey.csv" in err and "1 of 6 nodes missing" in err
 
 
 class TestCsvProfitInput:

@@ -1,15 +1,19 @@
+import ast
 import json
+import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodenv.errors import ValidationError
+import prodenv.geometry
+from prodenv.errors import NumericFailure, ValidationError
 from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
                               euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
-                              recession_ok, support_value)
+                              recession_ok, solve_lp, support_value)
 
 RT2 = np.sqrt(2.0)
 
@@ -84,6 +88,53 @@ class TestSupportValue:
         res = linprog(-(3.7 * u / np.linalg.norm(u)), A_ub=env.normals,
                       b_ub=env.offsets, bounds=[(None, None)] * 2, method="highs")
         assert -res.fun == pytest.approx(3.7 * v1, rel=1e-9)
+
+
+def lp_entry_violations(src_dir) -> list:
+    """Places in a source tree that bind or call ``linprog``, or read a
+    solver result's ``.status``, outside ``geometry.solve_lp``."""
+    found = []
+    for path in sorted(pathlib.Path(src_dir).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        if path.name == "geometry.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "solve_lp":
+                    inside = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and "linprog" in (node.name, node.asname):
+                ok = path.name == "geometry.py"       # the one binding
+            elif isinstance(node, ast.Name) and node.id == "linprog":
+                ok = id(node) in inside
+            elif isinstance(node, ast.Attribute) and node.attr in ("linprog", "status"):
+                ok = id(node) in inside
+            else:
+                continue
+            if not ok:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
+class TestSolveLp:
+    def test_states(self):
+        state, x, value = solve_lp([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0])
+        assert state == "optimal" and value == pytest.approx(3.0)
+        assert np.allclose(x, [1.0, 2.0])
+        assert solve_lp([1.0], [[1.0]], [0.0]) == ("unbounded", None, None)
+        assert solve_lp([0.0], [[1.0], [-1.0]], [-1.0, 0.0]) == ("infeasible", None, None)
+        state, x, _ = solve_lp([1.0], None, None, [[1.0]], [4.0], bounds=[(0.0, 5.0)])
+        assert state == "optimal" and x[0] == pytest.approx(4.0)
+
+    def test_other_solver_outcomes_raise(self, monkeypatch):
+        monkeypatch.setattr(prodenv.geometry, "linprog", lambda *a, **k: SimpleNamespace(
+            status=4, message="numerical difficulties"))
+        with pytest.raises(NumericFailure, match="numerical difficulties"):
+            solve_lp([1.0], [[1.0]], [0.0])
+
+    def test_linprog_only_behind_solve_lp(self):
+        # One entry point maps solver statuses to states; a second status
+        # ladder anywhere in the package fails here.
+        assert lp_entry_violations(pathlib.Path(prodenv.__file__).parent) == []
 
 
 class TestRecession:

@@ -134,6 +134,18 @@ class TestIntegrateG:
         assert model.gaps[0]
         assert np.allclose(model.goods[0].g_values, grid, rtol=1e-3)
 
+    def test_gaps_survive_save_and_load(self, tmp_path):
+        grid = np.arange(0.5, 2.0001, 0.01)
+        t = grid.copy()
+        t[70:73] = 1e13
+        t[100] = 1e13
+        model = integrate_g([t], [grid], (np.array([1.0]), np.array([1.0])))
+        path = str(tmp_path / "proxy.json")
+        model.save(path)
+        loaded = ProxyModel.load(path)
+        assert len(model.gaps[0]) == 2
+        assert loaded.gaps == model.gaps
+
     def test_observed_good_passthrough(self):
         grid = np.linspace(0.5, 2.0, 51)
         model = integrate_g([np.array([])], [grid], (np.array([1.0]),
