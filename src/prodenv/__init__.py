@@ -32,9 +32,9 @@ from .proxies import (ProxyGoodModel, ProxyModel, RankDiagnostic,
                       rank_matrix, recover_g_housing, recover_proxy_model,
                       solve_t)
 from .simulate import (Dataset, DemandGood, DiewertTech, HicksNeutralTech,
-                       KinkedTech, MarketConfig, ObservationRecord, PowerTech,
-                       ProxyGood, TechnologySpec, gen_demand_proxy,
-                       generate_dataset, invert_demand, nested_check,
-                       profit_oracle, profit_oracle_batch)
+                       KinkedTech, MarketConfig, PowerTech, ProxyGood,
+                       TechnologySpec, gen_demand_proxy, generate_dataset,
+                       invert_demand, nested_check, profit_oracle,
+                       profit_oracle_batch)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

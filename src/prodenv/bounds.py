@@ -524,28 +524,21 @@ def brute_force_bounds(data: ProfitData, p_c, resolution: int = 50) -> BoundResu
     )
 
 
-def project_rationalizable(data: ProfitData, max_iter: int = 10,
-                           tol: float = 1e-9) -> tuple[ProfitData, float]:
+def project_rationalizable(data: ProfitData) -> tuple[ProfitData, float]:
     """Minimal downward repair of estimated profits onto rationalizability.
 
     Data are rationalizable exactly when every constraint of their envelope
     is tight (the observed value equals the envelope's support there).
-    Estimated tables miss tightness by their recovery error; replacing each
-    value with its envelope support and iterating to a fixpoint yields a
-    consistent table.  Returns the repaired data and the largest shift.
+    Estimated tables miss tightness by their recovery error.  Replacing each
+    value with its envelope support leaves the envelope unchanged, so one
+    pass makes every constraint tight.  Returns the repaired data and the
+    largest shift.
     """
-    values = data.values.copy()
-    shift = 0.0
-    for _ in range(max_iter):
-        env = HalfspaceEnvelope(data.rays, values)
-        new = np.array([support_value(env, r).value for r in data.rays])
-        if not np.all(np.isfinite(new)):
-            raise NumericFailure("projection produced an unbounded support")
-        delta = float(np.max(np.abs(new - values)))
-        shift = max(shift, float(np.max(np.abs(new - data.values))))
-        values = new
-        if delta <= tol:
-            break
+    env = HalfspaceEnvelope(data.rays, data.values)
+    values = np.array([support_value(env, r).value for r in data.rays])
+    if not np.all(np.isfinite(values)):
+        raise NumericFailure("projection produced an unbounded support")
+    shift = float(np.max(np.abs(values - data.values)))
     return ProfitData(data.e, data.rays, values), shift
 
 

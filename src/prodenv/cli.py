@@ -83,11 +83,13 @@ def profit_data_from_csv(path: str) -> dict:
     the unit sphere by homogeneity.  Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        d = sum(1 for h in header if h.startswith("ray_"))
+        if d == 0 or header[d:d + 1] != ["value"]:
+            raise ValidationError(f"{path!r} is not a profit-pairs CSV "
+                                  "(need ray_1..ray_d, value[, type_e])")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    d = sum(1 for h in header if h.startswith("ray_"))
-    if d == 0 or header[d] != "value":
-        raise ValidationError(f"{path!r} is not a profit-pairs CSV "
-                              "(need ray_1..ray_d, value[, type_e])")
+    if body.size == 0:
+        raise ValidationError(f"{path!r} has a header but no rows")
     has_type = "type_e" in header
     types = body[:, d + 1].astype(int) if has_type else np.ones(len(body), int)
     out = {}
@@ -163,7 +165,7 @@ def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
     mode = sec.get_str("mode", "euler")
     if mode == "housing":
         profile = np.loadtxt(sec.get_str("profile_csv", required=True),
-                             delimiter=",", skiprows=1)
+                             delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
         anchor = (sec.get_float("anchor_v", required=True),
                   sec.get_float("anchor_p", required=True))
         sec.check_unknown()

@@ -534,12 +534,13 @@ def identify_profits(data: Dataset, config: IdentifyConfig = IdentifyConfig()) -
     if not cell_atoms:
         raise InsufficientData("no cell has enough observations to deconvolve")
 
+    # Every cell here passed deconvolve_atoms's penalised atom count and
+    # its fit-error threshold, and a cell with m atoms identifies the top m
+    # types, so d_e is the largest atom count.
     if config.max_types is not None:
         d_e = config.max_types
     else:
-        errs = np.array([a.fit_error for a in cell_atoms.values()])
-        cutoff = float(np.median(errs))
-        d_e = max(len(a) for a in cell_atoms.values() if a.fit_error <= cutoff + 1e-12)
+        d_e = max(len(a) for a in cell_atoms.values())
 
     assignments = rank_and_assign(cell_atoms, d_e, cells, noise_cdf)
     return ProfitTable(d_e=d_e, anchor=anchor, anchor_value=anchor_value,

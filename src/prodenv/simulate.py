@@ -18,7 +18,8 @@ always a top interval.
 
 from __future__ import annotations
 
-import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -414,20 +415,6 @@ class MarketConfig:
         return 2.0 * self.noise[0]
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One firm-market row. ``type_e`` is the hidden productivity column and
-    is only emitted in debug datasets; the identification pipeline never
-    reads it."""
-
-    market_id: int
-    y_restricted: tuple
-    x: tuple
-    is_price: tuple
-    noisy_profit: float
-    type_e: Optional[int] = None
-
-
 @dataclass
 class Dataset:
     """Column-oriented container for generated observations.
@@ -449,65 +436,60 @@ class Dataset:
     def __len__(self):
         return self.market_id.size
 
-    def rows(self, debug: bool = False):
-        for i in range(len(self)):
-            yield ObservationRecord(
-                market_id=int(self.market_id[i]),
-                y_restricted=tuple(self.y_restricted[i]),
-                x=tuple(self.x[i]),
-                is_price=tuple(bool(v) for v in self.is_price),
-                noisy_profit=float(self.noisy_profit[i]),
-                type_e=int(self.type_e[i]) if debug else None,
-            )
-
     def to_csv(self, path_or_buf, debug: bool = False) -> None:
-        close = False
+        """Writes a header line and one CRLF-ended line per row, built a
+        column at a time.  Floats are written as their ``repr``, so
+        ``from_csv`` reads back the same bits."""
+        k, d = self.y_restricted.shape[1], self.x.shape[1]
+        header = (["market_id"]
+                  + [f"y_restricted_{j+1}" for j in range(k)]
+                  + [f"x_{j+1}" for j in range(d)]
+                  + [f"is_price_{j+1}" for j in range(d)]
+                  + ["noisy_profit"]
+                  + (["type_e"] if debug else []))
+
+        def text(col, dtype=float):
+            return map(repr, np.asarray(col, dtype=dtype).tolist())
+
+        cols = ([text(self.market_id, int)]
+                + [text(c) for c in self.y_restricted.T]
+                + [text(c) for c in self.x.T]
+                + [itertools.repeat(str(int(v)), len(self)) for v in self.is_price]
+                + [text(self.noisy_profit)]
+                + ([text(self.type_e, int)] if debug else []))
+        lines = [",".join(header), *map(",".join, zip(*cols))]
+        body = "\r\n".join(lines) + "\r\n"
         if isinstance(path_or_buf, (str, bytes)):
-            buf = open(path_or_buf, "w", newline="")
-            close = True
+            with open(path_or_buf, "w", newline="") as fh:
+                fh.write(body)
         else:
-            buf = path_or_buf
-        try:
-            k = self.y_restricted.shape[1]
-            d = self.x.shape[1]
-            header = (["market_id"]
-                      + [f"y_restricted_{j+1}" for j in range(k)]
-                      + [f"x_{j+1}" for j in range(d)]
-                      + [f"is_price_{j+1}" for j in range(d)]
-                      + ["noisy_profit"]
-                      + (["type_e"] if debug else []))
-            w = csv.writer(buf)
-            w.writerow(header)
-            flags = [int(v) for v in self.is_price]
-            for i in range(len(self)):
-                row = ([int(self.market_id[i])]
-                       + [repr(float(v)) for v in self.y_restricted[i]]
-                       + [repr(float(v)) for v in self.x[i]]
-                       + flags
-                       + [repr(float(self.noisy_profit[i]))]
-                       + ([int(self.type_e[i])] if debug else []))
-                w.writerow(row)
-        finally:
-            if close:
-                buf.close()
+            path_or_buf.write(body)
 
     @classmethod
     def from_csv(cls, path_or_buf, noise_width: float = 0.0) -> "Dataset":
+        """Reads what ``to_csv`` writes; LF line ends and double-quoted
+        fields are accepted too."""
         if isinstance(path_or_buf, (str, bytes)):
             with open(path_or_buf, newline="") as fh:
                 return cls.from_csv(fh, noise_width)
-        rows = list(csv.reader(path_or_buf))
-        if not rows:
+        line = path_or_buf.readline()
+        if not line:
             raise ValidationError("empty dataset file")
-        header = rows[0]
+        header = [h.strip('"') for h in line.rstrip("\r\n").split(",")]
         k = sum(1 for h in header if h.startswith("y_restricted_"))
         d = sum(1 for h in header if h.startswith("x_"))
         if d == 0 or header[0] != "market_id" or "noisy_profit" not in header:
             raise ValidationError("not a prodenv dataset CSV")
         debug = header[-1] == "type_e"
-        body = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
+        with warnings.catch_warnings():
+            # A header-only file is reported below, not warned about.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(path_or_buf, delimiter=",", ndmin=2, quotechar='"')
         if body.size == 0:
             raise ValidationError("dataset has a header but no rows")
+        if body.shape[1] != len(header):
+            raise ValidationError(f"dataset rows have {body.shape[1]} fields, "
+                                  f"the header {len(header)}")
         return cls(
             market_id=body[:, 0].astype(int),
             y_restricted=body[:, 1:1 + k],

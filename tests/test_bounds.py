@@ -267,6 +267,8 @@ class TestProjection:
         repaired, shift = project_rationalizable(bumped)
         assert wapm_feasible(repaired)[0]
         assert shift <= 0.05
+        # One pass is a fixpoint: a second one moves nothing.
+        assert project_rationalizable(repaired)[1] <= 1e-12
 
     def test_consistent_data_unchanged(self, rng):
         b = random_admissible_b(rng)

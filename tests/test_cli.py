@@ -274,6 +274,17 @@ anchor_p = 2.0 1.2
         err = capsys.readouterr().err
         assert "holey.csv" in err and "1 of 6 nodes missing" in err
 
+    @pytest.mark.parametrize("rows", ["", "1.0,2.0\n"])
+    def test_short_housing_profile_is_reported(self, tmp_path, capsys, rows):
+        csv_path = tmp_path / "housing.csv"
+        csv_path.write_text("vbar,p_l\n" + rows)
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(f"[proxies]\nmode = housing\nprofile_csv = {csv_path}\n"
+                       "anchor_v = 1.0\nanchor_p = 2.0\n")
+        assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
+                     "--out", str(tmp_path / "proxy.json")]) == 2
+        assert "at least 3 points" in capsys.readouterr().err
+
 
 class TestCsvProfitInput:
     def _write_pairs_csv(self, tmp_path):
@@ -312,3 +323,19 @@ class TestCsvProfitInput:
         doc = json.load(open(out))
         assert np.allclose(np.asarray(doc["b"][0]), b1, atol=1e-7)
         assert np.allclose(np.asarray(doc["b"][1]), b2, atol=1e-7)
+
+    def test_pairs_csv_without_value_column_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "rays.csv"
+        path.write_text("ray_1,ray_2\n1.0,0.5\n0.5,1.0\n")
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = profit\np_c = 1.0 1.0\n")
+        assert main(["bounds", "--profits", str(path), "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert "not a profit-pairs CSV" in capsys.readouterr().err
+
+    def test_header_only_pairs_csv_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("ray_1,ray_2,value\n")
+        assert main(["estimate", "--profits", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert "has a header but no rows" in capsys.readouterr().err

@@ -200,6 +200,22 @@ class TestEndToEnd:
             assert np.all(np.diff(assigned) > 0)      # monotone in the type index
         assert n_partial >= 1                         # selection actually bites
 
+    def test_readme_example_seed_10_keeps_every_type(self):
+        # The README library example at seed 10.  The last-ray cell is the
+        # only one holding all three types, and its fit error lies just
+        # above the median cell's; d_e must still count its three atoms.
+        b1 = np.array([[0.75, -0.85], [-0.85, 0.65]])
+        tech = TechnologySpec.diewert_family(
+            [b1, b1 + np.diag([1.0, 0.8]), b1 + np.diag([2.2, 1.7])])
+        cfg = MarketConfig(num_markets=200_000, dimension=2,
+                           price_law=("grid", unit_rays_2d(np.linspace(0.2, 1.3, 10))),
+                           entry_rule=("nonneg_profit",),
+                           noise=(0.1, "uniform"), seed=10)
+        table = identify_profits(generate_dataset(tech, cfg),
+                                 IdentifyConfig(bucketing=BucketingConfig("unique")))
+        assert table.d_e == 3
+        assert max(len(c.values) for c in table.cells) == 3
+
     def test_homogeneity_across_scaled_rays(self, rng):
         # Cells whose price vectors are scalar multiples have proportional profits.
         tech = nested_diewert(rng)

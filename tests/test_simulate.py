@@ -1,4 +1,6 @@
+import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -204,30 +206,81 @@ class TestGenerateDataset:
 
     def test_csv_round_trip(self, rng, tmp_path):
         tech = nested_diewert(rng)
-        data = generate_dataset(tech, self.make_cfg(num_markets=50))
+        data = generate_dataset(tech, self.make_cfg(
+            num_markets=50, restricted_quantity_law=("uniform", 0.5, 2.0)))
+        assert data.y_restricted.shape[1] == 1
         path = tmp_path / "data.csv"
-        data.to_csv(str(path))
-        back = Dataset.from_csv(str(path), noise_width=data.noise_width)
-        assert np.allclose(back.noisy_profit, data.noisy_profit)
-        assert np.allclose(back.x, data.x)
-        assert np.array_equal(back.market_id, data.market_id)
-
-    def test_debug_column_round_trip(self, rng, tmp_path):
-        tech = nested_diewert(rng)
-        data = generate_dataset(tech, self.make_cfg(num_markets=30))
-        path = tmp_path / "debug.csv"
         data.to_csv(str(path), debug=True)
-        back = Dataset.from_csv(str(path))
-        assert np.array_equal(back.type_e, data.type_e)
+        back = Dataset.from_csv(str(path), noise_width=data.noise_width)
+        for name in ("market_id", "y_restricted", "x", "is_price",
+                     "noisy_profit", "type_e"):
+            assert np.array_equal(getattr(back, name), getattr(data, name)), name
 
-    def test_records_view(self, rng):
-        tech = nested_diewert(rng)
-        data = generate_dataset(tech, self.make_cfg(num_markets=5))
-        rows = list(data.rows())
-        assert len(rows) == len(data)
-        assert rows[0].type_e is None
-        rows_dbg = list(data.rows(debug=True))
-        assert rows_dbg[0].type_e == int(data.type_e[0])
+
+def _reference_csv(data: Dataset, debug: bool) -> str:
+    """The dataset text contract, one row at a time: csv.writer lines
+    (CRLF-ended) with floats written as repr."""
+    k, d = data.y_restricted.shape[1], data.x.shape[1]
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["market_id"] + [f"y_restricted_{j+1}" for j in range(k)]
+               + [f"x_{j+1}" for j in range(d)]
+               + [f"is_price_{j+1}" for j in range(d)] + ["noisy_profit"]
+               + (["type_e"] if debug else []))
+    for i in range(len(data)):
+        w.writerow([int(data.market_id[i])]
+                   + [repr(float(v)) for v in data.y_restricted[i]]
+                   + [repr(float(v)) for v in data.x[i]]
+                   + [int(v) for v in data.is_price]
+                   + [repr(float(data.noisy_profit[i]))]
+                   + ([int(data.type_e[i])] if debug else []))
+    return buf.getvalue()
+
+
+class TestDatasetCsv:
+    @pytest.fixture
+    def data(self, rng):
+        goods = (ProxyGood("square_plus", (1.0,), (0.5, 1.5)),
+                 ProxyGood("identity", (), (0.8, 2.0)))
+        cfg = MarketConfig(num_markets=60, dimension=2, proxy_goods=goods,
+                           price_law=("box", 0.2, 1.0), noise=(0.05, "uniform"),
+                           restricted_quantity_law=("uniform", 0.5, 2.0), seed=4)
+        return generate_dataset(nested_diewert(rng), cfg)
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_text_matches_row_writer(self, data, tmp_path, debug):
+        buf = io.StringIO()
+        data.to_csv(buf, debug=debug)
+        assert buf.getvalue() == _reference_csv(data, debug)
+        path = tmp_path / "data.csv"
+        data.to_csv(str(path), debug=debug)
+        assert path.read_bytes() == _reference_csv(data, debug).encode()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty dataset file"),
+        ("market_id,x_1,x_2,is_price_1,is_price_2,noisy_profit\r\n",
+         "header but no rows"),
+        ("a,b\r\n1,2\r\n", "not a prodenv dataset CSV"),
+        ("market_id,x_1,is_price_1,noisy_profit\r\n0,0.5,1\r\n",
+         "rows have 3 fields, the header 4"),
+    ])
+    def test_bad_files_raise_without_warning(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                Dataset.from_csv(io.StringIO(text))
+
+    def test_lf_and_quoted_input_load(self, data):
+        buf = io.StringIO()
+        data.to_csv(buf)
+        lines = buf.getvalue().split("\r\n")[:-1]
+        quoted = ['"' + line.replace(",", '","') + '"' for line in lines]
+        for text in ("\n".join(lines) + "\n", "\n".join(quoted)):
+            back = Dataset.from_csv(io.StringIO(text))
+            assert np.array_equal(back.x, data.x)
+            assert np.array_equal(back.y_restricted, data.y_restricted)
+            assert np.array_equal(back.noisy_profit, data.noisy_profit)
+            assert np.array_equal(back.is_price, data.is_price)
 
 
 class TestDemandProxies:
