@@ -216,6 +216,14 @@ class TestGenerateDataset:
                      "noisy_profit", "type_e"):
             assert np.array_equal(getattr(back, name), getattr(data, name)), name
 
+    def test_debug_column_round_trip(self, rng, tmp_path):
+        tech = nested_diewert(rng)
+        data = generate_dataset(tech, self.make_cfg(num_markets=30))
+        path = tmp_path / "debug.csv"
+        data.to_csv(str(path), debug=True)
+        back = Dataset.from_csv(str(path))
+        assert np.array_equal(back.type_e, data.type_e)
+
 
 def _reference_csv(data: Dataset, debug: bool) -> str:
     """The dataset text contract, one row at a time: csv.writer lines
