@@ -22,7 +22,7 @@ from .estimation import (DiewertFit, DualityReport, diewert_supply,
 from .geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
                        SupportResult, euler_residual, free_disposal_hull,
                        hausdorff_extended, hausdorff_oracle_2d, recession_ok,
-                       support_value)
+                       support_value, support_values)
 from .identify import (AtomSet, BucketingConfig, CellKey, IdentifyConfig,
                        NoiseCdf, ProfitTable, build_cells, deconvolve_atoms,
                        estimate_noise_cdf, find_separated_cell,

@@ -12,29 +12,29 @@ Each y_p lives only on its own face F_p = {y : p . y = pi(p), p* . y <=
 pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
 the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
 cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
-faces are segments from one vectorized pass, so WAPM, L and the fixed-
-quantity sweep are closed forms.  Linear programs (HiGHS) per question,
-d = 2 | d >= 3: wapm_feasible 0 | 1; profit_bounds 1-2 | k + 1-3;
-quantity_bounds 2 | k + 2; sweep 0 | k + 2 per ray, the extra ones certifying
-+/-inf bounds, which are answers (limited price variation cannot always pin
-profits down), never raised.
+faces are segments from one vectorized pass (``geometry._Segments``), so
+WAPM, L, the fixed-quantity sweep and the projection are closed forms.
+Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 1;
+profit_bounds 1-2 | k + 1-3; quantity_bounds 2 | k + 2; sweep 0 | k + 2 per
+ray; project_rationalizable 0 | k; the extra ones certifying +/-inf bounds,
+which are answers (limited price variation cannot always pin profits down),
+never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay,
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Segments,
                        free_disposal_hull, recession_direction, solve_lp,
-                       support_value)
+                       support_value, support_values)
 
 VALUE_TIE_TOL = 1e-9
-PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
 
 
@@ -146,48 +146,10 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 
-class _Segments(NamedTuple):
-    """Where lines F_i . y = f_i meet the envelope of d = 2 data: segment i
-    is {bases_i + t taus_i : lo_i <= t <= hi_i}, empty when not nonempty_i."""
-
-    bases: np.ndarray         # (m, 2) f_i F_i / |F_i|^2, on the line
-    taus: np.ndarray          # (m, 2) F_i turned by 90 degrees
-    lo: np.ndarray            # (m,) -inf when the segment is unbounded that way
-    hi: np.ndarray
-    nonempty: np.ndarray      # (m,) bool
-
-    @classmethod
-    def cut(cls, F: np.ndarray, f: np.ndarray, data: ProfitData) -> "_Segments":
-        """All m segments in one O(mk) pass: constraint j reads
-        (p_j . tau_i) t <= pi_j - p_j . base_i on line i."""
-        P, v = data.rays, data.values
-        bases = f[:, None] * F / np.sum(F * F, axis=1)[:, None]
-        taus = np.column_stack([-F[:, 1], F[:, 0]])
-        a, r = taus @ P.T, v[None, :] - bases @ P.T         # (m, k) each
-        up, down = a > PARALLEL_TOL, a < -PARALLEL_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = r / a
-        hi = np.min(np.where(up, q, np.inf), axis=1)
-        lo = np.max(np.where(down, q, -np.inf), axis=1)
-        tol = FEAS_TOL * max(1.0, float(np.max(np.abs(v))))
-        nonempty = (lo <= hi + tol) & np.all(up | down | (r >= -tol), axis=1)
-        return cls(bases, taus, lo, hi, nonempty)
-
-    def minima(self, pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least p_c . y on each segment for each row of pcs (n, 2): values
-        (n, m) and attaining parameters t (n, m), +/-inf on a -inf side."""
-        slope, offset = pcs @ self.taus.T, pcs @ self.bases.T
-        flat = np.abs(slope) <= PARALLEL_TOL
-        t = np.where(flat, np.clip(0.0, self.lo, self.hi),
-                     np.where(slope > 0, self.lo, self.hi))
-        with np.errstate(invalid="ignore"):
-            return np.where(flat, offset, offset + slope * t), t
-
-
 def _faces_2d(data: ProfitData) -> _Segments:
     """The profit-attaining faces of d = 2 data; an empty one is exactly a
     WAPM violation."""
-    faces = _Segments.cut(data.rays, data.values, data)
+    faces = _Segments.cut(data.rays, data.values)
     if not np.all(faces.nonempty):
         raise ValidationError(WAPM_VIOLATION)
     return faces
@@ -252,7 +214,7 @@ def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
     and, when feasible, a certificate assignment {ray index: y_p}."""
     if data.dimension != 2:
         return _wapm_lp(data)
-    faces = _Segments.cut(data.rays, data.values, data)
+    faces = _Segments.cut(data.rays, data.values)
     if not np.all(faces.nonempty):
         return False, None
     t = np.clip(0.0, faces.lo, faces.hi)
@@ -341,7 +303,7 @@ def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray):
     ranges over [v_lo, v_hi], and the floor L(p_c) cuts that to
     [max(v_lo, L), v_hi]."""
     floor = np.max(_faces_2d(data).minima(grid)[0], axis=1)
-    line = _Segments.cut(np.eye(2)[[coord]], np.array([ybar]), data)
+    line = _Segments.cut(data.rays, data.values, np.eye(2)[[coord]], np.array([ybar]))
     base, tau = line.bases[0], line.taus[0]
     (v_lo, t_lo), (v_hi, t_hi) = line.minima(grid), line.minima(-grid)
     v_lo, t_lo, v_hi, t_hi = v_lo[:, 0], t_lo[:, 0], -v_hi[:, 0], t_hi[:, 0]
@@ -534,8 +496,7 @@ def project_rationalizable(data: ProfitData) -> tuple[ProfitData, float]:
     pass makes every constraint tight.  Returns the repaired data and the
     largest shift.
     """
-    env = HalfspaceEnvelope(data.rays, data.values)
-    values = np.array([support_value(env, r).value for r in data.rays])
+    values = support_values(data.envelope(), data.rays)
     if not np.all(np.isfinite(values)):
         raise NumericFailure("projection produced an unbounded support")
     shift = float(np.max(np.abs(values - data.values)))

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -77,6 +78,19 @@ def profit_data_from_table(table: ProfitTable, e: int,
                       values=vals)
 
 
+def _csv_rows(source, name: str, **kwargs) -> np.ndarray:
+    """The numeric rows of a CSV (a path or an open file past its header)
+    as a 2-d array; a file with no data rows is a ValidationError naming
+    it, not numpy's warning and a later crash."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        body = np.loadtxt(source, delimiter=",", ndmin=2, **kwargs)
+    if body.size == 0:
+        raise ValidationError(f"{name!r} has no data rows")
+    return body
+
+
 def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header ray_1..ray_d, value
     [, type_e].  Rays may be unnormalized prices; values are rescaled onto
@@ -87,9 +101,7 @@ def profit_data_from_csv(path: str) -> dict:
         if d == 0 or header[d:d + 1] != ["value"]:
             raise ValidationError(f"{path!r} is not a profit-pairs CSV "
                                   "(need ray_1..ray_d, value[, type_e])")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if body.size == 0:
-        raise ValidationError(f"{path!r} has a header but no rows")
+        body = _csv_rows(fh, path)
     has_type = "type_e" in header
     types = body[:, d + 1].astype(int) if has_type else np.ones(len(body), int)
     out = {}
@@ -151,10 +163,8 @@ def stage_simulate(cfg: PipelineConfig, out_path: str, debug: bool = False) -> s
 def stage_identify(cfg: PipelineConfig, data_path: str, out_path: str) -> str:
     sec = cfg.section("identify")
     icfg = parse_identify_config(sec)
-    noise_width = sec.get_float("noise_width", None)
     sec.check_unknown()
-    data = Dataset.from_csv(data_path,
-                            noise_width=noise_width if noise_width is not None else 0.0)
+    data = Dataset.from_csv(data_path, noise_width=icfg.noise_width or 0.0)
     table = identify_profits(data, icfg)
     _write_json(out_path, table.to_json_dict())
     return out_path
@@ -164,8 +174,8 @@ def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
     sec = cfg.section("proxies")
     mode = sec.get_str("mode", "euler")
     if mode == "housing":
-        profile = np.loadtxt(sec.get_str("profile_csv", required=True),
-                             delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+        path = sec.get_str("profile_csv", required=True)
+        profile = _csv_rows(path, path, skiprows=1, usecols=(0, 1))
         anchor = (sec.get_float("anchor_v", required=True),
                   sec.get_float("anchor_p", required=True))
         sec.check_unknown()
@@ -178,7 +188,7 @@ def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
     profile_csv = sec.get_str("profile_csv", None)
     if profile_csv:
         # Aggregate-mean profile: x coordinates plus a mean-profit column.
-        body = np.loadtxt(profile_csv, delimiter=",", skiprows=1, ndmin=2)
+        body = _csv_rows(profile_csv, profile_csv, skiprows=1)
         pi_tilde, axes = _lattice_interpolant(body[:, :-1], body[:, -1],
                                               f"rows of profile {profile_csv!r}")
     else:
@@ -304,8 +314,7 @@ def _parse_pbar(spec: str) -> tuple:
         lo, hi, n = spec.split(":")
         angles = np.linspace(float(lo), float(hi), int(n))
         return tuple(PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles)
-    mat = np.loadtxt(spec, delimiter=",", ndmin=2)
-    return tuple(PriceRay.from_direction(r) for r in mat)
+    return tuple(PriceRay.from_direction(r) for r in _csv_rows(spec, spec))
 
 
 def stage_duality(cfg: PipelineConfig, fit_path: str, out_path: str,

@@ -27,7 +27,7 @@ from scipy import sparse
 from .errors import NumericFailure, ValidationError
 from .geometry import (HalfspaceEnvelope, RestrictedPriceSet, _check_schema,
                        hausdorff_extended, hausdorff_oracle_2d, solve_lp,
-                       support_value)
+                       support_values)
 
 MIN_DIAG_INCREMENT = 1e-6     # strict monotonicity margin between adjacent types
 
@@ -256,9 +256,11 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
 
     Convex estimator: the Hausdorff distance between the extended sets (via
     support values) must equal the sup-norm error to 1e-6.  Nonconvex
-    estimator: the distance uses the convexification of the estimate (LP
-    support per ray) and must respect the inflation bound
-    eta (R/r) (1+eta/R) / (1-eta/r), applicable only while eta < r and r > 0.
+    estimator: the distance uses the convexification of the estimate (its
+    plug-in set's support values, closed form in d = 2) and must respect the
+    inflation bound eta (R/r) (1+eta/R) / (1-eta/r), applicable only while
+    eta < r and r > 0.  ``geometric_oracle`` adds the exact d = 2 distance of
+    ``hausdorff_oracle_2d``; ``n_boundary`` is ignored, kept for callers.
     """
     rays = price_set.as_matrix()
     a = np.array([float(pi_true(r)) for r in rays])
@@ -272,7 +274,7 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
     env_hat = HalfspaceEnvelope(rays, h)
     oracle_val = None
     if geometric_oracle and price_set.dimension == 2:
-        oracle_val = hausdorff_oracle_2d(env_true, env_hat, n_boundary)
+        oracle_val = hausdorff_oracle_2d(env_true, env_hat)
 
     if convex_flag:
         d_h = hausdorff_extended(a, h, price_set)
@@ -285,7 +287,7 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
         raise ValidationError(
             "inflation bound needs inf pi/|p| > 0 on the grid (got r <= 0)")
     # Support of the plug-in set at each ray: the convexification of pi_hat.
-    h_conv = np.array([support_value(env_hat, r).value for r in rays])
+    h_conv = support_values(env_hat, rays)
     if not np.all(np.isfinite(h_conv)):
         raise NumericFailure("plug-in set support is unbounded on its own grid")
     d_h = float(np.max(np.abs(a - h_conv)))
@@ -376,7 +378,7 @@ def infinite_hausdorff_demo(m: int = 10,
         return shrink ** 2 * pi_true(p)
 
     report = duality_check(pi_true, pi_hat, price_set, convex_flag=True,
-                           geometric_oracle=True, n_boundary=4000)
+                           geometric_oracle=True)
     eta_limit = [
         {"m": mm, "eta": float((1 - (1 - 1 / mm) ** 2)
                                * max(r[0] ** 2 / (4 * r[1]) for r in rays))}

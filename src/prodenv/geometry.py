@@ -3,11 +3,13 @@
 A production set consistent with observed profit values is represented as an
 intersection of halfspaces, one per observed price ray: the envelope
 ``{y : ray . y <= value for every (ray, value)}``.  The profit function of a
-price-taking firm is the support function of its production set, so every
-query against an envelope is a linear program.  Unbounded support values are
+price-taking firm is the support function of its production set.  In d = 2
+every constraint's face is a segment from one vectorized pass (``_Segments``),
+which gives support values and the exact Hausdorff distance in closed form;
+in d >= 3 a support value is a linear program.  Unbounded support values are
 legitimate outputs here (they signal a recession-cone violation of the
-envelope), so +inf is a first-class result state carried with a certificate
-direction rather than an exception.
+envelope), so +inf is a first-class result state, carried with a certificate
+direction by ``support_value``, rather than an exception.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -15,7 +17,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,6 +29,7 @@ from .errors import NumericFailure, ValidationError
 # value comparisons use 1e-6 relative.
 FEAS_TOL = 1e-9
 UNIT_TOL = 1e-12
+PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
 
 
 def _as_unit_vector(v, dim: int | None = None) -> np.ndarray:
@@ -299,10 +302,8 @@ def recession_ok(env: HalfspaceEnvelope, probe_rays: Sequence) -> bool:
     the recession-cone property; a full certificate over all positive prices
     is not decidable from finitely many probes.
     """
-    for ray in probe_rays:
-        if not support_value(env, ray).finite:
-            return False
-    return True
+    U = [r.components if isinstance(r, PriceRay) else r for r in probe_rays]
+    return not U or bool(np.all(np.isfinite(support_values(env, U))))
 
 
 def hausdorff_extended(a, b, price_set: RestrictedPriceSet) -> float:
@@ -320,127 +321,104 @@ def hausdorff_extended(a, b, price_set: RestrictedPriceSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 2-d boundary geometry (independent cross-check of the support-value route)
+# The d = 2 face kernel
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Boundary2D:
-    """Polyline boundary of a 2-d envelope: ordered vertices plus two
-    infinite end rays (or a full line when only one constraint is active)."""
+class _Segments(NamedTuple):
+    """Where lines F_i . y = f_i meet a d = 2 envelope: segment i is
+    {bases_i + t taus_i : lo_i <= t <= hi_i}, empty when not nonempty_i."""
 
-    vertices: np.ndarray        # (k, 2), possibly k == 0
-    start_point: np.ndarray     # anchor of the first end ray
-    start_dir: np.ndarray       # unit direction, points away to infinity
-    end_point: np.ndarray
-    end_dir: np.ndarray
+    bases: np.ndarray         # (m, 2) f_i F_i / |F_i|^2, on the line
+    taus: np.ndarray          # (m, 2) F_i turned by 90 degrees
+    lo: np.ndarray            # (m,) -inf when the segment is unbounded that way
+    hi: np.ndarray
+    nonempty: np.ndarray      # (m,) bool
+
+    @classmethod
+    def cut(cls, P: np.ndarray, v: np.ndarray, F: np.ndarray | None = None,
+            f: np.ndarray | None = None) -> "_Segments":
+        """All m segments of the envelope {P . y <= v} in one O(mk) pass; the
+        lines default to its own constraints, which gives its faces.
+        Constraint j reads (p_j . tau_i) t <= v_j - p_j . base_i on line i."""
+        if F is None:
+            F, f = P, v
+        bases = f[:, None] * F / np.sum(F * F, axis=1)[:, None]
+        taus = np.column_stack([-F[:, 1], F[:, 0]])
+        a, r = taus @ P.T, v[None, :] - bases @ P.T         # (m, k) each
+        up, down = a > PARALLEL_TOL, a < -PARALLEL_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = r / a
+        hi = np.min(np.where(up, q, np.inf), axis=1)
+        lo = np.max(np.where(down, q, -np.inf), axis=1)
+        tol = FEAS_TOL * max(1.0, float(np.max(np.abs(v))))
+        nonempty = (lo <= hi + tol) & np.all(up | down | (r >= -tol), axis=1)
+        return cls(bases, taus, lo, hi, nonempty)
+
+    def minima(self, pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least p_c . y on each segment for each row of pcs (n, 2): values
+        (n, m) and attaining parameters t (n, m), +/-inf on a -inf side."""
+        slope, offset = pcs @ self.taus.T, pcs @ self.bases.T
+        flat = np.abs(slope) <= PARALLEL_TOL
+        t = np.where(flat, np.clip(0.0, self.lo, self.hi),
+                     np.where(slope > 0, self.lo, self.hi))
+        with np.errstate(invalid="ignore"):
+            return np.where(flat, offset, offset + slope * t), t
+
+    def nonempty_only(self) -> "_Segments":
+        return _Segments(*(field[self.nonempty] for field in self))
 
 
-def _boundary_2d(env: HalfspaceEnvelope) -> _Boundary2D:
+def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
+    """Support values of the envelope at the rows of U (price directions,
+    componentwise nonnegative), +inf where unbounded; values only.
+
+    In d = 2 this is the largest maximum of u . y over the nonempty faces,
+    with no LP: a face unbounded in an ascending direction gives +inf.  In
+    d >= 3 it is ``support_value`` per row.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != env.dimension:
+        raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
+    if np.any(U < 0):
+        raise ValueError("support_values takes componentwise nonnegative directions")
     if env.dimension != 2:
-        raise ValueError("boundary walk is only defined for dimension 2")
-    theta = np.arctan2(env.normals[:, 1], env.normals[:, 0])
-    order = np.argsort(theta)
-    kept: list[int] = []
-    for i in order:
-        if kept and abs(theta[i] - theta[kept[-1]]) < 1e-12:
-            if env.offsets[i] < env.offsets[kept[-1]]:
-                kept[-1] = i
-        else:
-            kept.append(i)
-
-    def line_cross(i: int, j: int) -> np.ndarray:
-        A = np.vstack([env.normals[i], env.normals[j]])
-        return np.linalg.solve(A, np.array([env.offsets[i], env.offsets[j]]))
-
-    # Graham-scan style halfplane walk: a middle constraint is redundant when
-    # the crossing of its neighbors already satisfies it.
-    stack: list[int] = []
-    for i in kept:
-        while len(stack) >= 2:
-            v = line_cross(stack[-2], i)
-            if env.normals[stack[-1]] @ v > env.offsets[stack[-1]] + FEAS_TOL:
-                break
-            stack.pop()
-        stack.append(i)
-
-    n_first, b_first = env.normals[stack[0]], env.offsets[stack[0]]
-    n_last, b_last = env.normals[stack[-1]], env.offsets[stack[-1]]
-    start_dir = np.array([n_first[1], -n_first[0]])   # down-right, to infinity
-    end_dir = np.array([-n_last[1], n_last[0]])       # up-left, to infinity
-    if len(stack) == 1:
-        anchor = b_first * n_first
-        return _Boundary2D(np.empty((0, 2)), anchor, start_dir, anchor, end_dir)
-    verts = np.array([line_cross(stack[k], stack[k + 1]) for k in range(len(stack) - 1)])
-    return _Boundary2D(verts, verts[0], start_dir, verts[-1], end_dir)
+        return np.array([support_value(env, u).value for u in U])
+    faces = _Segments.cut(env.normals, env.offsets).nonempty_only()
+    return -np.min(faces.minima(-U)[0], axis=1)
 
 
-def _dist_to_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray,
-                      clamp_hi: bool = True) -> np.ndarray:
-    """Min distance from each point to a batch of segments (or rays)."""
-    d = seg_b - seg_a                                  # (m, 2)
-    lens2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    diff = points[:, None, :] - seg_a[None, :, :]      # (n, m, 2)
-    t = np.einsum("nmk,mk->nm", diff, d) / lens2
-    t = np.clip(t, 0.0, 1.0 if clamp_hi else np.inf)
-    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.min(np.linalg.norm(points[:, None, :] - proj, axis=2), axis=1)
+def _directed_hausdorff_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -> float:
+    """sup over y in A of dist(y, B); see ``hausdorff_oracle_2d``."""
+    fa = _Segments.cut(env_a.normals, env_a.offsets).nonempty_only()
+    t = np.concatenate([fa.lo, fa.hi])
+    base, tau = np.tile(fa.bases, (2, 1)), np.tile(fa.taus, (2, 1))
+    finite = np.isfinite(t)
+    end_rays = np.where(np.isneginf(t)[:, None], -tau, tau)[~finite]
+    if np.any(end_rays @ env_b.normals.T > FEAS_TOL):
+        return np.inf
+    verts = base[finite] + t[finite, None] * tau[finite] if finite.any() else fa.bases
+    fb = _Segments.cut(env_b.normals, env_b.offsets).nonempty_only()
+    diff = verts[:, None, :] - fb.bases[None]                       # (n, m, 2)
+    t_b = np.clip(np.sum(diff * fb.taus, axis=2), fb.lo, fb.hi)
+    dist = np.min(np.linalg.norm(diff - t_b[:, :, None] * fb.taus, axis=2), axis=1)
+    inside = np.all(verts @ env_b.normals.T <= env_b.offsets + FEAS_TOL, axis=1)
+    return float(np.max(np.where(inside, 0.0, dist)))
 
 
-def _dist_to_boundary(points: np.ndarray, bd: _Boundary2D) -> np.ndarray:
-    dists = []
-    if len(bd.vertices) >= 2:
-        dists.append(_dist_to_segments(points, bd.vertices[:-1], bd.vertices[1:]))
-    dists.append(_dist_to_segments(
-        points, bd.start_point[None, :], (bd.start_point + bd.start_dir)[None, :],
-        clamp_hi=False))
-    dists.append(_dist_to_segments(
-        points, bd.end_point[None, :], (bd.end_point + bd.end_dir)[None, :],
-        clamp_hi=False))
-    return np.min(np.vstack(dists), axis=0)
+def hausdorff_oracle_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -> float:
+    """Exact geometric Hausdorff distance between two d = 2 envelopes.
 
-
-def _sample_boundary(bd: _Boundary2D, n_samples: int, ray_extent: float) -> np.ndarray:
-    pieces = []
-    if len(bd.vertices) >= 2:
-        pieces += [(bd.vertices[k], bd.vertices[k + 1]) for k in range(len(bd.vertices) - 1)]
-    pieces.append((bd.start_point, bd.start_point + ray_extent * bd.start_dir))
-    pieces.append((bd.end_point, bd.end_point + ray_extent * bd.end_dir))
-    lengths = np.array([np.linalg.norm(b - a) for a, b in pieces])
-    alloc = np.maximum(1, np.round(n_samples * lengths / lengths.sum()).astype(int))
-    pts = [bd.vertices] if len(bd.vertices) else []
-    for (a, b), m in zip(pieces, alloc):
-        ts = np.linspace(0.0, 1.0, m + 1)
-        pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-    return np.vstack(pts)
-
-
-def hausdorff_oracle_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope,
-                        n_boundary: int = 10_000) -> float:
-    """Geometric Hausdorff distance in d=2 by dense boundary sampling.
-
-    Walks both polyhedral boundaries (vertices plus ``n_boundary`` edge
-    samples, end rays truncated far past both vertex sets) and evaluates the
-    two directed sup-inf distances against the exact opposing polyline.
-    Independent of the support-value formula on purpose.
+    The directed distance from A to B is +inf when an end ray of A leaves
+    B's recession cone.  Otherwise it is attained at a vertex of A (Atallah
+    1983): the distance from a point of A to B is convex and does not grow
+    along A's recession directions.  A vertex's distance is 0 inside B and
+    otherwise the distance to the nearest face segment of B.  Independent of
+    the support-value formula on purpose.
     """
     if env_a.dimension != 2 or env_b.dimension != 2:
         raise ValueError("hausdorff_oracle_2d supports dimension 2 only")
-    bd_a = _boundary_2d(env_a)
-    bd_b = _boundary_2d(env_b)
-    coords = [bd_a.vertices, bd_b.vertices,
-              bd_a.start_point[None], bd_b.start_point[None]]
-    scale = max(1.0, *(float(np.max(np.abs(c))) for c in coords if len(c)))
-    extent = 20.0 * scale + 10.0
-
-    def directed(bd_from: _Boundary2D, bd_to: _Boundary2D, env_to: HalfspaceEnvelope) -> float:
-        pts = _sample_boundary(bd_from, n_boundary, extent)
-        inside = (env_to.normals @ pts.T <= env_to.offsets[:, None] + FEAS_TOL).all(axis=0)
-        d = _dist_to_boundary(pts, bd_to)
-        d[inside] = 0.0
-        return float(np.max(d))
-
-    return max(directed(bd_a, bd_b, env_b), directed(bd_b, bd_a, env_a))
+    return max(_directed_hausdorff_2d(env_a, env_b), _directed_hausdorff_2d(env_b, env_a))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from prodenv.bounds import (ProfitData, brute_force_bounds,
 from prodenv.bounds import (_descent_certificate, _face_minima,
                             _face_minima_lp, _sweep_2d, _sweep_lp, _wapm_lp)
 from prodenv.errors import ValidationError
-from prodenv.geometry import support_value
+from prodenv.estimation import diewert_value, duality_check
+from prodenv.geometry import RestrictedPriceSet, support_value
 from prodenv.simulate import DiewertTech
 
 from conftest import random_admissible_b, unit_rays_2d
@@ -539,3 +540,18 @@ class TestLpBudget:
                                            grid)
         assert res.feasible
         assert len(lp_calls) == 0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_projection_and_convexification(self, d, lp_calls):
+        # Support values are closed form in d = 2 and LPs in d >= 3.
+        rng = np.random.default_rng(d)
+        b = random_admissible_b(rng, d=d)
+        rays = rng.uniform(0.25, 1.0, size=(12, d))
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        f = lambda p: float(diewert_value(b, np.asarray(p)[None, :])[0])
+        g = lambda p: f(p) * (1.0 + 0.01 * np.sin(9.0 * p[0]))
+
+        project_rationalizable(ProfitData(1, rays, [g(r) for r in rays]))
+        duality_check(f, g, RestrictedPriceSet(tuple(map(tuple, rays))),
+                      convex_flag=False, geometric_oracle=True)
+        assert (len(lp_calls) == 0) == (d == 2)

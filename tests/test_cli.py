@@ -108,7 +108,7 @@ class TestCommandLine:
         assert os.path.exists(data)
         assert main(["identify", "--data", data, "--config", cfg_path,
                      "--out", table]) == 0
-        doc = json.load(open(table))
+        doc = json.loads(pathlib.Path(table).read_text())
         assert doc["schema"].startswith("prodenv.profit-table/")
 
     def test_report_command(self, demo_config, capsys):
@@ -227,7 +227,7 @@ class TestStandaloneCommands:
                    "--fit", manifest["artifacts"]["diewert_fit"],
                    "--pbar", "0.3:1.2:40", "--out", rep])
         assert rc == 0
-        doc = json.load(open(rep))
+        doc = json.loads(pathlib.Path(rep).read_text())
         assert doc["n_rays"] == 40
         assert doc["verdict"] == "equality"
 
@@ -256,7 +256,7 @@ anchor_p = 2.0 1.2
         rc = main(["proxies", "--profits", "unused.json", "--config", str(cfg),
                    "--out", out])
         assert rc == 0
-        doc = json.load(open(out))
+        doc = json.loads(pathlib.Path(out).read_text())
         grid = np.array(doc["goods"][0]["grid"])
         gv = np.array(doc["goods"][0]["g_values"])
         rel = np.abs(gv - (grid ** 2 + 1)) / (grid ** 2 + 1)
@@ -283,7 +283,18 @@ anchor_p = 2.0 1.2
                        "anchor_v = 1.0\nanchor_p = 2.0\n")
         assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
                      "--out", str(tmp_path / "proxy.json")]) == 2
-        assert "at least 3 points" in capsys.readouterr().err
+        expected = "at least 3 points" if rows else "housing.csv' has no data rows"
+        assert expected in capsys.readouterr().err
+
+    def test_header_only_aggregate_profile_is_reported(self, tmp_path, capsys):
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_text("x_1,x_2,mean_profit\n")
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(f"[proxies]\nprofile_csv = {csv_path}\n"
+                       "anchor_x = 1.0 1.0\nanchor_p = 1.0 1.0\n")
+        assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
+                     "--out", str(tmp_path / "proxy.json")]) == 2
+        assert "profile.csv' has no data rows" in capsys.readouterr().err
 
 
 class TestCsvProfitInput:
@@ -311,7 +322,7 @@ class TestCsvProfitInput:
         out = str(tmp_path / "b.json")
         assert main(["bounds", "--profits", csv_path, "--question", str(q),
                      "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = json.loads(pathlib.Path(out).read_text())
         assert [r["type"] for r in doc["per_type"]] == [1, 2]
         for r in doc["per_type"]:
             assert np.isfinite(r["lower"]) and np.isfinite(r["upper"])
@@ -320,7 +331,7 @@ class TestCsvProfitInput:
         csv_path, (b1, b2) = self._write_pairs_csv(tmp_path)
         out = str(tmp_path / "f.json")
         assert main(["estimate", "--profits", csv_path, "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = json.loads(pathlib.Path(out).read_text())
         assert np.allclose(np.asarray(doc["b"][0]), b1, atol=1e-7)
         assert np.allclose(np.asarray(doc["b"][1]), b2, atol=1e-7)
 
@@ -338,4 +349,16 @@ class TestCsvProfitInput:
         path.write_text("ray_1,ray_2,value\n")
         assert main(["estimate", "--profits", str(path),
                      "--out", str(tmp_path / "f.json")]) == 2
-        assert "has a header but no rows" in capsys.readouterr().err
+        assert "empty.csv' has no data rows" in capsys.readouterr().err
+
+    def test_empty_pbar_csv_is_reported(self, tmp_path, capsys):
+        csv_path, _ = self._write_pairs_csv(tmp_path)
+        fit = str(tmp_path / "f.json")
+        assert main(["estimate", "--profits", csv_path, "--out", fit]) == 0
+        truth = tmp_path / "t.ini"
+        truth.write_text("[duality]\nb_true = 1.2 -0.3 ; -0.3 0.9\n")
+        pbar = tmp_path / "pbar.csv"
+        pbar.write_text("")
+        assert main(["duality", "--truth", str(truth), "--fit", fit, "--pbar", str(pbar),
+                     "--out", str(tmp_path / "d.json")]) == 2
+        assert "pbar.csv' has no data rows" in capsys.readouterr().err

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 import prodenv.geometry
 from prodenv.errors import NumericFailure, ValidationError
+from prodenv.estimation import diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
                               euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
-                              recession_ok, solve_lp, support_value)
+                              recession_ok, solve_lp, support_value,
+                              support_values)
+
+from conftest import random_admissible_b, unit_rays_2d
 
 RT2 = np.sqrt(2.0)
 
@@ -187,19 +191,126 @@ class TestHausdorffExtended:
         assert dab <= hausdorff_extended(a, c, P) + hausdorff_extended(c, b, P) + 1e-12
 
 
+SUPPORT_CASES = ("plain", "single", "near_parallel", "large", "slack")
+
+
+def _envelope_2d(case, rng):
+    """Random d = 2 envelope: Diewert profits on k rays; one ray, a pair of
+    rays 1e-6 rad apart, values x1e3, or slack added to some rows (a table
+    that is not rationalizable, whose slack rows have empty faces)."""
+    k = 1 if case == "single" else int(rng.integers(3, 12))
+    angles = np.sort(rng.uniform(0.2, 1.37, size=k))
+    if case == "near_parallel":
+        angles = np.sort(np.append(angles, angles[k // 2] + 1e-6))
+    rays = np.vstack(unit_rays_2d(angles))
+    values = diewert_value(random_admissible_b(rng), rays)
+    if case == "large":
+        values = 1e3 * values
+    if case == "slack":
+        values = values + rng.uniform(0.0, 0.2, values.size) * (rng.random(values.size) < 0.5)
+    return HalfspaceEnvelope(rays, values)
+
+
+class TestSupportValues:
+    @given(st.sampled_from(SUPPORT_CASES), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_support_lp(self, case, seed):
+        rng = np.random.default_rng(seed)
+        env = _envelope_2d(case, rng)
+        # Its own rays, then positive rays that may leave the normals' cone.
+        U = np.vstack([env.normals] + unit_rays_2d(rng.uniform(0.01, 1.56, 8))
+                      + unit_rays_2d([0.05, 1.52]))
+        got = support_values(env, U)
+        for u, v in zip(U, got):
+            ref = support_value(env, u)
+            if not (ref.finite and np.isfinite(v)):
+                assert v == ref.value
+                continue
+            tol = 1e-12 * max(1.0, abs(ref.value))
+            slack = float(np.max(env.normals @ ref.maximizer - env.offsets))
+            if slack <= 1e-12 * max(1.0, float(np.max(np.abs(env.offsets)))):
+                assert abs(v - ref.value) <= tol
+            else:
+                # HiGHS stopped inside its FEAS_TOL band (near-parallel rays):
+                # it maximized over the envelope relaxed by its own violation.
+                relaxed = HalfspaceEnvelope(env.normals, env.offsets + slack)
+                assert v <= ref.value + tol
+                assert ref.value <= support_values(relaxed, u[None])[0] + tol
+
+    def test_three_goods_use_the_lp(self, rng):
+        env = free_disposal_hull(rng.normal(size=(5, 3)))
+        U = rng.uniform(0.05, 1.0, size=(4, 3))
+        assert np.array_equal(support_values(env, U),
+                              [support_value(env, u).value for u in U])
+
+    def test_rejects_negative_or_misshapen_directions(self):
+        # A halfplane's support at -normal is +inf, which no face shows.
+        with pytest.raises(ValueError):
+            support_values(diag_env(), [[-1.0, -1.0]])
+        with pytest.raises(ValueError):
+            support_values(diag_env(), [1.0, 1.0])
+
+
+def sampled_hausdorff_2d(env_a, env_b, n=20_000):
+    """Reference for the exact oracle: n samples along each boundary (every
+    vertex, the edges, and the end rays cut far out), each at its exact
+    distance to the other boundary, or 0 inside the other envelope.
+    Sampling can only miss the largest distance, never exceed it."""
+    def vertices(env):
+        # Every feasible crossing of two constraint lines, in order along
+        # the boundary (y_1 - y_2 grows along it).
+        N, b = env.normals, env.offsets
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(b))))
+        cross = [np.linalg.solve(N[[i, j]], b[[i, j]]) for i in range(len(b))
+                 for j in range(i) if abs(np.linalg.det(N[[i, j]])) > 1e-12]
+        verts = np.array([v for v in cross if np.all(N @ v <= b + tol)]).reshape(-1, 2)
+        verts = verts if len(verts) else b[:1, None] * N[:1]
+        return verts[np.argsort(verts[:, 0] - verts[:, 1])]
+
+    def pieces(env):
+        # Boundary edges (a, a + d) between consecutive vertices, then the
+        # two end rays a + t d, t >= 0.
+        verts, theta = vertices(env), np.arctan2(env.normals[:, 1], env.normals[:, 0])
+        first, last = env.normals[np.argmax(theta)], env.normals[np.argmin(theta)]
+        a = np.vstack([verts[:-1], verts[0], verts[-1]])
+        d = np.vstack([np.diff(verts, axis=0), [-first[1], first[0]], [last[1], -last[0]]])
+        return a, d, np.r_[np.ones(len(verts) - 1), np.inf, np.inf]
+
+    def samples(env):
+        a, d, hi = pieces(env)
+        lengths = np.linalg.norm(d, axis=1) * np.where(np.isinf(hi), far, 1.0)
+        per = np.maximum(2, np.round(n * lengths / lengths.sum()).astype(int))
+        return np.vstack([a_i + np.linspace(0.0, min(h, far), m)[:, None] * d_i
+                          for a_i, d_i, h, m in zip(a, d, hi, per)])
+
+    def dist_to_boundary(pts, env):
+        a, d, hi = pieces(env)
+        t = np.clip(np.einsum("nmk,mk->nm", pts[:, None] - a, d) / np.sum(d * d, axis=1),
+                    0.0, hi)
+        return np.min(np.linalg.norm(pts[:, None] - a - t[..., None] * d, axis=2), axis=1)
+
+    far = 4.0 * (1.0 + max(float(np.max(np.abs(vertices(e)))) for e in (env_a, env_b)))
+
+    def directed(env_from, env_to):
+        pts = samples(env_from)
+        inside = np.all(pts @ env_to.normals.T <= env_to.offsets + 1e-9, axis=1)
+        return float(np.max(np.where(inside, 0.0, dist_to_boundary(pts, env_to))))
+
+    return max(directed(env_a, env_b), directed(env_b, env_a))
+
+
 class TestHausdorffOracle2D:
     def test_identical(self):
         env = diag_env()
-        assert hausdorff_oracle_2d(env, env, 500) == pytest.approx(0.0, abs=1e-12)
+        assert hausdorff_oracle_2d(env, env) == pytest.approx(0.0, abs=1e-12)
 
     def test_parallel_halfspaces(self):
         p = np.array([1, 1]) / RT2
         e0 = HalfspaceEnvelope.from_constraints([(p, 0.0)])
         e1 = HalfspaceEnvelope.from_constraints([(p, 1.0)])
-        assert hausdorff_oracle_2d(e0, e1, 2000) == pytest.approx(1.0, rel=1e-6)
+        assert hausdorff_oracle_2d(e0, e1) == pytest.approx(1.0, rel=1e-6)
 
     def test_agrees_with_formula_on_convex_perturbation(self, rng):
-        from prodenv.estimation import diewert_value
         b = np.array([[1.3, -0.35], [-0.35, 0.9]])
         angles = np.linspace(0.15, np.pi / 2 - 0.15, 50)
         rays = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -209,13 +320,38 @@ class TestHausdorffOracle2D:
         env_b = HalfspaceEnvelope(rays, scale * vals)
         P = RestrictedPriceSet(tuple(map(tuple, rays)), convex_flag=True)
         formula = hausdorff_extended(vals, scale * vals, P)
-        geometric = hausdorff_oracle_2d(env_a, env_b, 10_000)
+        geometric = hausdorff_oracle_2d(env_a, env_b)
         assert geometric == pytest.approx(formula, abs=2e-3)
+
+    def test_different_recession_cones_are_infinitely_far(self):
+        # A halfplane against the quadrant below its vertex: A runs off to
+        # infinity along (1, -1), which leaves B's recession cone.
+        a = diag_env()
+        b = HalfspaceEnvelope(np.eye(2), np.zeros(2))
+        assert hausdorff_oracle_2d(a, b) == np.inf
+        assert hausdorff_oracle_2d(b, a) == np.inf
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_sampling_never_exceeds_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        env_a = _envelope_2d(SUPPORT_CASES[seed % len(SUPPORT_CASES)], rng)
+        # B moves every offset; for odd seeds it also drops interior rays,
+        # so the two envelopes share only their recession cone.
+        keep = np.arange(env_a.num_constraints)
+        if seed % 2:
+            keep = keep[(keep % 2 == 0) | (keep == keep[-1])]
+        env_b = HalfspaceEnvelope(env_a.normals[keep], env_a.offsets[keep]
+                                  + rng.uniform(-0.1, 0.1, keep.size))
+        exact = hausdorff_oracle_2d(env_a, env_b)
+        assert np.isfinite(exact)
+        sampled = sampled_hausdorff_2d(env_a, env_b)
+        assert sampled <= exact * (1 + 1e-9) + 1e-12
+        assert sampled == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     def test_rejects_other_dimensions(self):
         env = free_disposal_hull(np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            hausdorff_oracle_2d(env, env, 100)
+            hausdorff_oracle_2d(env, env)
 
 
 class TestFreeDisposalHull:
