@@ -13,12 +13,12 @@ pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
 the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
 cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
 faces are segments from one vectorized pass (``geometry._Segments``), so
-WAPM, L, the fixed-quantity sweep and the projection are closed forms.
-Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 1;
-profit_bounds 1-2 | k + 1-3; quantity_bounds 2 | k + 2; sweep 0 | k + 2 per
-ray; project_rationalizable 0 | k; the extra ones certifying +/-inf bounds,
-which are answers (limited price variation cannot always pin profits down),
-never raised.
+WAPM, L, the support at p_c, the fixed-quantity sweep and the projection are
+closed forms.  Linear programs (HiGHS) per question, d = 2 | d >= 3:
+wapm_feasible 0 | 1; profit_bounds 0-1 | k + 1-3; quantity_bounds 2 | k + 2;
+sweep 0 | k + 2 per ray; project_rationalizable 0 | k; the extra ones
+certifying +/-inf bounds, which are answers (limited price variation cannot
+always pin profits down), never raised.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Segments,
-                       free_disposal_hull, recession_direction, solve_lp,
-                       support_value, support_values)
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, SupportResult,
+                       _Segments, free_disposal_hull, recession_direction,
+                       solve_lp, support_value, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
@@ -155,12 +155,14 @@ def _faces_2d(data: ProfitData) -> _Segments:
     return faces
 
 
-def _face_minima(data: ProfitData, pc: np.ndarray):
+def _face_minima(data: ProfitData, pc: np.ndarray,
+                 faces: Optional[_Segments] = None):
     """Least p_c . y on each face (k,) and the attaining points (k, d),
-    non-finite rows on -inf faces; closed form in d = 2."""
+    non-finite rows on -inf faces; closed form in d = 2 (from ``faces``
+    when the caller has cut them)."""
     if data.dimension != 2:
         return _face_minima_lp(data, pc)
-    faces = _faces_2d(data)
+    faces = _faces_2d(data) if faces is None else faces
     lows, t = (m[0] for m in faces.minima(pc[None, :]))
     with np.errstate(invalid="ignore"):
         return lows, faces.bases + t[:, None] * faces.taus
@@ -177,6 +179,19 @@ def _face_minima_lp(data: ProfitData, pc: np.ndarray):
         if state == "optimal":
             ys[i], lows[i] = y, float(pc @ y)
     return lows, ys
+
+
+def _support_2d(faces: _Segments, env: HalfspaceEnvelope,
+                pc: np.ndarray) -> SupportResult:
+    """``support_value`` at p_c from the faces of d = 2 data with k >= 2
+    rays: the largest p_c . y over them and a point attaining it; an LP only
+    for the +inf certificate.  (One ray's face is a line, which cannot show
+    that p_c opposite its normal is unbounded.)"""
+    neg, t = (m[0] for m in faces.minima(-pc[None, :]))
+    j = int(np.argmin(neg))
+    if np.isneginf(neg[j]):
+        return SupportResult(np.inf, direction=recession_direction(env, pc))
+    return SupportResult(-float(neg[j]), maximizer=faces.bases[j] + t[j] * faces.taus[j])
 
 
 def _descent_certificate(env: HalfspaceEnvelope, face_ray: np.ndarray,
@@ -236,14 +251,16 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     violate WAPM.
     """
     pc, env = _vec(p_c), data.envelope()
-    lows, ys = _face_minima(data, pc)
+    faces = _faces_2d(data) if data.dimension == 2 else None
+    lows, ys = _face_minima(data, pc, faces)
     best = float(np.max(lows))
     ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
     i = int(ties[0])
     lower_cert = ({"y": ys[i], "ray": data.rays[i]} if np.isfinite(best)
                   else {"ray": _descent_certificate(env, data.rays[i], pc),
                         "note": "unbounded direction"})
-    sup = support_value(env, pc)
+    sup = (_support_2d(faces, env, pc) if faces is not None and data.k > 1
+           else support_value(env, pc))
     upper_cert = ({"y": sup.maximizer} if sup.finite
                   else {"ray": sup.direction, "note": "unbounded direction"})
     return BoundResult(

@@ -22,7 +22,7 @@ from . import __version__
 from .bounds import (BoundResult, ProfitData, profit_bounds,
                      profit_bounds_fixed_quantity, project_rationalizable,
                      quantity_bounds)
-from .config import (PipelineConfig, SectionView, load_config,
+from .config import (STAGES, PipelineConfig, SectionView, artifact_file,
                      parse_identify_config, parse_market_config,
                      parse_technology)
 from .errors import ProdenvError, ValidationError
@@ -148,20 +148,27 @@ def table_evaluator(table: ProfitTable, e: int):
 # ---------------------------------------------------------------------------
 
 
-def stage_simulate(cfg: PipelineConfig, out_path: str, debug: bool = False) -> str:
+def _input_path(sec: SectionView, inputs: dict) -> str:
+    """The file stage ``sec.name`` reads: its [<stage>] input, else the
+    artifact in ``inputs`` (made earlier, or named on the command line)."""
+    return sec.get_str("input", inputs.get(STAGES[sec.name].needs))
+
+
+def stage_simulate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("simulate")
     tech = parse_technology(sec)
     market = parse_market_config(sec, cfg.seed, tech.dimension)
     sec.check_unknown()
     data = generate_dataset(tech, market)
     tmp = out_path + ".partial"
-    data.to_csv(tmp, debug=debug)
+    data.to_csv(tmp, debug=cfg.debug)
     os.replace(tmp, out_path)
     return out_path
 
 
-def stage_identify(cfg: PipelineConfig, data_path: str, out_path: str) -> str:
+def stage_identify(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("identify")
+    data_path = _input_path(sec, inputs)
     icfg = parse_identify_config(sec)
     sec.check_unknown()
     data = Dataset.from_csv(data_path, noise_width=icfg.noise_width or 0.0)
@@ -170,8 +177,9 @@ def stage_identify(cfg: PipelineConfig, data_path: str, out_path: str) -> str:
     return out_path
 
 
-def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
+def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("proxies")
+    table_path = _input_path(sec, inputs)
     mode = sec.get_str("mode", "euler")
     if mode == "housing":
         path = sec.get_str("profile_csv", required=True)
@@ -215,6 +223,26 @@ def stage_proxies(cfg: PipelineConfig, table_path: str, out_path: str) -> str:
     return out_path
 
 
+def _per_type_data(sec: SectionView, inputs: dict, types=None) -> dict:
+    """{type: ProfitData} for the stage's input, for ``types`` or every type
+    it holds: pairs from a CSV, or a profit table's cells mapped to prices
+    through the proxy model ([<stage>] proxy_model, else the proxies
+    stage's), when there is one."""
+    path = _input_path(sec, inputs)
+    if path.endswith(".csv"):
+        pairs = profit_data_from_csv(path)
+        missing = set(types or ()) - set(pairs)
+        if missing:
+            raise ValidationError(f"{path!r} has no pairs of type "
+                                  f"{', '.join(map(str, sorted(missing)))}")
+        return {e: pairs[e] for e in types or sorted(pairs)}
+    table = ProfitTable.load(path)
+    proxy_file = sec.get_str("proxy_model", inputs.get("proxy_model"))
+    model = ProxyModel.load(proxy_file) if proxy_file else None
+    return {e: profit_data_from_table(table, e, model)
+            for e in types or range(1, table.d_e + 1)}
+
+
 def _bounds_question(sec: SectionView, data: ProfitData) -> tuple[str, BoundResult]:
     kind = sec.get_str("question", "profit")
     if kind == "profit":
@@ -240,33 +268,15 @@ def _bounds_question(sec: SectionView, data: ProfitData) -> tuple[str, BoundResu
     raise ValidationError(f"[bounds] unknown question {kind!r}")
 
 
-def stage_bounds(cfg: PipelineConfig, table_path: str, out_path: str,
-                 proxy_path: Optional[str] = None) -> str:
+def stage_bounds(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("bounds")
-    if table_path.endswith(".csv"):
-        per_type_data = profit_data_from_csv(table_path)
-        table = None
-        proxy_model = None
-    else:
-        table = ProfitTable.load(table_path)
-        per_type_data = None
-        proxy_model = None
-        proxy_file = sec.get_str("proxy_model", proxy_path)
-        if proxy_file:
-            proxy_model = ProxyModel.load(proxy_file)
     types = sec.get_vector("types")
-    if types is not None:
-        type_list = [int(v) for v in types]
-    elif table is not None:
-        type_list = list(range(1, table.d_e + 1))
-    else:
-        type_list = sorted(per_type_data)
+    per_type = _per_type_data(sec, inputs,
+                              None if types is None else [int(v) for v in types])
     repair = sec.get_str("repair", "none")
     reports = []
     question = ""
-    for e in type_list:
-        data = (per_type_data[e] if per_type_data is not None
-                else profit_data_from_table(table, e, proxy_model))
+    for e, data in per_type.items():
         if repair == "project":
             data, shift = project_rationalizable(data)
         elif repair != "none":
@@ -282,23 +292,9 @@ def stage_bounds(cfg: PipelineConfig, table_path: str, out_path: str,
     return out_path
 
 
-def stage_estimate(cfg: PipelineConfig, table_path: str, out_path: str,
-                   proxy_path: Optional[str] = None) -> str:
+def stage_estimate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("estimate")
-    if table_path.endswith(".csv"):
-        per_type_data = profit_data_from_csv(table_path)
-        per_type = [(per_type_data[e].rays, per_type_data[e].values)
-                    for e in sorted(per_type_data)]
-    else:
-        table = ProfitTable.load(table_path)
-        proxy_model = None
-        proxy_file = sec.get_str("proxy_model", proxy_path)
-        if proxy_file:
-            proxy_model = ProxyModel.load(proxy_file)
-        per_type = []
-        for e in range(1, table.d_e + 1):
-            data = profit_data_from_table(table, e, proxy_model)
-            per_type.append((data.rays, data.values))
+    per_type = [(d.rays, d.values) for d in _per_type_data(sec, inputs).values()]
     fit = fit_diewert(per_type, d_y=per_type[0][0].shape[1],
                       convexity=sec.get_bool("convexity", True),
                       monotone=sec.get_bool("monotone", True),
@@ -317,10 +313,9 @@ def _parse_pbar(spec: str) -> tuple:
     return tuple(PriceRay.from_direction(r) for r in _csv_rows(spec, spec))
 
 
-def stage_duality(cfg: PipelineConfig, fit_path: str, out_path: str,
-                  pbar: Optional[str] = None) -> str:
+def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     sec = cfg.section("duality")
-    fit = DiewertFit.load(fit_path)
+    fit = DiewertFit.load(_input_path(sec, inputs))
     b_true = sec.get_matrix("b_true", required=True)
     e = sec.get_int("type_e", fit.d_e)
     n = sec.get_int("n_rays", 90)
@@ -330,8 +325,8 @@ def stage_duality(cfg: PipelineConfig, fit_path: str, out_path: str,
     sec.check_unknown()
     if fit.dimension != 2 or b_true.shape != (2, 2):
         raise ValidationError("[duality] the built-in grid is 2-dimensional")
-    if pbar:
-        rays = _parse_pbar(pbar)
+    if inputs.get("pbar"):
+        rays = _parse_pbar(inputs["pbar"])
     else:
         angles = np.linspace(lo, hi, n)
         rays = tuple(PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles)
@@ -437,7 +432,7 @@ def render_artifact(doc: dict) -> str:
 
 def run_pipeline(config_path: str, out_dir: Optional[str] = None,
                  debug: bool = False) -> dict:
-    cfg = PipelineConfig.from_file(config_path)
+    cfg = PipelineConfig.from_file(config_path, debug=debug)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     with open(config_path, "rb") as fh:
@@ -445,36 +440,14 @@ def run_pipeline(config_path: str, out_dir: Optional[str] = None,
 
     artifacts: dict[str, str] = {}
     timings = []
-    paths = {
-        "simulate": os.path.join(out, "dataset.csv"),
-        "identify": os.path.join(out, "profit_table.json"),
-        "proxies": os.path.join(out, "proxy_model.json"),
-        "bounds": os.path.join(out, "bounds_report.json"),
-        "estimate": os.path.join(out, "diewert_fit.json"),
-        "duality": os.path.join(out, "duality_report.json"),
-    }
     for stage in cfg.stages:
+        made = STAGES[stage].makes
         t0 = time.perf_counter()
         try:
-            if stage == "simulate":
-                artifacts["dataset"] = stage_simulate(cfg, paths[stage], debug)
-            elif stage == "identify":
-                src = cfg.section("identify").raw("input") or artifacts["dataset"]
-                artifacts["profit_table"] = stage_identify(cfg, src, paths[stage])
-            elif stage == "proxies":
-                src = cfg.section("proxies").raw("input") or artifacts.get("profit_table")
-                artifacts["proxy_model"] = stage_proxies(cfg, src, paths[stage])
-            elif stage == "bounds":
-                src = cfg.section("bounds").raw("input") or artifacts["profit_table"]
-                artifacts["bounds_report"] = stage_bounds(
-                    cfg, src, paths[stage], artifacts.get("proxy_model"))
-            elif stage == "estimate":
-                src = cfg.section("estimate").raw("input") or artifacts["profit_table"]
-                artifacts["diewert_fit"] = stage_estimate(
-                    cfg, src, paths[stage], artifacts.get("proxy_model"))
-            elif stage == "duality":
-                src = cfg.section("duality").raw("input") or artifacts["diewert_fit"]
-                artifacts["duality_report"] = stage_duality(cfg, src, paths[stage])
+            # Looked up by name at call time, so a wrapper set on this
+            # module's stage_<name> is the one that runs.
+            artifacts[made] = globals()["stage_" + stage](
+                cfg, artifacts, os.path.join(out, artifact_file(made)))
         except ProdenvError as exc:
             exc.args = (f"stage {stage!r}: {exc}",)
             raise
@@ -506,6 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # A stage's flags are stored under the names its stage reads: the config
+    # file as "config", an input file under the artifact it stands for.
     p = sub.add_parser("simulate", help="generate a synthetic economy dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
@@ -513,30 +488,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the hidden type column")
 
     p = sub.add_parser("identify", help="recover per-type profits from a dataset")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="dataset", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("proxies", help="recover price maps from proxies")
-    p.add_argument("--profits", required=True)
+    p.add_argument("--profits", dest="profit_table", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bounds", help="counterfactual bounds from identified profits")
-    p.add_argument("--profits", required=True)
-    p.add_argument("--question", required=True,
+    p.add_argument("--profits", dest="profit_table", required=True)
+    p.add_argument("--question", dest="config", required=True,
                    help="config file with a [bounds] section")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="shape-constrained profit fit")
-    p.add_argument("--profits", required=True)
+    p.add_argument("--profits", dest="profit_table", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("duality", help="Hausdorff / sup-norm duality report")
-    p.add_argument("--truth", required=True,
+    p.add_argument("--truth", dest="config", required=True,
                    help="config file with a [duality] section (b_true)")
-    p.add_argument("--fit", required=True)
+    p.add_argument("--fit", dest="diewert_fit", required=True)
     p.add_argument("--pbar",
                    help="evaluation grid, 'lo:hi:n' angles or a CSV of rays")
     p.add_argument("--out", required=True)
@@ -559,35 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            cfg = PipelineConfig(stages=["simulate"], out_dir=".", seed=0,
-                                 parser=load_config(args.config))
-            cfg.seed = cfg.section("pipeline").get_int("seed", 0)
-            stage_simulate(cfg, args.out, args.debug)
-        elif args.command == "identify":
-            cfg = PipelineConfig(stages=["identify"], out_dir=".", seed=0,
-                                 parser=load_config(args.config))
-            stage_identify(cfg, args.data, args.out)
-        elif args.command == "proxies":
-            cfg = PipelineConfig(stages=["proxies"], out_dir=".", seed=0,
-                                 parser=load_config(args.config))
-            stage_proxies(cfg, args.profits, args.out)
-        elif args.command == "bounds":
-            cfg = PipelineConfig(stages=["bounds"], out_dir=".", seed=0,
-                                 parser=load_config(args.question))
-            stage_bounds(cfg, args.profits, args.out)
-        elif args.command == "estimate":
-            parser = load_config(args.config) if args.config else None
-            if parser is None:
-                import configparser as _cp
-                parser = _cp.ConfigParser()
-            cfg = PipelineConfig(stages=["estimate"], out_dir=".", seed=0,
-                                 parser=parser)
-            stage_estimate(cfg, args.profits, args.out)
-        elif args.command == "duality":
-            cfg = PipelineConfig(stages=["duality"], out_dir=".", seed=0,
-                                 parser=load_config(args.truth))
-            stage_duality(cfg, args.fit, args.out, pbar=args.pbar)
+        if args.command in STAGES:
+            inputs = vars(args)
+            cfg = PipelineConfig.from_file(args.config, stages=[args.command],
+                                           inputs=inputs,
+                                           debug=inputs.get("debug", False))
+            globals()["stage_" + args.command](cfg, inputs, args.out)
         elif args.command == "report":
             if args.golden_table or not args.artifacts:
                 print(golden_table())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -17,27 +17,25 @@ from .errors import ValidationError
 from .identify import BucketingConfig, IdentifyConfig
 from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec)
 
-_KNOWN_SECTIONS = {"pipeline", "simulate", "identify", "proxies", "bounds",
-                   "estimate", "duality", "report"}
 
-STAGES = ("simulate", "identify", "proxies", "bounds", "estimate", "duality")
+class Stage(NamedTuple):
+    needs: Optional[str]      # the artifact it reads: made earlier, or [<stage>] input
+    makes: str
 
-# Stage -> artifact it consumes (must be produced earlier or given a path).
-_STAGE_NEEDS = {
-    "identify": "dataset",
-    "proxies": "profit_table",
-    "bounds": "profit_table",
-    "estimate": "profit_table",
-    "duality": "diewert_fit",
+
+# The pipeline, in order.
+STAGES = {
+    "simulate": Stage(None, "dataset"),
+    "identify": Stage("dataset", "profit_table"),
+    "proxies": Stage("profit_table", "proxy_model"),
+    "bounds": Stage("profit_table", "bounds_report"),
+    "estimate": Stage("profit_table", "diewert_fit"),
+    "duality": Stage("diewert_fit", "duality_report"),
 }
-_STAGE_MAKES = {
-    "simulate": "dataset",
-    "identify": "profit_table",
-    "proxies": "proxy_model",
-    "bounds": "bounds_report",
-    "estimate": "diewert_fit",
-    "duality": "duality_report",
-}
+
+
+def artifact_file(artifact: str) -> str:
+    return "dataset.csv" if artifact == "dataset" else artifact + ".json"
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -121,12 +119,18 @@ class SectionView:
                 f"[{self.name}] unknown keys: {', '.join(sorted(unknown))}")
 
 
-def load_config(path: str) -> configparser.ConfigParser:
+def load_config(path: Optional[str]) -> configparser.ConfigParser:
+    """The INI file at ``path`` (no file: an empty config); a section that
+    is neither [pipeline] nor a stage is a ValidationError."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"cannot read config file {path!r}")
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
+    try:
+        if path is not None and not parser.read(path):
+            raise ValidationError(f"cannot read config file {path!r}")
+        for name in parser.sections():
+            parser.items(name)            # a bad '%' interpolation fails here
+    except configparser.Error as exc:
+        raise ValidationError(f"config file {path!r}: {exc}") from None
+    unknown = set(parser.sections()) - {"pipeline", *STAGES}
     if unknown:
         raise ValidationError(f"unknown config sections: {', '.join(sorted(unknown))}")
     return parser
@@ -253,30 +257,33 @@ class PipelineConfig:
     out_dir: str
     seed: int
     parser: configparser.ConfigParser = field(repr=False, default=None)
+    debug: bool = False           # the dataset keeps its hidden type column
 
     @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
+    def from_file(cls, path: Optional[str], stages: Optional[list] = None,
+                  inputs=(), debug: bool = False) -> "PipelineConfig":
+        """The plan in the INI file at ``path``: its [pipeline] stages, or
+        ``stages`` when given, with ``inputs`` naming the artifacts the
+        caller supplies.  Fails before any work on an unknown section,
+        [pipeline] key or stage, or on a stage whose input nothing makes;
+        each stage checks its own keys when it starts."""
         parser = load_config(path)
         sec = SectionView(parser, "pipeline")
-        stages_text = sec.get_str("stages", required=True)
-        stages = stages_text.split()
-        for s in stages:
+        listed = sec.get_str("stages", required=stages is None)
+        cfg = cls(stages=stages or listed.split(),
+                  out_dir=sec.get_str("out_dir", "prodenv-run"),
+                  seed=sec.get_int("seed", 0), parser=parser, debug=debug)
+        sec.check_unknown()
+        made = set(inputs)
+        for s in cfg.stages:
             if s not in STAGES:
                 raise ValidationError(f"[pipeline] unknown stage {s!r}")
-        produced = set()
-        for s in stages:
-            need = _STAGE_NEEDS.get(s)
-            stage_sec = SectionView(parser, s)
-            explicit = stage_sec.raw("input") if parser.has_section(s) else None
-            if need and need not in produced and not explicit:
+            need = STAGES[s].needs
+            if need and need not in made and not parser.has_option(s, "input"):
                 raise ValidationError(
                     f"[pipeline] stage {s!r} needs a {need} artifact: produce it "
                     f"with an earlier stage or set [{s}] input = <path>")
-            produced.add(_STAGE_MAKES[s])
-        cfg = cls(stages=stages,
-                  out_dir=sec.get_str("out_dir", "prodenv-run"),
-                  seed=sec.get_int("seed", 0),
-                  parser=parser)
+            made.add(STAGES[s].makes)
         return cfg
 
     def section(self, name: str) -> SectionView:

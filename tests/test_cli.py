@@ -59,12 +59,60 @@ class TestPipeline:
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text(DEMO_CONFIG.format(out=tmp_path / "o")
-                       + "\n[simulate]\nbogus_knob = 3\n")
-        # configparser merges duplicate sections; the bogus key lands in
-        # [simulate] and must be flagged when that stage parses its section.
-        with pytest.raises(Exception):
+        bad.write_text(DEMO_CONFIG.format(out=tmp_path / "o").replace(
+            "[simulate]\n", "[simulate]\nbogus_knob = 3\n"))
+        with pytest.raises(ValidationError, match="unknown keys: bogus_knob"):
             run_pipeline(str(bad))
+
+    @pytest.mark.parametrize("edit, named", [
+        (("[pipeline]\n", "[pipeline]\noutdir = elsewhere\n"),
+         "[pipeline] unknown keys: outdir"),
+        (("\n[duality]", "\n[report]\nformat = text\n\n[duality]"),
+         "unknown config sections: report"),
+        (("\n[duality]", "\n[simulate]\nmarkets = 10\n\n[duality]"),
+         "section 'simulate' already exists"),
+        (("p_c = 1.0 0.6\n", "p_c = 1.0 0.6%\n"), "'%' must be followed by"),
+    ])
+    def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                capsys, edit, named):
+        monkeypatch.chdir(tmp_path)          # where a default out_dir would go
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "o").replace(*edit))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.ini"]
+
+    def test_stage_inputs_from_explicit_paths(self, demo_config, tmp_path):
+        # [<stage>] input names the file a stage reads in place of an
+        # earlier stage's artifact; the results are those of the full run.
+        cfg_path, out = demo_config
+        full = run_pipeline(cfg_path)["artifacts"]
+        part = tmp_path / "part.ini"
+        part.write_text(
+            DEMO_CONFIG.format(out=tmp_path / "part")
+            .replace("stages = simulate identify proxies bounds estimate duality",
+                     "stages = identify bounds")
+            .replace("[identify]\n", f"[identify]\ninput = {full['dataset']}\n")
+            .replace("[bounds]\n", f"[bounds]\ninput = {full['profit_table']}\n"
+                                   f"proxy_model = {full['proxy_model']}\n"))
+        manifest = run_pipeline(str(part))
+        assert list(manifest["artifacts"]) == ["profit_table", "bounds_report"]
+        for name, path in manifest["artifacts"].items():
+            assert pathlib.Path(path).read_bytes() == pathlib.Path(full[name]).read_bytes()
+
+    def test_stages_are_looked_up_by_name(self, demo_config, monkeypatch):
+        # The benchmark times each stage by replacing prodenv.cli.stage_<name>;
+        # run_pipeline must call whatever that name holds when it runs.
+        import prodenv.cli
+        called = []
+        for name in ("simulate", "identify", "proxies", "bounds", "estimate",
+                     "duality"):
+            real = getattr(prodenv.cli, "stage_" + name)
+            monkeypatch.setattr(prodenv.cli, "stage_" + name,
+                                lambda *a, _n=name, _f=real: called.append(_n) or _f(*a))
+        run_pipeline(demo_config[0])
+        assert called == ["simulate", "identify", "proxies", "bounds", "estimate",
+                          "duality"]
 
     def test_partial_artifact_left_on_failure(self, tmp_path):
         out = tmp_path / "run"
@@ -231,6 +279,25 @@ class TestStandaloneCommands:
         assert doc["n_rays"] == 40
         assert doc["verdict"] == "equality"
 
+    def test_bounds_build_only_the_types_named(self, demo_config, tmp_path, capsys):
+        # A table whose low type is identified nowhere: bounding every type
+        # fails on it, bounding the others does not touch it.
+        table = json.loads(pathlib.Path(run_pipeline(demo_config[0])
+                                        ["artifacts"]["profit_table"]).read_text())
+        for cell in table["cells"]:
+            cell["assignments"] = [a for a in cell["assignments"] if a["e"] != 1]
+            cell["unidentified_below"] = 1
+        path = tmp_path / "no_type_1.json"
+        path.write_text(json.dumps(table))
+        q = tmp_path / "q.ini"
+        out = tmp_path / "b.json"
+        for types, rc in (("", 2), ("types = 2 3\n", 0)):
+            q.write_text("[bounds]\np_c = 1.0 0.6\nrepair = project\n" + types)
+            assert main(["bounds", "--profits", str(path), "--question", str(q),
+                         "--out", str(out)]) == rc
+        assert "no cells identifying type 1" in capsys.readouterr().err
+        assert [r["type"] for r in json.loads(out.read_text())["per_type"]] == [2, 3]
+
     def test_proxies_from_profile_csv(self, tmp_path):
         # Aggregate-mean profile on a 2-d lattice: x1 proxied, x2 observed.
         import numpy as np
@@ -326,6 +393,17 @@ class TestCsvProfitInput:
         assert [r["type"] for r in doc["per_type"]] == [1, 2]
         for r in doc["per_type"]:
             assert np.isfinite(r["lower"]) and np.isfinite(r["upper"])
+
+    def test_bounds_for_named_types_of_pairs_csv(self, tmp_path, capsys):
+        csv_path, _ = self._write_pairs_csv(tmp_path)
+        q = tmp_path / "q.ini"
+        out = tmp_path / "b.json"
+        for types, rc in (("2 3", 2), ("2", 0)):
+            q.write_text(f"[bounds]\nquestion = profit\np_c = 1.0 1.0\ntypes = {types}\n")
+            assert main(["bounds", "--profits", csv_path, "--question", str(q),
+                         "--out", str(out)]) == rc
+        assert "pairs.csv' has no pairs of type 3" in capsys.readouterr().err
+        assert [r["type"] for r in json.loads(out.read_text())["per_type"]] == [2]
 
     def test_estimate_from_pairs_csv(self, tmp_path):
         csv_path, (b1, b2) = self._write_pairs_csv(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodenv.geometry
+from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
@@ -236,6 +237,28 @@ class TestSupportValues:
                 relaxed = HalfspaceEnvelope(env.normals, env.offsets + slack)
                 assert v <= ref.value + tol
                 assert ref.value <= support_values(relaxed, u[None])[0] + tol
+
+    def test_profit_upper_bound_is_the_face_support(self):
+        # Near-parallel rays, where the support LP stopped inside its
+        # FEAS_TOL band (seed 20: 1.5e-10 high); the bound and its
+        # maximizer now come from the faces.
+        finite = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            env = _envelope_2d("near_parallel", rng)
+            data = ProfitData(1, env.normals, env.offsets)
+            for pc in unit_rays_2d(rng.uniform(0.01, 1.56, 4)):
+                res, ref = profit_bounds(data, pc), support_values(env, pc[None])[0]
+                if not np.isfinite(ref):
+                    assert res.upper == ref
+                    continue
+                finite += 1
+                tol = 1e-12 * max(1.0, abs(ref))
+                assert abs(res.upper - ref) <= tol
+                y = res.upper_certificate["y"]
+                assert abs(pc @ y - ref) <= 1e-9 * max(1.0, abs(ref))
+                assert np.all(env.normals @ y <= env.offsets + 1e-9)
+        assert finite > 50
 
     def test_three_goods_use_the_lp(self, rng):
         env = free_disposal_hull(rng.normal(size=(5, 3)))
