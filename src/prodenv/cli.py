@@ -19,12 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundResult, ProfitData, profit_bounds,
-                     profit_bounds_fixed_quantity, project_rationalizable,
-                     quantity_bounds)
-from .config import (STAGES, PipelineConfig, SectionView, artifact_file,
-                     parse_identify_config, parse_market_config,
-                     parse_technology)
+from .bounds import ProfitData, project_rationalizable
+from .config import STAGES, PipelineConfig, artifact_file
 from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
@@ -148,18 +144,17 @@ def table_evaluator(table: ProfitTable, e: int):
 # ---------------------------------------------------------------------------
 
 
-def _input_path(sec: SectionView, inputs: dict) -> str:
-    """The file stage ``sec.name`` reads: its [<stage>] input, else the
-    artifact in ``inputs`` (made earlier, or named on the command line)."""
-    return sec.get_str("input", inputs.get(STAGES[sec.name].needs))
+def _input_path(stage: str, settings, inputs: dict) -> str:
+    """The file ``stage`` reads: its [<stage>] input, else the artifact in
+    ``inputs`` (made earlier, or named on the command line)."""
+    if settings.input is not None:
+        return settings.input
+    return inputs.get(STAGES[stage].needs)
 
 
 def stage_simulate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("simulate")
-    tech = parse_technology(sec)
-    market = parse_market_config(sec, cfg.seed, tech.dimension)
-    sec.check_unknown()
-    data = generate_dataset(tech, market)
+    s = cfg.settings["simulate"]
+    data = generate_dataset(s.tech, s.market)
     tmp = out_path + ".partial"
     data.to_csv(tmp, debug=cfg.debug)
     os.replace(tmp, out_path)
@@ -167,69 +162,58 @@ def stage_simulate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
 
 
 def stage_identify(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("identify")
-    data_path = _input_path(sec, inputs)
-    icfg = parse_identify_config(sec)
-    sec.check_unknown()
-    data = Dataset.from_csv(data_path, noise_width=icfg.noise_width or 0.0)
-    table = identify_profits(data, icfg)
+    s = cfg.settings["identify"]
+    data = Dataset.from_csv(_input_path("identify", s, inputs),
+                            noise_width=s.identify.noise_width or 0.0)
+    table = identify_profits(data, s.identify)
     _write_json(out_path, table.to_json_dict())
     return out_path
 
 
 def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("proxies")
-    table_path = _input_path(sec, inputs)
-    mode = sec.get_str("mode", "euler")
-    if mode == "housing":
-        path = sec.get_str("profile_csv", required=True)
-        profile = _csv_rows(path, path, skiprows=1, usecols=(0, 1))
-        anchor = (sec.get_float("anchor_v", required=True),
-                  sec.get_float("anchor_p", required=True))
-        sec.check_unknown()
-        good = recover_g_housing(profile[:, 0], profile[:, 1], anchor)
-        model = ProxyModel(goods=(good,), anchor_x=np.array([anchor[0]]),
-                           anchor_p=np.array([anchor[1]]))
+    s = cfg.settings["proxies"]
+    if s.mode == "housing":
+        profile = _csv_rows(s.profile_csv, s.profile_csv, skiprows=1, usecols=(0, 1))
+        good = recover_g_housing(profile[:, 0], profile[:, 1], s.anchor)
+        model = ProxyModel(goods=(good,), anchor_x=np.array([s.anchor[0]]),
+                           anchor_p=np.array([s.anchor[1]]))
         _write_json(out_path, model.to_json_dict())
         return out_path
 
-    profile_csv = sec.get_str("profile_csv", None)
-    if profile_csv:
+    if s.profile_csv:
         # Aggregate-mean profile: x coordinates plus a mean-profit column.
-        body = _csv_rows(profile_csv, profile_csv, skiprows=1)
+        body = _csv_rows(s.profile_csv, s.profile_csv, skiprows=1)
         pi_tilde, axes = _lattice_interpolant(body[:, :-1], body[:, -1],
-                                              f"rows of profile {profile_csv!r}")
+                                              f"rows of profile {s.profile_csv!r}")
     else:
-        table = ProfitTable.load(table_path)
-        e = sec.get_int("type_e", table.d_e)
-        pi_tilde, axes = table_evaluator(table, e)
+        table = ProfitTable.load(_input_path("proxies", s, inputs))
+        pi_tilde, axes = table_evaluator(
+            table, table.d_e if s.type_e is None else s.type_e)
     d = len(axes)
-    obs = sec.get_int("observed_index", d) - 1
-    anchors = sec.get_vector("anchors")
+    obs = (d if s.observed_index is None else s.observed_index) - 1
+    anchors = s.anchors
     if anchors is None:
-        qs = np.linspace(0.1, 0.9, max(d - 1, sec.get_int("n_anchors", d - 1)))
+        qs = np.linspace(0.1, 0.9, max(d - 1, s.n_anchors or 0))
         anchors = np.quantile(axes[obs], qs)
-    x0 = sec.get_vector("anchor_x", required=True)
-    p0 = sec.get_vector("anchor_p", required=True)
-    x_ref_v = sec.get_vector("x_ref")
     x_ref = (np.array([float(np.median(a)) for a in axes])
-             if x_ref_v is None else x_ref_v)
-    trim = sec.get_int("trim", 1)
-    sec.check_unknown()
-    grids = [a[trim:-trim] if trim > 0 else a for a in axes]
-    model = recover_proxy_model(pi_tilde, grids, x_ref, anchors, (x0, p0),
-                                observed_index=obs)
+             if s.x_ref is None else s.x_ref)
+    grids = [a[s.trim:-s.trim] if s.trim > 0 else a for a in axes]
+    model = recover_proxy_model(pi_tilde, grids, x_ref, anchors,
+                                (s.anchor_x, s.anchor_p), observed_index=obs)
     _write_json(out_path, model.to_json_dict())
     return out_path
 
 
-def _per_type_data(sec: SectionView, inputs: dict, types=None) -> dict:
+def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
     """{type: ProfitData} for the stage's input, for ``types`` or every type
     it holds: pairs from a CSV, or a profit table's cells mapped to prices
     through the proxy model ([<stage>] proxy_model, else the proxies
     stage's), when there is one."""
-    path = _input_path(sec, inputs)
+    path = _input_path(stage, s, inputs)
     if path.endswith(".csv"):
+        if s.proxy_model is not None:
+            raise ValidationError(f"[{stage}] proxy_model maps a profit table's "
+                                  f"cells to prices; {path!r} holds prices")
         pairs = profit_data_from_csv(path)
         missing = set(types or ()) - set(pairs)
         if missing:
@@ -237,69 +221,33 @@ def _per_type_data(sec: SectionView, inputs: dict, types=None) -> dict:
                                   f"{', '.join(map(str, sorted(missing)))}")
         return {e: pairs[e] for e in types or sorted(pairs)}
     table = ProfitTable.load(path)
-    proxy_file = sec.get_str("proxy_model", inputs.get("proxy_model"))
+    proxy_file = inputs.get("proxy_model") if s.proxy_model is None else s.proxy_model
     model = ProxyModel.load(proxy_file) if proxy_file else None
     return {e: profit_data_from_table(table, e, model)
             for e in types or range(1, table.d_e + 1)}
 
 
-def _bounds_question(sec: SectionView, data: ProfitData) -> tuple[str, BoundResult]:
-    kind = sec.get_str("question", "profit")
-    if kind == "profit":
-        pc = sec.get_vector("p_c", required=True)
-        pc = pc / np.linalg.norm(pc)
-        return (f"profit at p_c={pc.tolist()}", profit_bounds(data, pc))
-    if kind == "quantity":
-        pc = sec.get_vector("p_c", required=True)
-        pc = pc / np.linalg.norm(pc)
-        u = sec.get_vector("u", required=True)
-        return (f"u.y at p_c={pc.tolist()}, u={u.tolist()}",
-                quantity_bounds(data, pc, u))
-    if kind == "fixed_quantity":
-        coord = sec.get_int("coord", required=True) - 1
-        ybar = sec.get_float("ybar", required=True)
-        n = sec.get_int("n_grid_rays", 720)
-        if data.dimension != 2:
-            raise ValidationError("fixed_quantity grid is built for dimension 2")
-        angles = np.linspace(0.01, np.pi / 2 - 0.01, n)
-        grid = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-        return (f"profit with y[{coord+1}]={ybar} fixed",
-                profit_bounds_fixed_quantity(data, coord, ybar, grid))
-    raise ValidationError(f"[bounds] unknown question {kind!r}")
-
-
 def stage_bounds(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("bounds")
-    types = sec.get_vector("types")
-    per_type = _per_type_data(sec, inputs,
-                              None if types is None else [int(v) for v in types])
-    repair = sec.get_str("repair", "none")
+    s = cfg.settings["bounds"]
     reports = []
-    question = ""
-    for e, data in per_type.items():
-        if repair == "project":
+    for e, data in _per_type_data("bounds", s, inputs, s.types).items():
+        if s.repair == "project":
             data, shift = project_rationalizable(data)
-        elif repair != "none":
-            raise ValidationError(f"[bounds] unknown repair mode {repair!r}")
-        question, result = _bounds_question(sec, data)
-        doc = result.to_json_dict(question=question, e=e)
-        if repair == "project":
+        doc = s.solve(data).to_json_dict(question=s.question, e=e)
+        if s.repair == "project":
             doc["repair_shift"] = shift
         reports.append(doc)
-    sec.check_unknown()
     _write_json(out_path, {"schema": "prodenv.bounds-report/1",
-                           "question": question, "per_type": reports})
+                           "question": s.question, "per_type": reports})
     return out_path
 
 
 def stage_estimate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("estimate")
-    per_type = [(d.rays, d.values) for d in _per_type_data(sec, inputs).values()]
-    fit = fit_diewert(per_type, d_y=per_type[0][0].shape[1],
-                      convexity=sec.get_bool("convexity", True),
-                      monotone=sec.get_bool("monotone", True),
-                      tau=sec.get_float("tau", 0.5))
-    sec.check_unknown()
+    s = cfg.settings["estimate"]
+    per_type = [(d.rays, d.values)
+                for d in _per_type_data("estimate", s, inputs).values()]
+    fit = fit_diewert(per_type, d_y=per_type[0][0].shape[1], convexity=s.convexity,
+                      monotone=s.monotone, tau=s.tau)
     _write_json(out_path, fit.to_json_dict())
     return out_path
 
@@ -314,27 +262,20 @@ def _parse_pbar(spec: str) -> tuple:
 
 
 def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
-    sec = cfg.section("duality")
-    fit = DiewertFit.load(_input_path(sec, inputs))
-    b_true = sec.get_matrix("b_true", required=True)
-    e = sec.get_int("type_e", fit.d_e)
-    n = sec.get_int("n_rays", 90)
-    lo = sec.get_float("angle_lo", 0.15)
-    hi = sec.get_float("angle_hi", float(np.pi / 2 - 0.15))
-    use_oracle = sec.get_bool("geometric_oracle", True)
-    sec.check_unknown()
-    if fit.dimension != 2 or b_true.shape != (2, 2):
+    s = cfg.settings["duality"]
+    fit = DiewertFit.load(_input_path("duality", s, inputs))
+    if fit.dimension != 2:
         raise ValidationError("[duality] the built-in grid is 2-dimensional")
     if inputs.get("pbar"):
         rays = _parse_pbar(inputs["pbar"])
     else:
-        angles = np.linspace(lo, hi, n)
+        angles = np.linspace(s.angle_lo, s.angle_hi, s.n_rays)
         rays = tuple(PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles)
     price_set = RestrictedPriceSet(rays, convex_flag=True)
     report = duality_check(
-        lambda p: float(diewert_value(b_true, p[None, :])[0]),
-        fit.evaluator(e), price_set, convex_flag=True,
-        geometric_oracle=use_oracle)
+        lambda p: float(diewert_value(s.b_true, p[None, :])[0]),
+        fit.evaluator(fit.d_e if s.type_e is None else s.type_e), price_set,
+        convex_flag=True, geometric_oracle=s.geometric_oracle)
     _write_json(out_path, report.to_json_dict())
     return out_path
 

@@ -1,37 +1,25 @@
 """INI configuration parsing with schema validation.
 
-One file drives the whole pipeline; each stage reads its own section.  Keys
-are validated eagerly (unknown keys, missing required keys, and type errors
-are ValidationErrors) so a bad config fails before any work is done.
+One file drives the whole pipeline; each stage reads its own section
+through its settings parser in ``STAGES``.  Every listed stage's section is
+parsed when the plan is loaded (unknown keys, missing required keys, and
+type errors are ValidationErrors) so a bad config fails before any work is
+done; only defaults that depend on a stage's input data are left to it.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import profit_bounds, profit_bounds_fixed_quantity, quantity_bounds
 from .errors import ValidationError
 from .identify import BucketingConfig, IdentifyConfig
 from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec)
-
-
-class Stage(NamedTuple):
-    needs: Optional[str]      # the artifact it reads: made earlier, or [<stage>] input
-    makes: str
-
-
-# The pipeline, in order.
-STAGES = {
-    "simulate": Stage(None, "dataset"),
-    "identify": Stage("dataset", "profit_table"),
-    "proxies": Stage("profit_table", "proxy_model"),
-    "bounds": Stage("profit_table", "bounds_report"),
-    "estimate": Stage("profit_table", "diewert_fit"),
-    "duality": Stage("diewert_fit", "duality_report"),
-}
 
 
 def artifact_file(artifact: str) -> str:
@@ -67,23 +55,20 @@ class SectionView:
         v = self._raw(key, required, default)
         return v if v is None else str(v)
 
-    def get_int(self, key: str, default: Optional[int] = None, required: bool = False):
+    def _typed(self, key: str, parse, what: str, required: bool, default):
         v = self._raw(key, required, default)
-        if v is None or isinstance(v, int):
+        if not isinstance(v, str):            # absent: the default as given
             return v
         try:
-            return int(v)
+            return parse(v)
         except ValueError as exc:
-            raise ValidationError(f"[{self.name}] {key} must be an integer: {exc}")
+            raise ValidationError(f"[{self.name}] {key} must be {what}: {exc}")
+
+    def get_int(self, key: str, default: Optional[int] = None, required: bool = False):
+        return self._typed(key, int, "an integer", required, default)
 
     def get_float(self, key: str, default: Optional[float] = None, required: bool = False):
-        v = self._raw(key, required, default)
-        if v is None or isinstance(v, float):
-            return v
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ValidationError(f"[{self.name}] {key} must be a number: {exc}")
+        return self._typed(key, float, "a number", required, default)
 
     def get_bool(self, key: str, default: bool = False) -> bool:
         v = self._raw(key, False, None)
@@ -96,21 +81,15 @@ class SectionView:
         raise ValidationError(f"[{self.name}] {key} must be a boolean")
 
     def get_matrix(self, key: str, required: bool = False):
-        v = self._raw(key, required, None)
-        return None if v is None else _parse_matrix(v)
+        return self._typed(key, _parse_matrix, "a matrix", required, None)
 
     def get_vector(self, key: str, required: bool = False):
-        v = self._raw(key, required, None)
-        return None if v is None else _parse_vector(v)
+        return self._typed(key, _parse_vector, "a list of numbers", required, None)
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         ks = sorted(k for k in self._items if k.startswith(prefix))
         self._seen.update(ks)
         return ks
-
-    def raw(self, key: str) -> Optional[str]:
-        self._seen.add(key)
-        return self._items.get(key)
 
     def check_unknown(self) -> None:
         unknown = set(self._items) - self._seen
@@ -141,9 +120,7 @@ def parse_technology(sec: SectionView) -> TechnologySpec:
     if kind == "nonmonotone-triple":
         return TechnologySpec.nonmonotone_supply_triple()
     if kind == "diewert":
-        mats = []
-        for key in sec.keys_with_prefix("b_"):
-            mats.append(_parse_matrix(sec.raw(key)))
+        mats = [sec.get_matrix(key) for key in sec.keys_with_prefix("b_")]
         if not mats:
             raise ValidationError("[simulate] diewert technology needs b_1, b_2, ... matrices")
         return TechnologySpec.diewert_family(mats)
@@ -164,7 +141,7 @@ def _parse_proxy_goods(sec: SectionView) -> Optional[tuple]:
     goods = []
     for key in keys:
         # form[:param,param]:lo,hi[:lattice]
-        parts = str(sec.raw(key)).split(":")
+        parts = sec.get_str(key).split(":")
         if len(parts) < 2:
             raise ValidationError(f"[simulate] {key} must be form[:params]:lo,hi[:lattice]")
         form = parts[0].strip()
@@ -249,15 +226,139 @@ def parse_identify_config(sec: SectionView) -> IdentifyConfig:
     )
 
 
+# Stage settings: each parser reads every key its stage uses from the
+# stage's section, with the defaults that do not depend on the stage's input
+# data (those stay None here and are filled in by the stage), and returns
+# what the stage body needs.  ``input`` is None when the stage reads an
+# earlier artifact or a command-line file.
+
+
+def _simulate_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    tech = parse_technology(sec)
+    return SimpleNamespace(tech=tech,
+                           market=parse_market_config(sec, seed, tech.dimension))
+
+
+def _identify_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    return SimpleNamespace(input=sec.get_str("input"),
+                           identify=parse_identify_config(sec))
+
+
+def _proxies_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    s = SimpleNamespace(input=sec.get_str("input"), mode=sec.get_str("mode", "euler"))
+    if s.mode == "housing":
+        s.profile_csv = sec.get_str("profile_csv", required=True)
+        s.anchor = (sec.get_float("anchor_v", required=True),
+                    sec.get_float("anchor_p", required=True))
+        return s
+    if s.mode != "euler":
+        raise ValidationError(f"[proxies] unknown mode {s.mode!r}")
+    s.profile_csv = sec.get_str("profile_csv")
+    # None: the table's d_e, the lattice dimension d, and d - 1 anchors.
+    s.type_e = None if s.profile_csv else sec.get_int("type_e")
+    s.observed_index = sec.get_int("observed_index")
+    s.anchors = sec.get_vector("anchors")
+    s.n_anchors = sec.get_int("n_anchors") if s.anchors is None else None
+    s.anchor_x = sec.get_vector("anchor_x", required=True)
+    s.anchor_p = sec.get_vector("anchor_p", required=True)
+    s.x_ref = sec.get_vector("x_ref")
+    s.trim = sec.get_int("trim", 1)
+    return s
+
+
+def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
+    """The question's label and the bound it asks for, as a function of one
+    type's profit data."""
+    kind = sec.get_str("question", "profit")
+    if kind in ("profit", "quantity"):
+        pc = sec.get_vector("p_c", required=True)
+        pc = pc / np.linalg.norm(pc)
+        if kind == "profit":
+            return f"profit at p_c={pc.tolist()}", lambda data: profit_bounds(data, pc)
+        u = sec.get_vector("u", required=True)
+        return (f"u.y at p_c={pc.tolist()}, u={u.tolist()}",
+                lambda data: quantity_bounds(data, pc, u))
+    if kind == "fixed_quantity":
+        coord = sec.get_int("coord", required=True) - 1
+        ybar = sec.get_float("ybar", required=True)
+        angles = np.linspace(0.01, np.pi / 2 - 0.01, sec.get_int("n_grid_rays", 720))
+        grid = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+
+        def solve(data):
+            if data.dimension != 2:
+                raise ValidationError("fixed_quantity grid is built for dimension 2")
+            return profit_bounds_fixed_quantity(data, coord, ybar, grid)
+        return f"profit with y[{coord+1}]={ybar} fixed", solve
+    raise ValidationError(f"[bounds] unknown question {kind!r}")
+
+
+def _profit_input_settings(sec: SectionView) -> SimpleNamespace:
+    """The keys of a stage that reads profit data: a profit table, mapped to
+    prices through a proxy model when there is one, or a pairs CSV."""
+    return SimpleNamespace(input=sec.get_str("input"),
+                           proxy_model=sec.get_str("proxy_model"))
+
+
+def _bounds_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    s = _profit_input_settings(sec)
+    types = sec.get_vector("types")
+    s.types = None if types is None else [int(v) for v in types]
+    s.repair = sec.get_str("repair", "none")
+    if s.repair not in ("none", "project"):
+        raise ValidationError(f"[bounds] unknown repair mode {s.repair!r}")
+    s.question, s.solve = _bounds_question(sec)
+    return s
+
+
+def _estimate_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    s = _profit_input_settings(sec)
+    s.convexity = sec.get_bool("convexity", True)
+    s.monotone = sec.get_bool("monotone", True)
+    s.tau = sec.get_float("tau", 0.5)
+    return s
+
+
+def _duality_settings(sec: SectionView, seed: int) -> SimpleNamespace:
+    b_true = sec.get_matrix("b_true", required=True)
+    if b_true.shape != (2, 2):
+        raise ValidationError("[duality] b_true must be 2 x 2: the built-in grid "
+                              "is 2-dimensional")
+    return SimpleNamespace(
+        input=sec.get_str("input"),
+        b_true=b_true,
+        type_e=sec.get_int("type_e"),              # None: the fit's d_e
+        n_rays=sec.get_int("n_rays", 90),
+        angle_lo=sec.get_float("angle_lo", 0.15),
+        angle_hi=sec.get_float("angle_hi", float(np.pi / 2 - 0.15)),
+        geometric_oracle=sec.get_bool("geometric_oracle", True))
+
+
+class Stage(NamedTuple):
+    needs: Optional[str]      # the artifact it reads: made earlier, or [<stage>] input
+    makes: str
+    settings: Callable        # (section, [pipeline] seed) -> what the stage reads
+
+
+# The pipeline, in order.
+STAGES = {
+    "simulate": Stage(None, "dataset", _simulate_settings),
+    "identify": Stage("dataset", "profit_table", _identify_settings),
+    "proxies": Stage("profit_table", "proxy_model", _proxies_settings),
+    "bounds": Stage("profit_table", "bounds_report", _bounds_settings),
+    "estimate": Stage("profit_table", "diewert_fit", _estimate_settings),
+    "duality": Stage("diewert_fit", "duality_report", _duality_settings),
+}
+
+
 @dataclass
 class PipelineConfig:
-    """Validated pipeline plan: ordered stages plus per-stage sections."""
+    """Validated pipeline plan: ordered stages plus each stage's settings."""
 
     stages: list
     out_dir: str
     seed: int
-    parser: configparser.ConfigParser = field(repr=False, default=None)
     debug: bool = False           # the dataset keeps its hidden type column
+    settings: dict = field(default_factory=dict, repr=False)   # stage -> settings
 
     @classmethod
     def from_file(cls, path: Optional[str], stages: Optional[list] = None,
@@ -265,14 +366,14 @@ class PipelineConfig:
         """The plan in the INI file at ``path``: its [pipeline] stages, or
         ``stages`` when given, with ``inputs`` naming the artifacts the
         caller supplies.  Fails before any work on an unknown section,
-        [pipeline] key or stage, or on a stage whose input nothing makes;
-        each stage checks its own keys when it starts."""
+        [pipeline] key or stage, on a stage whose input nothing makes, and
+        on a bad key in the section of any stage it lists."""
         parser = load_config(path)
         sec = SectionView(parser, "pipeline")
         listed = sec.get_str("stages", required=stages is None)
         cfg = cls(stages=stages or listed.split(),
                   out_dir=sec.get_str("out_dir", "prodenv-run"),
-                  seed=sec.get_int("seed", 0), parser=parser, debug=debug)
+                  seed=sec.get_int("seed", 0), debug=debug)
         sec.check_unknown()
         made = set(inputs)
         for s in cfg.stages:
@@ -284,7 +385,8 @@ class PipelineConfig:
                     f"[pipeline] stage {s!r} needs a {need} artifact: produce it "
                     f"with an earlier stage or set [{s}] input = <path>")
             made.add(STAGES[s].makes)
+        for s in cfg.stages:
+            sec = SectionView(parser, s)
+            cfg.settings[s] = STAGES[s].settings(sec, cfg.seed)
+            sec.check_unknown()
         return cfg
-
-    def section(self, name: str) -> SectionView:
-        return SectionView(self.parser, name)

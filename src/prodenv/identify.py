@@ -9,7 +9,8 @@ many ranked types under bounded, mean-zero measurement error:
 2. the cluster mean identifies that type's profit, and the residuals inside
    the isolating interval identify the noise distribution;
 3. in every cell, the observed distribution is a finite mixture convolved
-   with the noise law; a least-squares CDF fit recovers the atoms (the
+   with the noise law; Nelder-Mead places the atoms to minimise the sup-norm
+   CDF distance, with NNLS weights under a sum-to-one row (the
    moment-generating-function ratio, the textbook device, is kept as a
    numerical diagnostic because it is unstable at large |t|);
 4. atoms are assigned to types from the top down: the largest atom belongs
@@ -258,25 +259,6 @@ class AtomSet:
         return self.atoms.size
 
 
-def _model_cdf(noise: NoiseCdf, atoms: np.ndarray, weights: np.ndarray,
-               t: np.ndarray) -> np.ndarray:
-    return (weights[None, :] * noise.evaluate(t[:, None] - atoms[None, :])).sum(axis=1)
-
-
-def _solve_weights(noise: NoiseCdf, atoms: np.ndarray, t: np.ndarray,
-                   f_emp: np.ndarray) -> np.ndarray:
-    phi = noise.evaluate(t[:, None] - atoms[None, :])
-    # Sum-to-one via a heavily weighted extra row; nnls keeps weights >= 0.
-    beta = 10.0
-    A = np.vstack([phi, beta * np.ones(atoms.size)])
-    y = np.append(f_emp, beta)
-    w, _ = nnls(A, y)
-    s = w.sum()
-    if s <= 0:
-        return np.full(atoms.size, 1.0 / atoms.size)
-    return w / s
-
-
 def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out_a, out_w = [atoms[0]], [weights[0]]
     for a, w in zip(atoms[1:], weights[1:]):
@@ -312,7 +294,12 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
                      penalty_c: float = 1.0, min_count: int = 50,
                      fit_error_threshold: float = 0.1) -> AtomSet:
     """Fit a discrete mixture convolved with the noise law to the cell's
-    empirical CDF; the atom count minimizes fit error + c*k/sqrt(n)."""
+    empirical CDF; the atom count minimizes fit error + c*k/sqrt(n).
+
+    For each k, Nelder-Mead places the atoms to minimise the sup-norm CDF
+    distance.  Each trial evaluates the noise CDF once, at every grid point
+    minus every atom; those values give the NNLS weights (Lawson & Hanson),
+    under a sum-to-one row weighted by beta = 10, and the model CDF."""
     sample = np.sort(np.asarray(sample, dtype=float))
     n = sample.size
     if n < min_count:
@@ -322,11 +309,21 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
     t_grid = np.unique(np.concatenate([
         t_grid, [sample[0] - pad, sample[-1] + pad]]))
     f_emp = np.searchsorted(sample, t_grid, side="right") / n
+    m = t_grid.size
+    beta = 10.0
+    rhs = np.append(f_emp, beta)
 
     def objective_for(atoms: np.ndarray) -> tuple[float, np.ndarray]:
         atoms = np.sort(atoms)
-        w = _solve_weights(noise, atoms, t_grid, f_emp)
-        err = float(np.max(np.abs(_model_cdf(noise, atoms, w, t_grid) - f_emp)))
+        phi = noise.evaluate(t_grid[:, None] - atoms[None, :])
+        A = np.empty((m + 1, atoms.size))
+        A[:m] = phi
+        A[m] = beta
+        w, _ = nnls(A, rhs.copy())     # nnls does not promise to keep b
+        s = w.sum()
+        w = w / s if s > 0 else np.full(atoms.size, 1.0 / atoms.size)
+        # Not phi @ w: the product rounds differently from this sum.
+        err = float(np.abs((w[None, :] * phi).sum(axis=1) - f_emp).max())
         return err, w
 
     results = {}

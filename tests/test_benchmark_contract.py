@@ -7,11 +7,16 @@ break it silently.  These tests fail first.
 
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(autouse=True)
@@ -39,3 +44,30 @@ def test_workloads_import_and_duality_call_binds():
     sig = inspect.signature(workloads.duality_check)
     sig.bind(None, None, None, convex_flag=True, geometric_oracle=True,
              n_boundary=10)
+
+
+def test_solver_counters_see_the_deconvolution():
+    # nnls.calls and nelder_mead.calls count calls through the names prodenv
+    # binds from scipy.optimize at import, so the wrappers go in before
+    # prodenv is imported: a fresh interpreter.
+    code = """
+import json
+import numpy as np
+import tracing
+tracer = tracing.Tracer("contract")
+tracer.install_solver_wrappers()
+from prodenv.identify import NoiseCdf, deconvolve_atoms
+rng = np.random.default_rng(0)
+noise = NoiseCdf.from_residuals(rng.uniform(-0.1, 0.1, size=500))
+sample = rng.choice([1.0, 1.1, 1.2], size=1000) + rng.uniform(-0.1, 0.1, size=1000)
+deconvolve_atoms(sample, noise, max_types=2)
+m = tracer.metrics({})
+print(json.dumps([m["nnls.calls"], m["nelder_mead.calls"]]))
+"""
+    path = [str(PERFBENCH), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    nnls_calls, nelder_mead_calls = json.loads(proc.stdout.splitlines()[-1])
+    assert nnls_calls > 0 and nelder_mead_calls > 0

@@ -72,6 +72,13 @@ class TestPipeline:
         (("\n[duality]", "\n[simulate]\nmarkets = 10\n\n[duality]"),
          "section 'simulate' already exists"),
         (("p_c = 1.0 0.6\n", "p_c = 1.0 0.6%\n"), "'%' must be followed by"),
+        # A stage's own keys, in sections whose stages come late in the run.
+        (("b_true = ", "b_ture = "), "[duality] missing required key 'b_true'"),
+        (("\n[estimate]\n", "\n[estimate]\ntua = 0.3\n"), "[estimate] unknown keys: tua"),
+        (("p_c = 1.0 0.6\n", "p_c = 1.0 six\n"), "[bounds] p_c must be a list of numbers"),
+        (("trim = 0\n", "trim = 0\nmode = eulr\n"), "[proxies] unknown mode 'eulr'"),
+        (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0 ; 0 0 1"),
+         "[duality] b_true must be 2 x 2"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -404,6 +411,14 @@ class TestCsvProfitInput:
                          "--out", str(out)]) == rc
         assert "pairs.csv' has no pairs of type 3" in capsys.readouterr().err
         assert [r["type"] for r in json.loads(out.read_text())["per_type"]] == [2]
+
+    def test_proxy_model_with_pairs_csv_is_reported(self, tmp_path, capsys):
+        csv_path, _ = self._write_pairs_csv(tmp_path)
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\np_c = 1.0 1.0\nproxy_model = proxy.json\n")
+        assert main(["bounds", "--profits", csv_path, "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert "pairs.csv' holds prices" in capsys.readouterr().err
 
     def test_estimate_from_pairs_csv(self, tmp_path):
         csv_path, (b1, b2) = self._write_pairs_csv(tmp_path)

@@ -130,6 +130,37 @@ class TestDeconvolveAtoms:
             deconvolve_atoms(sample, noise, max_types=1,
                              fit_error_threshold=0.05)
 
+    def test_pinned_bits_and_no_state_between_calls(self, monkeypatch):
+        # Atoms, weights and fit error to the last bit: a faster objective
+        # must keep the arithmetic, and with it these values.  Sample B takes Nelder-Mead at k = 1, 2 and 3; calling A, B, A shows
+        # that nothing carries over between calls or atom counts.
+        import prodenv.identify as identify
+
+        def run(seed, atoms, penalty_c):
+            rng = np.random.default_rng(seed)
+            noise = NoiseCdf.from_residuals(rng.uniform(-0.1, 0.1, size=2000))
+            sample = draw_mixture(rng, atoms, [0.3, 0.3, 0.4], 3000, 0.1)
+            fit = deconvolve_atoms(sample, noise, max_types=3, penalty_c=penalty_c)
+            return ([v.hex() for v in fit.atoms.tolist()],
+                    [v.hex() for v in fit.weights.tolist()], fit.fit_error.hex())
+
+        pinned_a = (["0x1.ff7e0a9c5f353p-1", "0x1.001fb4fbcacafp+1", "0x1.7ff556e8d0d1bp+1"],
+                    ["0x1.28eb616bd4d1ap-2", "0x1.298116a925c82p-2", "0x1.ad9387eb05665p-2"],
+                    "0x1.608960c94cc40p-7")
+        pinned_b = (["0x1.03f9fdb9752dap+0", "0x1.2ecab8f159e2ap+0"],
+                    ["0x1.c09095e9a003ap-2", "0x1.1fb7b50b2ffe4p-1"],
+                    "0x1.183e865ff25a8p-5")
+        first_a = run(101, [1.0, 2.0, 3.0], 1.0)
+        sizes = []
+        real = identify.minimize
+        monkeypatch.setattr(identify, "minimize",
+                            lambda f, x0, **kw: sizes.append(len(x0)) or real(f, x0, **kw))
+        assert run(0, [1.0, 1.1, 1.2], 0.2) == pinned_b
+        assert sizes == [1, 2, 3]
+        monkeypatch.undo()
+        assert first_a == pinned_a
+        assert run(101, [1.0, 2.0, 3.0], 1.0) == first_a
+
     def test_close_atoms_merge(self):
         noise = NoiseCdf.from_residuals(np.zeros(100))
         sample = np.repeat([1.0, 1.0 + 1e-9], 200)
