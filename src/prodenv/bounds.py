@@ -15,10 +15,11 @@ cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
 faces are segments from one vectorized pass (``geometry._Segments``), so
 WAPM, L, the support at p_c, the fixed-quantity sweep and the projection are
 closed forms.  Linear programs (HiGHS) per question, d = 2 | d >= 3:
-wapm_feasible 0 | 1; profit_bounds 0-1 | k + 1-3; quantity_bounds 2 | k + 2;
-sweep 0 | k + 2 per ray; project_rationalizable 0 | k; the extra ones
-certifying +/-inf bounds, which are answers (limited price variation cannot
-always pin profits down), never raised.
+wapm_feasible 0 | 1; profit_bounds 0-1 | k + 0-2; quantity_bounds 2 | k + 2;
+sweep 0 | k + 2 per ray; project_rationalizable 0 | 0 (support values in
+d >= 3 come from one convex hull, with an LP only for a direction it leaves
+uncertified); the extra ones certifying +/-inf bounds, which are answers
+(limited price variation cannot always pin profits down), never raised.
 """
 
 from __future__ import annotations

@@ -254,10 +254,12 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
                   n_boundary: int = 10_000) -> DualityReport:
     """Verify the distance duality on an evaluation grid.
 
-    Convex estimator: the Hausdorff distance between the extended sets (via
-    support values) must equal the sup-norm error to 1e-6.  Nonconvex
+    Convex estimator: the Hausdorff distance between the extended sets, the
+    sup-norm gap between their support functions on the grid, must equal the
+    sup-norm profit error to 1e-6; an estimate that is not convex on the grid
+    (its plug-in set's support falls below it somewhere) fails.  Nonconvex
     estimator: the distance uses the convexification of the estimate (its
-    plug-in set's support values, closed form in d = 2) and must respect the
+    plug-in set's support values) and must respect the
     inflation bound eta (R/r) (1+eta/R) / (1-eta/r), applicable only while
     eta < r and r > 0.  ``geometric_oracle`` adds the exact d = 2 distance of
     ``hausdorff_oracle_2d``; ``n_boundary`` is ignored, kept for callers.
@@ -277,7 +279,8 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
         oracle_val = hausdorff_oracle_2d(env_true, env_hat)
 
     if convex_flag:
-        d_h = hausdorff_extended(a, h, price_set)
+        d_h = hausdorff_extended(support_values(env_true, rays),
+                                 support_values(env_hat, rays), price_set)
         verdict = "equality" if abs(d_h - eta) <= 1e-6 else "equality-violated"
         return DualityReport(n_rays=len(price_set), eta=eta, d_h=d_h,
                              big_r=big_r, small_r=small_r, bound=None,
@@ -327,40 +330,19 @@ def infinite_hausdorff_demo(m: int = 10,
     shrink = 1.0 - 1.0 / m
 
     def directed_distance(window: float) -> float:
-        # Boundary samples of the larger set over the window, then the exact
-        # distance to the contracted frontier by per-point golden-section in
-        # the curve parameter (a sampled argmin brackets the minimizer).
+        # Boundary samples (a, -a^2) of the larger set over the window, each
+        # at its exact distance to the contracted frontier (c t, -t^2), t >= 0:
+        # the squared distance (a - c t)^2 + (t^2 - a^2)^2 is least at t = 0
+        # or at a real root of its derivative over 4, t^3 + (c^2/2 - a^2) t - c a / 2.
         w = np.concatenate([[0.0], np.geomspace(1e-3, window, 2000)])
-        pts = np.column_stack([np.sqrt(w), -w])
-        s_grid = np.concatenate([[0.0], np.geomspace(1e-4, 4.0 * window, 4000)])
-        curve = np.column_stack([shrink * np.sqrt(s_grid), -s_grid])
-
-        def dist2(s):
-            return (pts[:, 0] - shrink * np.sqrt(s)) ** 2 + (pts[:, 1] + s) ** 2
-
-        seed = np.empty(pts.shape[0], dtype=int)
-        best = np.full(pts.shape[0], np.inf)
-        for lo_i in range(0, s_grid.size, 1000):
-            chunk = curve[lo_i:lo_i + 1000]
-            d2 = np.sum((pts[:, None, :] - chunk[None, :, :]) ** 2, axis=2)
-            arg = np.argmin(d2, axis=1)
-            val = d2[np.arange(pts.shape[0]), arg]
-            better = val < best
-            best[better] = val[better]
-            seed[better] = arg[better] + lo_i
-        lo = s_grid[np.maximum(seed - 1, 0)]
-        hi = s_grid[np.minimum(seed + 1, s_grid.size - 1)]
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        for _ in range(90):
-            fc, fd = dist2(c), dist2(d)
-            take = fc <= fd
-            hi = np.where(take, d, hi)
-            lo = np.where(take, lo, c)
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-        return float(np.sqrt(np.max(np.minimum(dist2(lo), dist2(hi)))))
+        a = np.sqrt(w)
+        companion = np.zeros((w.size, 3, 3))
+        companion[:, 0, 1], companion[:, 0, 2] = w - shrink ** 2 / 2, shrink * a / 2
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        t = np.column_stack([np.zeros_like(w),
+                             np.maximum(np.linalg.eigvals(companion).real, 0.0)])
+        dist2 = (a[:, None] - shrink * t) ** 2 + (t ** 2 - w[:, None]) ** 2
+        return float(np.sqrt(np.max(np.min(dist2, axis=1))))
 
     table = [{"window": 10.0 ** k, "directed_distance": directed_distance(10.0 ** k)}
              for k in window_exponents]

@@ -6,10 +6,12 @@ intersection of halfspaces, one per observed price ray: the envelope
 price-taking firm is the support function of its production set.  In d = 2
 every constraint's face is a segment from one vectorized pass (``_Segments``),
 which gives support values and the exact Hausdorff distance in closed form;
-in d >= 3 a support value is a linear program.  Unbounded support values are
-legitimate outputs here (they signal a recession-cone violation of the
-envelope), so +inf is a first-class result state, carried with a certificate
-direction by ``support_value``, rather than an exception.
+in d >= 3 support values come from one convex hull of the constraints lifted
+over the price simplex (``_hull_support``), each certified by weak duality,
+with a linear program only for what no certificate covers.  Unbounded
+support values are legitimate outputs here (they signal a recession-cone
+violation of the envelope), so +inf is a first-class result state, carried
+with a certificate direction by ``support_value``, rather than an exception.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -264,15 +266,27 @@ def solve_lp(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(None, None)):
 
 
 def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
-    """Support function of the envelope at direction ``u`` (an LP).
+    """Support function of the envelope at direction ``u``.
 
     Returns the finite optimum with its maximizer, or the +inf state with an
     unbounded-ray certificate when ``u`` leaves the conic hull of the
-    constraint normals.
+    constraint normals.  In d >= 3 the value and maximizer come from the
+    hull kernel (``_hull_support``) when it certifies them; a linear program
+    gives the +inf certificate and any value the kernel leaves uncertified.
     """
     uv = _ray_array(u, env.dimension) if isinstance(u, PriceRay) else np.asarray(u, float)
     if uv.shape != (env.dimension,):
         raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
+    if env.dimension >= 3:
+        values, ys = _hull_support(env, uv[None, :])
+        if values[0] == np.inf:
+            return SupportResult(value=np.inf, direction=recession_direction(env, uv))
+        if np.isfinite(values[0]):
+            return SupportResult(value=float(values[0]), maximizer=ys[0])
+    return _support_lp(env, uv)
+
+
+def _support_lp(env: HalfspaceEnvelope, uv: np.ndarray) -> SupportResult:
     state, x, _ = solve_lp(-uv, env.normals, env.offsets)
     if state == "optimal":
         return SupportResult(value=float(uv @ x), maximizer=x)
@@ -375,17 +389,110 @@ def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
 
     In d = 2 this is the largest maximum of u . y over the nonempty faces,
     with no LP: a face unbounded in an ascending direction gives +inf.  In
-    d >= 3 it is ``support_value`` per row.
+    d >= 3 the values come from one convex hull (``_hull_support``); a row
+    it cannot certify is a support LP.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != env.dimension:
         raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
     if np.any(U < 0):
         raise ValueError("support_values takes componentwise nonnegative directions")
-    if env.dimension != 2:
-        return np.array([support_value(env, u).value for u in U])
-    faces = _Segments.cut(env.normals, env.offsets).nonempty_only()
-    return -np.min(faces.minima(-U)[0], axis=1)
+    if env.dimension == 2:
+        faces = _Segments.cut(env.normals, env.offsets).nonempty_only()
+        return -np.min(faces.minima(-U)[0], axis=1)
+    values = _hull_support(env, U)[0] if env.dimension > 2 else np.full(len(U), np.nan)
+    for i in np.flatnonzero(np.isnan(values)):
+        values[i] = _support_lp(env, U[i]).value
+    return values
+
+
+def _hull_support(env: HalfspaceEnvelope, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified support values of a d >= 3 envelope at the nonnegative rows
+    of U from one convex hull, with a maximizer for each finite one; NaN
+    marks a row no certificate covers (and all rows when the normals have
+    rank < d or Qhull fails).
+
+    Constraint j scaled by s_j = sum(normal_j) > 0 is the lifted point
+    (x_j, z_j) = (normal_j[:-1], v_j) / s_j over the price simplex, and
+    h(u) is s(u) times the lower convex envelope of the lifted points at
+    x_u = u[:-1] / s(u), +inf where x_u leaves conv(x_j).  The d rays of a
+    lower facet z = a . x + b meet at the envelope's vertex y_F = (a + b, b),
+    so h(u) = max_F u . y_F.  An apex above the data keeps the hull
+    full-dimensional when the lifted points are coplanar (a linear profit).
+    The hull gives only which rays meet; each y_F is solved from them.
+
+    Certificates (weak duality): a finite row's y_F is feasible and tight on
+    its facet's rays, and u's weights over those rays are nonnegative.  A
+    +inf row has a recession vector w = (g - g0, -g0) from a facet
+    g . x <= g0 of conv(x_j): normals . w <= 0 and u . w > 0.
+    """
+    N, v = env.normals, env.offsets
+    n, d = U.shape
+    values, ys = np.full(n, np.nan), np.full((n, d), np.nan)
+    s = N.sum(axis=1)
+    x, z = N[:, :-1] / s[:, None], v / s
+    if np.linalg.matrix_rank(N) < d:
+        return values, ys
+    apex = np.append(x.mean(axis=0), z.max() + max(1.0, float(np.max(np.abs(z)))))
+    try:
+        hull = ConvexHull(np.vstack([np.column_stack([x, z]), apex]))
+        # Lower facets, neither vertical nor touching the apex, nor one of
+        # the degenerate slivers Qhull's triangulated output can hold.
+        facets = hull.simplices[(hull.equations[:, d - 1] < -UNIT_TOL)
+                                & np.all(hull.simplices < len(v), axis=1)]
+        facets = facets[np.linalg.det(N[facets]) != 0]
+        NF = N[facets]                                               # (m, d, d)
+        Y = np.linalg.solve(NF, v[facets][:, :, None])[:, :, 0]     # (m, d)
+        # FEAS_TOL as in solve_lp, plus the rounding of n . y (Higham's
+        # d eps |y|_1 for a unit n): near-parallel rays put y_F far out.
+        tol = (FEAS_TOL * max(1.0, float(np.max(np.abs(v))))
+               + d * np.finfo(float).eps * np.sum(np.abs(Y), axis=1, keepdims=True))
+        good = (np.all(Y @ N.T <= v + tol, axis=1)
+                & np.all(np.abs(np.einsum("mij,mj->mi", NF, Y) - v[facets]) <= tol, axis=1))
+        NF, Y = NF[good], Y[good]
+        weights = np.linalg.inv(NF.transpose(0, 2, 1))      # u -> lam with u = NF^T lam
+        rel = d * np.finfo(float).eps * np.linalg.cond(NF)
+    except (QhullError, np.linalg.LinAlgError):
+        return values, ys
+    if len(Y):
+        gains = U @ Y.T
+        best = np.argmax(gains, axis=1)
+        ok = _carried(np.einsum("nij,nj->ni", weights[best], U), rel[best])
+        # Tied facets (coplanar lifted points) can put the argmax on a facet
+        # whose rays do not carry u: take the best facet whose rays do.
+        redo = np.flatnonzero(~ok)
+        if redo.size:
+            cone = _carried(np.einsum("mij,nj->nmi", weights, U[redo]), rel[None, :])
+            best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
+            ok[redo] = cone[np.arange(redo.size), best[redo]]
+        values[ok], ys[ok] = gains[ok, best[ok]], Y[best[ok]]
+    rest = np.flatnonzero(np.isnan(values))
+    if rest.size:
+        values[rest[_leaves_cone(N, x, U[rest])]] = np.inf
+    return values, ys
+
+
+def _carried(lam: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """Whether each weight vector (last axis) is nonnegative, up to rounding
+    of rel = d eps times its facet's condition number, relative to |lam|_1."""
+    return np.all(lam >= -rel[..., None] * np.sum(np.abs(lam), axis=-1, keepdims=True),
+                  axis=-1)
+
+
+def _leaves_cone(N: np.ndarray, x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Rows of U certified outside the conic hull of the normals N by a
+    facet g . x <= g0 of conv(x) (x = N[:, :-1] / s): w = (g - g0, -g0)
+    has N w <= 0 and u . w > 0.  The 1e-12 slack on N w is covered by the
+    1e-9 margin on u . w, as w - 1e-12 (1, ..., 1) has N w <= 0 exactly."""
+    try:
+        eq = ConvexHull(x).equations                    # g . x + off <= 0 inside
+    except QhullError:
+        return np.zeros(len(U), dtype=bool)
+    W = np.column_stack([eq[:, :-1] + eq[:, -1:], eq[:, -1]])
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    W = W[np.all(N @ W.T <= UNIT_TOL, axis=0)]
+    gain = U @ W.T if len(W) else np.zeros((len(U), 1))
+    return np.max(gain, axis=1) > FEAS_TOL * np.linalg.norm(U, axis=1)
 
 
 def _directed_hausdorff_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -> float:

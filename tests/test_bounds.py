@@ -13,7 +13,8 @@ from prodenv.bounds import (_descent_certificate, _face_minima,
                             _face_minima_lp, _sweep_2d, _sweep_lp, _wapm_lp)
 from prodenv.errors import ValidationError
 from prodenv.estimation import diewert_value, duality_check
-from prodenv.geometry import RestrictedPriceSet, support_value
+from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, support_value,
+                              support_values)
 from prodenv.simulate import DiewertTech
 
 from conftest import random_admissible_b, unit_rays_2d
@@ -545,7 +546,7 @@ class TestLpBudget:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_projection_and_convexification(self, d, lp_calls):
-        # Support values are closed form in d = 2 and LPs in d >= 3.
+        # Support values are closed form in d = 2 and one convex hull in d >= 3.
         rng = np.random.default_rng(d)
         b = random_admissible_b(rng, d=d)
         rays = rng.uniform(0.25, 1.0, size=(12, d))
@@ -556,4 +557,14 @@ class TestLpBudget:
         project_rationalizable(ProfitData(1, rays, [g(r) for r in rays]))
         duality_check(f, g, RestrictedPriceSet(tuple(map(tuple, rays))),
                       convex_flag=False, geometric_oracle=True)
-        assert (len(lp_calls) == 0) == (d == 2)
+        assert len(lp_calls) == 0
+
+    def test_three_goods_support_values_at_own_rays(self, lp_calls):
+        rng = np.random.default_rng(60)
+        rays = rng.uniform(0.25, 1.0, size=(60, 3))
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        env = HalfspaceEnvelope(rays, diewert_value(random_admissible_b(rng, d=3), rays)
+                                + rng.uniform(0.0, 0.05, 60))
+        values = support_values(env, rays)
+        assert len(lp_calls) == 0
+        assert np.all(values <= env.offsets + 1e-12) and np.any(values < env.offsets - 1e-6)

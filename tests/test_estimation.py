@@ -161,6 +161,26 @@ class TestDualityCheck:
         assert abs(rep.d_h - rep.eta) <= 1e-6
         assert rep.oracle_d_h == pytest.approx(rep.eta, abs=2e-3)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_convex_verdict_can_fail(self, rng, d):
+        # A bump on one grid ray is not convex on the grid: the plug-in
+        # set's support there stays near the truth, so d_H falls short of
+        # eta = the bump.  Passed as convex, the verdict says so.
+        b = random_admissible_b(rng, d=d)
+        if d == 2:
+            rays = self.price_set_2d().as_matrix()
+        else:
+            rays = rng.uniform(0.25, 1.0, size=(40, 3))
+            rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        f = lambda p: float(diewert_value(b, np.asarray(p)[None, :])[0])
+        bumped = rays[len(rays) // 2]
+        g = lambda p: f(p) + (0.05 if np.array_equal(p, bumped) else 0.0)
+        ps = RestrictedPriceSet(tuple(map(tuple, rays)), convex_flag=True)
+        rep = duality_check(f, g, ps, convex_flag=True)
+        assert rep.eta == pytest.approx(0.05, rel=1e-12)
+        assert rep.d_h < 0.05 - 1e-3
+        assert rep.verdict == "equality-violated"
+
     def test_nonconvex_ripple_bound(self, rng):
         b = random_admissible_b(rng)
         f = lambda p: float(diewert_value(b, p[None, :])[0])

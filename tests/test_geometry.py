@@ -1,6 +1,9 @@
 import ast
 import json
 import pathlib
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,6 +215,156 @@ def _envelope_2d(case, rng):
     return HalfspaceEnvelope(rays, values)
 
 
+def _unit(a):
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _exact_ints(values):
+    """Integers m and a power of two q with values == m / q exactly."""
+    fr = [Fraction(float(x)) for x in values]
+    q = lcm(*(f.denominator for f in fr))
+    return [int(f * q) for f in fr], q
+
+
+def _exact_inverse(rows):
+    """Gauss-Jordan over the rationals: (integer A, q > 0) with the inverse
+    equal to A / q, or None when the matrix is singular."""
+    n = len(rows)
+    a = [[Fraction(e) for e in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        a[c] = [e / a[c][c] for e in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [e - a[r][c] * ec for e, ec in zip(a[r], a[c])]
+    inv = [row[n:] for row in a]
+    q = lcm(*(e.denominator for row in inv for e in row))
+    return [[int(e * q) for e in row] for row in inv], q
+
+
+def _pivot_columns(rows):
+    """Columns of a row-echelon form of an integer matrix: a column basis."""
+    a = [[Fraction(e) for e in r] for r in rows]
+    cols, top = [], 0
+    for c in range(len(a[0])):
+        p = next((r for r in range(top, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            continue
+        a[top], a[p] = a[p], a[top]
+        for r in range(top + 1, len(a)):
+            f = a[r][c] / a[top][c]
+            a[r] = [e - f * e0 for e, e0 in zip(a[r], a[top])]
+        cols.append(c)
+        top += 1
+    return cols
+
+
+def exact_support(normals, offsets, U):
+    """Support values of {y : normals y <= offsets} at the rows of U in
+    rational arithmetic, independent of the package.
+
+    LP duality: h(u) = min lam . v over u = sum_j lam_j n_j, lam >= 0.  By
+    Caratheodory a minimizer uses linearly independent rows, so the r-subsets
+    (r the rank) enumerate the cone membership and the value; no
+    representation means u leaves the cone, +inf.  At full rank the value is
+    also the largest u . y over feasible vertices (d-subsets), which the
+    oracle checks against itself.  Also returns |u| times the largest |y|
+    over vertices attaining a finite value (0 without vertices): the scale
+    of the rounding in a float u . y.
+    """
+    k, d = normals.shape
+    flat, qn = _exact_ints(normals.ravel())
+    N = [flat[i * d:(i + 1) * d] for i in range(k)]
+    v, qv = _exact_ints(offsets)
+    P = _pivot_columns(N)
+    bases = [(S, inv) for S in combinations(range(k), len(P))
+             if (inv := _exact_inverse([[N[i][c] for c in P] for i in S])) is not None]
+    verts = []              # vertex y * qv / qn, exactly
+    if len(P) == d:
+        for S, (A, q) in bases:
+            y = [Fraction(sum(A[a][b] * v[S[b]] for b in range(d)), q) for a in range(d)]
+            if all(sum(nj[c] * y[c] for c in range(d)) <= vj for nj, vj in zip(N, v)):
+                verts.append(y)
+    values, reach = [], []
+    for u in U:
+        uq, qu = _exact_ints(u)
+        best = None
+        for S, (A, q) in bases:
+            # lam = L qn / (q qu) on rows S; the other columns must agree too.
+            L = [sum(A[a][i] * uq[P[a]] for a in range(len(P))) for i in range(len(S))]
+            if min(L) < 0 or any(sum(l * N[j][c] for l, j in zip(L, S)) != uq[c] * q * qn
+                                 for c in range(d) if c not in P):
+                continue
+            val = Fraction(sum(l * v[j] for l, j in zip(L, S)), q)
+            best = val if best is None or val < best else best
+        top = [y for y in verts if best is not None
+               and sum(a * b for a, b in zip(uq, y)) == best]
+        assert best is None or not verts or top        # strong duality, exactly
+        values.append(np.inf if best is None else float(best * qn / (qu * qv)))
+        reach.append(max((float(np.linalg.norm([float(c * qn / qv) for c in y])) for y in top),
+                         default=0.0) * float(np.linalg.norm(u)))
+    return np.array(values), np.array(reach)
+
+
+SUPPORT_CASES_ND = ("plain", "linear", "large", "near_parallel_1e-6",
+                    "near_parallel_1e-9", "free_disposal", "rank_deficient",
+                    "duplicate")
+
+
+def _envelope_nd(case, rng, d):
+    """Random envelope in d >= 3 with at most 10 constraints: Diewert
+    profits with slack on some rows; a linear profit (every constraint
+    through one point); values x1e3; partners 1e-6 or 1e-9 away from half
+    the rays; a free-disposal hull (normals on the orthant boundary);
+    normals with a zero last coordinate (rank d - 1, the LP path); or two
+    rays repeated, one with a larger value."""
+    if case == "free_disposal":
+        while True:
+            env = free_disposal_hull(rng.normal(size=(int(rng.integers(2, 4)), d)))
+            if env.num_constraints <= 10:
+                return env
+    k = int(rng.integers(d + 1, 8 if case.startswith("near") or case == "duplicate" else 11))
+    rays = _unit(rng.uniform(0.1, 1.0, (k, d)))
+    if case == "rank_deficient":
+        rays[:, -1] = 0.0
+        rays = _unit(rays)
+    if case.startswith("near"):
+        gap = float(case.rsplit("_", 1)[1])
+        rays = np.vstack([rays, _unit(rays[:k // 2] + gap * rng.normal(size=(k // 2, d)))])
+    if case == "duplicate":
+        rays = np.vstack([rays, rays[:2]])
+    values = diewert_value(random_admissible_b(rng, d), rays)
+    values = values + rng.uniform(0.0, 0.2, values.size) * (rng.random(values.size) < 0.5)
+    if case == "linear":
+        values = rays @ rng.normal(size=d)
+    if case == "large":
+        values = 1e3 * values
+    return HalfspaceEnvelope(rays, values)
+
+
+# HiGHS (scipy 1.17.1) ended the support LP at row 5 with "model_status is
+# Unknown"; normals and offsets drawn as uniform(0.05, 1) rows normalized and
+# uniform(-1, 1) values.
+STATUS_UNKNOWN_NORMALS = np.array([
+    [0.30443957284892204, 0.6321703707182137, 0.14640286208152503, 0.6973115306976502],
+    [0.15239843567643002, 0.5578758704104471, 0.7911626102996601, 0.19902500868230422],
+    [0.5861847027533402, 0.5893184155732267, 0.31566416380846324, 0.4576542745472214],
+    [0.20048217745795693, 0.23107684980828125, 0.8400323684291575, 0.4480580386464431],
+    [0.5724211963672758, 0.6512746751630984, 0.17163789994094433, 0.4676705066010892],
+    [0.6332945916551289, 0.7579761913994512, 0.14119284165816468, 0.06689271198298591],
+    [0.21273052938021525, 0.417812444602994, 0.6239178466645902, 0.6252239627668669],
+    [0.5383620023769001, 0.15417550565715102, 0.13828140439704906, 0.8168687293868434],
+    [0.9190996569918284, 0.2972576370193987, 0.1457360365949407, 0.2136696641752052]])
+STATUS_UNKNOWN_OFFSETS = np.array([
+    -0.8197826736798997, 0.0898831069758228, 0.9737543908530291, -0.5498649838352083,
+    -0.33969165713595273, 0.6683415382317197, 0.3754496200258002, -0.3228781109136112,
+    0.4840935375179989])
+
+
 class TestSupportValues:
     @given(st.sampled_from(SUPPORT_CASES), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -260,11 +413,56 @@ class TestSupportValues:
                 assert np.all(env.normals @ y <= env.offsets + 1e-9)
         assert finite > 50
 
-    def test_three_goods_use_the_lp(self, rng):
-        env = free_disposal_hull(rng.normal(size=(5, 3)))
-        U = rng.uniform(0.05, 1.0, size=(4, 3))
-        assert np.array_equal(support_values(env, U),
-                              [support_value(env, u).value for u in U])
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("case", SUPPORT_CASES_ND)
+    def test_matches_exact_oracle(self, case, d):
+        # Own rays, positive rays and near-axis rays (mostly +inf) against
+        # rational arithmetic.  A float answer carries the rounding of u . y
+        # at the maximizer, so the tolerance grows with |u| |y*| where
+        # near-parallel rays put the vertex y* far out.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            env = _envelope_nd(case, rng, d)
+            U = np.vstack([env.normals, _unit(rng.uniform(0.01, 1.0, (4, d))),
+                           _unit(np.eye(d) + 0.05)])
+            exact, reach = exact_support(env.normals, env.offsets, U)
+            got = support_values(env, U)
+            for u, e, r, v in zip(U, exact, reach, got):
+                res = support_value(env, u)
+                if np.isinf(e):
+                    assert v == e and res.value == e
+                    assert np.all(env.normals @ res.direction <= 1e-9) and u @ res.direction > 0
+                    continue
+                tol = 1e-12 * max(1.0, abs(e), r)
+                assert abs(v - e) <= tol and abs(res.value - e) <= tol
+                assert abs(u @ res.maximizer - res.value) <= tol
+                far = max(1.0, float(np.max(np.abs(env.offsets))), r / np.linalg.norm(u))
+                assert np.all(env.normals @ res.maximizer <= env.offsets + 1e-12 * far)
+
+    def test_near_parallel_rays_beat_the_lp(self):
+        # Ten rays and partners 1e-6 away with random offsets: the support LP
+        # stopped at -0.9055 as "optimal"; the vertex (|y| ~ 4e6) gives the
+        # rational value.
+        rng = np.random.default_rng(126)
+        base = _unit(rng.uniform(0.1, 1.0, (10, 3)))
+        rays = np.vstack([base, _unit(base + 1e-6 * rng.normal(size=(10, 3)))])
+        env = HalfspaceEnvelope(rays, rng.uniform(-1.0, 1.0, 20))
+        (e,), (r,) = exact_support(env.normals, env.offsets, rays[:1])
+        assert e == pytest.approx(-0.619157968, abs=1e-9)
+        res = support_value(env, rays[0])
+        assert abs(res.value - e) <= 1e-12 * r
+        assert abs(support_values(env, rays[:1])[0] - e) <= 1e-12 * r
+
+    def test_lp_status_unknown_is_not_reached(self):
+        # HiGHS ended "model_status is Unknown" (NumericFailure) at row 5 of
+        # this plain envelope; the constraint is tight, so the answer is v[5].
+        env = HalfspaceEnvelope(STATUS_UNKNOWN_NORMALS, STATUS_UNKNOWN_OFFSETS)
+        res = support_value(env, env.normals[5])
+        assert res.value == pytest.approx(env.offsets[5], abs=1e-12)
+        assert np.all(env.normals @ res.maximizer <= env.offsets + 1e-12)
+        exact, _ = exact_support(env.normals, env.offsets, env.normals)
+        assert exact[5] == env.offsets[5]
+        assert np.allclose(support_values(env, env.normals), exact, rtol=0, atol=1e-12)
 
     def test_rejects_negative_or_misshapen_directions(self):
         # A halfplane's support at -normal is +inf, which no face shows.
