@@ -12,14 +12,16 @@ Each y_p lives only on its own face F_p = {y : p . y = pi(p), p* . y <=
 pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
 the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
 cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
-faces are segments from one vectorized pass (``geometry._Segments``), so
-WAPM, L, the support at p_c, the fixed-quantity sweep and the projection are
-closed forms.  Linear programs (HiGHS) per question, d = 2 | d >= 3:
-wapm_feasible 0 | 1; profit_bounds 0-1 | k + 0-2; quantity_bounds 2 | k + 2;
-sweep 0 | k + 2 per ray; project_rationalizable 0 | 0 (support values in
-d >= 3 come from one convex hull, with an LP only for a direction it leaves
-uncertified); the extra ones certifying +/-inf bounds, which are answers
-(limited price variation cannot always pin profits down), never raised.
+faces are segments from one vectorized pass (``geometry._Segments``); in
+d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
+recession generators orthogonal to p, all from one convex hull
+(``geometry._hull_vertices``).  So WAPM, L, the support at p_c and the
+projection take no LP.  Linear programs (HiGHS) per question, d = 2 |
+d >= 3: wapm_feasible 0 | 0; profit_bounds 0-1 | 0-1; quantity_bounds 2 | 2;
+sweep 0 | at most 2 per ray; project_rationalizable 0 | 0.  The extra one
+certifies a +inf upper bound, an answer (limited price variation cannot
+always pin profits down), never raised.  Without a hull (normals of rank
+< d, or a Qhull failure) each face and each support value is an LP.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, SupportResult,
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Hull, _hull_vertices,
                        _Segments, free_disposal_hull, recession_direction,
                        solve_lp, support_value, support_values)
 
@@ -147,26 +148,28 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _faces_2d(data: ProfitData) -> _Segments:
-    """The profit-attaining faces of d = 2 data; an empty one is exactly a
-    WAPM violation."""
-    faces = _Segments.cut(data.rays, data.values)
-    if not np.all(faces.nonempty):
+def _faces(data: ProfitData):
+    """The profit-attaining faces: segments in d = 2, the hull's vertices in
+    d >= 3, None without a hull.  An empty face is exactly a WAPM violation."""
+    faces = (_Segments.cut(data.rays, data.values) if data.dimension == 2
+             else _hull_vertices(data.envelope()))
+    if faces is not None and not np.all(faces.nonempty):
         raise ValidationError(WAPM_VIOLATION)
     return faces
 
 
-def _face_minima(data: ProfitData, pc: np.ndarray,
-                 faces: Optional[_Segments] = None):
+def _face_minima(data: ProfitData, pc: np.ndarray, faces=None):
     """Least p_c . y on each face (k,) and the attaining points (k, d),
-    non-finite rows on -inf faces; closed form in d = 2 (from ``faces``
-    when the caller has cut them)."""
-    if data.dimension != 2:
+    non-finite rows on -inf faces: closed form in d = 2, the hull's vertices
+    in d >= 3, one LP per face without a hull (faces cut here unless given)."""
+    faces = _faces(data) if faces is None else faces
+    if faces is None:
         return _face_minima_lp(data, pc)
-    faces = _faces_2d(data) if faces is None else faces
-    lows, t = (m[0] for m in faces.minima(pc[None, :]))
+    lows, at = (m[0] for m in faces.minima(pc[None, :]))
+    if isinstance(faces, _Hull):
+        return lows, np.where(np.isfinite(lows)[:, None], faces.Y[at], np.nan)
     with np.errstate(invalid="ignore"):
-        return lows, faces.bases + t[:, None] * faces.taus
+        return lows, faces.bases + at[:, None] * faces.taus
 
 
 def _face_minima_lp(data: ProfitData, pc: np.ndarray):
@@ -182,59 +185,15 @@ def _face_minima_lp(data: ProfitData, pc: np.ndarray):
     return lows, ys
 
 
-def _support_2d(faces: _Segments, env: HalfspaceEnvelope,
-                pc: np.ndarray) -> SupportResult:
-    """``support_value`` at p_c from the faces of d = 2 data with k >= 2
-    rays: the largest p_c . y over them and a point attaining it; an LP only
-    for the +inf certificate.  (One ray's face is a line, which cannot show
-    that p_c opposite its normal is unbounded.)"""
-    neg, t = (m[0] for m in faces.minima(-pc[None, :]))
-    j = int(np.argmin(neg))
-    if np.isneginf(neg[j]):
-        return SupportResult(np.inf, direction=recession_direction(env, pc))
-    return SupportResult(-float(neg[j]), maximizer=faces.bases[j] + t[j] * faces.taus[j])
-
-
-def _descent_certificate(env: HalfspaceEnvelope, face_ray: np.ndarray,
-                         pc: np.ndarray) -> np.ndarray:
-    """Feasible direction along the face with the objective decreasing: in
-    d = 2 the face direction +/-tau that descends, otherwise a recession
-    direction of the envelope within the face's hyperplane."""
-    if env.dimension == 2:
-        tau = np.array([-face_ray[1], face_ray[0]])
-        return -np.sign(pc @ tau) * tau
-    return recession_direction(env, -pc, along=face_ray)
-
-
-def _wapm_system(data: ProfitData):
-    """Sparse WAPM system in the stacked y_p: p_i . y_i = pi_i, and
-    p_i . y_j <= pi_i for every i, j (the i = j rows repeat the equalities)."""
-    k, d = data.k, data.dimension
-    A_eq = sparse.csr_matrix((data.rays.ravel(), np.arange(k * d),
-                              np.arange(0, k * d + 1, d)), shape=(k, k * d))
-    A_ub = sparse.kron(sparse.identity(k, format="csr"),
-                       sparse.csr_matrix(data.rays), format="csr")
-    return A_eq, data.values, A_ub, np.tile(data.values, k)
-
-
-def _wapm_lp(data: ProfitData) -> tuple[bool, Optional[dict]]:
-    A_eq, b_eq, A_ub, b_ub = _wapm_system(data)
-    state, y, _ = solve_lp(np.zeros(data.k * data.dimension), A_ub, b_ub, A_eq, b_eq)
-    if state == "infeasible":
-        return False, None
-    return True, dict(enumerate(y.reshape(data.k, -1)))    # zero objective: never unbounded
-
-
 def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
     """Can any production set generate these profits?  Returns the verdict
-    and, when feasible, a certificate assignment {ray index: y_p}."""
-    if data.dimension != 2:
-        return _wapm_lp(data)
-    faces = _Segments.cut(data.rays, data.values)
-    if not np.all(faces.nonempty):
+    and, when feasible, a certificate assignment {ray index: y_p}: a point
+    of each face (a tight vertex in d >= 3)."""
+    try:
+        ys = _face_minima(data, np.zeros(data.dimension))[1]
+    except ValidationError:
         return False, None
-    t = np.clip(0.0, faces.lo, faces.hi)
-    return True, dict(enumerate(faces.bases + t[:, None] * faces.taus))
+    return True, dict(enumerate(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +211,18 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     violate WAPM.
     """
     pc, env = _vec(p_c), data.envelope()
-    faces = _faces_2d(data) if data.dimension == 2 else None
+    faces = _faces(data)
     lows, ys = _face_minima(data, pc, faces)
     best = float(np.max(lows))
     ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
     i = int(ties[0])
+    # Without a hull, LPs give the certificates.  (One ray's face in d = 2 is
+    # a line, which cannot show that p_c opposite its normal is unbounded.)
     lower_cert = ({"y": ys[i], "ray": data.rays[i]} if np.isfinite(best)
-                  else {"ray": _descent_certificate(env, data.rays[i], pc),
+                  else {"ray": recession_direction(env, -pc, along=data.rays[i])
+                        if faces is None else faces.descent(pc, i),
                         "note": "unbounded direction"})
-    sup = (_support_2d(faces, env, pc) if faces is not None and data.k > 1
-           else support_value(env, pc))
+    sup = faces.support(env, pc) if faces is not None and data.k > 1 else support_value(env, pc)
     upper_cert = ({"y": sup.maximizer} if sup.finite
                   else {"ray": sup.direction, "note": "unbounded direction"})
     return BoundResult(
@@ -314,34 +275,34 @@ def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
     )
 
 
-def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray):
+def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
+              floors: np.ndarray):
     """The fixed-quantity program at every grid row in closed form (d = 2):
     per ray, feasibility, min and max of p_c . y_c, and their optimizers.
     The line y[coord] = ybar meets the envelope in a segment; over it p_c . y
-    ranges over [v_lo, v_hi], and the floor L(p_c) cuts that to
-    [max(v_lo, L), v_hi]."""
-    floor = np.max(_faces_2d(data).minima(grid)[0], axis=1)
+    ranges over [v_lo, v_hi], and the floor L(p_c) (floors, one per row)
+    cuts that to [max(v_lo, L), v_hi]."""
     line = _Segments.cut(data.rays, data.values, np.eye(2)[[coord]], np.array([ybar]))
     base, tau = line.bases[0], line.taus[0]
     (v_lo, t_lo), (v_hi, t_hi) = line.minima(grid), line.minima(-grid)
     v_lo, t_lo, v_hi, t_hi = v_lo[:, 0], t_lo[:, 0], -v_hi[:, 0], t_hi[:, 0]
     tol = FEAS_TOL * max(1.0, float(np.max(np.abs(data.values))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = np.where(v_lo >= floor - tol, t_lo, (floor - grid @ base) / (grid @ tau))
+        t_lo = np.where(v_lo >= floors - tol, t_lo, (floors - grid @ base) / (grid @ tau))
         y_lo, y_hi = base + t_lo[:, None] * tau, base + t_hi[:, None] * tau
-    ok = line.nonempty[0] & (v_hi >= floor - tol)
-    return ok, np.minimum(np.maximum(v_lo, floor), v_hi), v_hi, y_lo, y_hi
+    ok = line.nonempty[0] & (v_hi >= floors - tol)
+    return ok, np.minimum(np.maximum(v_lo, floors), v_hi), v_hi, y_lo, y_hi
 
 
-def _sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray):
-    """General-d twin of ``_sweep_2d``: per ray, L(p_c) from the face LPs,
-    then the y_c program with y_c[coord] = ybar."""
+def _sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
+              floors: np.ndarray):
+    """General-d twin of ``_sweep_2d``: per ray, the y_c program with
+    y_c[coord] = ybar above the floor L(p_c)."""
     n, d = grid.shape
     ok, lo, hi = np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan)
     y_lo, y_hi = np.full((n, d), np.nan), np.full((n, d), np.nan)
-    for m, pc in enumerate(grid):
-        floor = float(np.max(_face_minima_lp(data, pc)[0]))
-        out = _yc_range(data, pc, pc, floor, fixed=(coord, ybar))
+    for m, (pc, floor) in enumerate(zip(grid, floors)):
+        out = _yc_range(data, pc, pc, float(floor), fixed=(coord, ybar))
         if out is not None:
             ok[m] = True
             (lo[m], y_lo[m]), (hi[m], y_hi[m]) = out
@@ -362,8 +323,11 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
     rays = [_vec(r) for r in ray_grid]
     if not rays:
         raise ValueError("ray grid must be nonempty")
+    grid, faces = np.vstack(rays), _faces(data)
+    floors = (np.max(faces.minima(grid)[0], axis=1) if faces is not None
+              else np.array([np.max(_face_minima_lp(data, pc)[0]) for pc in grid]))
     sweep = _sweep_2d if data.dimension == 2 else _sweep_lp
-    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, np.vstack(rays))
+    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, grid, floors)
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,
             "n_feasible": int(np.sum(ok))}
     if not np.any(ok):

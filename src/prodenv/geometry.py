@@ -6,9 +6,11 @@ intersection of halfspaces, one per observed price ray: the envelope
 price-taking firm is the support function of its production set.  In d = 2
 every constraint's face is a segment from one vectorized pass (``_Segments``),
 which gives support values and the exact Hausdorff distance in closed form;
-in d >= 3 support values come from one convex hull of the constraints lifted
-over the price simplex (``_hull_support``), each certified by weak duality,
-with a linear program only for what no certificate covers.  Unbounded
+in d >= 3 one convex hull of the constraints lifted over the price simplex
+gives the envelope's vertices and recession generators (``_hull_vertices``).
+They serve the support values, each certified by weak duality with a linear
+program only for what no certificate covers, and the faces from which
+``prodenv.bounds`` takes the WAPM test and the lower bounds.  Unbounded
 support values are legitimate outputs here (they signal a recession-cone
 violation of the envelope), so +inf is a first-class result state, carried
 with a certificate direction by ``support_value``, rather than an exception.
@@ -277,13 +279,8 @@ def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
     uv = _ray_array(u, env.dimension) if isinstance(u, PriceRay) else np.asarray(u, float)
     if uv.shape != (env.dimension,):
         raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
-    if env.dimension >= 3:
-        values, ys = _hull_support(env, uv[None, :])
-        if values[0] == np.inf:
-            return SupportResult(value=np.inf, direction=recession_direction(env, uv))
-        if np.isfinite(values[0]):
-            return SupportResult(value=float(values[0]), maximizer=ys[0])
-    return _support_lp(env, uv)
+    hull = _hull_vertices(env)
+    return _support_lp(env, uv) if hull is None else hull.support(env, uv)
 
 
 def _support_lp(env: HalfspaceEnvelope, uv: np.ndarray) -> SupportResult:
@@ -379,6 +376,20 @@ class _Segments(NamedTuple):
         with np.errstate(invalid="ignore"):
             return np.where(flat, offset, offset + slope * t), t
 
+    def descent(self, pc: np.ndarray, i: int) -> np.ndarray:
+        """The direction of segment i, +/-tau_i, along which p_c . y falls."""
+        return -np.sign(pc @ self.taus[i]) * self.taus[i]
+
+    def support(self, env: HalfspaceEnvelope, pc: np.ndarray) -> SupportResult:
+        """``support_value`` at p_c from the faces of a d = 2 envelope: the
+        largest p_c . y over them and a point attaining it; an LP only for
+        the +inf certificate."""
+        neg, t = (m[0] for m in self.minima(-pc[None, :]))
+        j = int(np.argmin(neg))
+        if np.isneginf(neg[j]):
+            return SupportResult(np.inf, direction=recession_direction(env, pc))
+        return SupportResult(-float(neg[j]), maximizer=self.bases[j] + t[j] * self.taus[j])
+
     def nonempty_only(self) -> "_Segments":
         return _Segments(*(field[self.nonempty] for field in self))
 
@@ -400,39 +411,78 @@ def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
     if env.dimension == 2:
         faces = _Segments.cut(env.normals, env.offsets).nonempty_only()
         return -np.min(faces.minima(-U)[0], axis=1)
-    values = _hull_support(env, U)[0] if env.dimension > 2 else np.full(len(U), np.nan)
+    values = _hull_support(_hull_vertices(env), U)[0]
     for i in np.flatnonzero(np.isnan(values)):
         values[i] = _support_lp(env, U[i]).value
     return values
 
 
-def _hull_support(env: HalfspaceEnvelope, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified support values of a d >= 3 envelope at the nonnegative rows
-    of U from one convex hull, with a maximizer for each finite one; NaN
-    marks a row no certificate covers (and all rows when the normals have
-    rank < d or Qhull fails).
+class _Hull(NamedTuple):
+    """The vertices, recession generators and faces of a d >= 3 envelope.
+    Face F_i = {y in envelope : n_i . y = v_i} is the convex hull of the
+    vertices tight on n_i (by tolerance: Qhull drops coplanar lifted points
+    whose constraints are tight) plus the cone of the generators orthogonal
+    to n_i."""
+
+    Y: np.ndarray             # (m, d) certified feasible vertices y_F
+    tol: np.ndarray           # (m, 1) their feasibility and tightness tolerance
+    weights: np.ndarray       # (m, d, d) u -> lam with u = N_F^T lam
+    rel: np.ndarray           # (m,) rounding of lam: d eps cond(N_F)
+    W: np.ndarray             # (r, d) unit generators of the recession cone
+    vertex: np.ndarray        # (nnz,) vertex of each tight pair, sorted by face
+    face: np.ndarray          # (nnz,) its face
+    starts: np.ndarray        # (k,) each face's first pair
+    flat: np.ndarray          # (k, r) generators orthogonal to each n_i
+    nonempty: np.ndarray      # (k,)
+
+    def minima(self, pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least p_c . y on each nonempty face for each row of pcs (n, d):
+        values (n, k), -inf where a generator of the face descends, and the
+        attaining vertices (n, k)."""
+        vals = (pcs @ self.Y.T)[:, self.vertex]                        # (n, nnz)
+        lows = np.minimum.reduceat(vals, self.starts, axis=1)
+        pair = np.where(vals <= lows[:, self.face], np.arange(vals.shape[1]), vals.shape[1])
+        down = self.W @ pcs.T < -FEAS_TOL * np.linalg.norm(pcs, axis=1)   # (r, n)
+        lows[(self.flat.astype(int) @ down.astype(int)).T > 0] = -np.inf
+        return lows, self.vertex[np.minimum.reduceat(pair, self.starts, axis=1)]
+
+    def descent(self, pc: np.ndarray, i: int) -> np.ndarray:
+        """The generator of face i along which p_c . y falls fastest."""
+        return self.W[np.argmin(np.where(self.flat[i], self.W @ pc, np.inf))]
+
+    def support(self, env: HalfspaceEnvelope, u: np.ndarray) -> SupportResult:
+        """``support_value`` from the vertices: an LP only for the +inf
+        certificate and a value they leave uncertified."""
+        values, ys = _hull_support(self, u[None, :])
+        if values[0] == np.inf:
+            return SupportResult(value=np.inf, direction=recession_direction(env, u))
+        if np.isfinite(values[0]):
+            return SupportResult(value=float(values[0]), maximizer=ys[0])
+        return _support_lp(env, u)
+
+
+def _hull_vertices(env: HalfspaceEnvelope) -> _Hull | None:
+    """The vertices, recession generators and faces of a d >= 3 envelope
+    from one convex hull; None in d < 3, when the normals have rank < d,
+    when Qhull fails or when no vertex is certified.
 
     Constraint j scaled by s_j = sum(normal_j) > 0 is the lifted point
     (x_j, z_j) = (normal_j[:-1], v_j) / s_j over the price simplex, and
     h(u) is s(u) times the lower convex envelope of the lifted points at
     x_u = u[:-1] / s(u), +inf where x_u leaves conv(x_j).  The d rays of a
-    lower facet z = a . x + b meet at the envelope's vertex y_F = (a + b, b),
-    so h(u) = max_F u . y_F.  An apex above the data keeps the hull
-    full-dimensional when the lifted points are coplanar (a linear profit).
-    The hull gives only which rays meet; each y_F is solved from them.
-
-    Certificates (weak duality): a finite row's y_F is feasible and tight on
-    its facet's rays, and u's weights over those rays are nonnegative.  A
-    +inf row has a recession vector w = (g - g0, -g0) from a facet
-    g . x <= g0 of conv(x_j): normals . w <= 0 and u . w > 0.
+    lower facet z = a . x + b meet at the envelope's vertex y_F = (a + b, b).
+    An apex above the data keeps the hull full-dimensional when the lifted
+    points are coplanar (a linear profit).  The hull gives only which rays
+    meet; y_F is solved from them and kept when feasible and tight on them.
+    A facet g . x + g0 <= 0 of conv(x_j) gives w = (g + g0, g0), with
+    n_j . w = s_j (g . x_j + g0) <= 0: the generators.
     """
     N, v = env.normals, env.offsets
-    n, d = U.shape
-    values, ys = np.full(n, np.nan), np.full((n, d), np.nan)
+    d = env.dimension
+    if d < 3 or np.linalg.matrix_rank(N) < d:
+        return None
     s = N.sum(axis=1)
     x, z = N[:, :-1] / s[:, None], v / s
-    if np.linalg.matrix_rank(N) < d:
-        return values, ys
     apex = np.append(x.mean(axis=0), z.max() + max(1.0, float(np.max(np.abs(z)))))
     try:
         hull = ConvexHull(np.vstack([np.column_stack([x, z]), apex]))
@@ -449,26 +499,52 @@ def _hull_support(env: HalfspaceEnvelope, U: np.ndarray) -> tuple[np.ndarray, np
                + d * np.finfo(float).eps * np.sum(np.abs(Y), axis=1, keepdims=True))
         good = (np.all(Y @ N.T <= v + tol, axis=1)
                 & np.all(np.abs(np.einsum("mij,mj->mi", NF, Y) - v[facets]) <= tol, axis=1))
-        NF, Y = NF[good], Y[good]
-        weights = np.linalg.inv(NF.transpose(0, 2, 1))      # u -> lam with u = NF^T lam
-        rel = d * np.finfo(float).eps * np.linalg.cond(NF)
+        NF, Y, tol = NF[good], Y[good], tol[good]
+        weights = np.linalg.inv(NF.transpose(0, 2, 1))
+        eq = ConvexHull(x).equations
     except (QhullError, np.linalg.LinAlgError):
+        return None
+    if not len(Y):
+        return None
+    W = np.column_stack([eq[:, :-1] + eq[:, -1:], eq[:, -1]])
+    W = (W / np.linalg.norm(W, axis=1, keepdims=True))[np.all(N @ W.T <= UNIT_TOL, axis=0)]
+    tight = np.abs(Y @ N.T - v) <= tol                                 # (m, k)
+    face, vertex = np.nonzero(tight.T)
+    counts = np.sum(tight, axis=0)
+    return _Hull(Y, tol, weights, d * np.finfo(float).eps * np.linalg.cond(NF), W, vertex,
+                 face, np.cumsum(counts) - counts, np.abs(N @ W.T) <= UNIT_TOL, counts > 0)
+
+
+def _hull_support(hull: _Hull | None, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified support values h(u) = max_F u . y_F at the nonnegative rows
+    of U from the envelope's vertices, with a maximizer for each finite one;
+    NaN marks a row no certificate covers (every row when hull is None).
+
+    Certificates (weak duality): a finite row's y_F is feasible and tight on
+    its facet's rays, and u's weights over those rays are nonnegative.  A
+    +inf row has a generator w with u . w > 1e-9 |u|, which covers the
+    1e-12 slack on N w: w - 1e-12 (1, ..., 1) has N w <= 0 exactly.
+    """
+    n, d = U.shape
+    values, ys = np.full(n, np.nan), np.full((n, d), np.nan)
+    if hull is None:
         return values, ys
-    if len(Y):
-        gains = U @ Y.T
-        best = np.argmax(gains, axis=1)
-        ok = _carried(np.einsum("nij,nj->ni", weights[best], U), rel[best])
-        # Tied facets (coplanar lifted points) can put the argmax on a facet
-        # whose rays do not carry u: take the best facet whose rays do.
-        redo = np.flatnonzero(~ok)
-        if redo.size:
-            cone = _carried(np.einsum("mij,nj->nmi", weights, U[redo]), rel[None, :])
-            best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
-            ok[redo] = cone[np.arange(redo.size), best[redo]]
-        values[ok], ys[ok] = gains[ok, best[ok]], Y[best[ok]]
+    Y, weights, rel = hull.Y, hull.weights, hull.rel
+    gains = U @ Y.T
+    best = np.argmax(gains, axis=1)
+    ok = _carried(np.einsum("nij,nj->ni", weights[best], U), rel[best])
+    # Tied facets (coplanar lifted points) can put the argmax on a facet
+    # whose rays do not carry u: take the best facet whose rays do.
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        cone = _carried(np.einsum("mij,nj->nmi", weights, U[redo]), rel[None, :])
+        best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
+        ok[redo] = cone[np.arange(redo.size), best[redo]]
+    values[ok], ys[ok] = gains[ok, best[ok]], Y[best[ok]]
     rest = np.flatnonzero(np.isnan(values))
-    if rest.size:
-        values[rest[_leaves_cone(N, x, U[rest])]] = np.inf
+    if rest.size and len(hull.W):
+        leaves = np.max(U[rest] @ hull.W.T, axis=1) > FEAS_TOL * np.linalg.norm(U[rest], axis=1)
+        values[rest[leaves]] = np.inf
     return values, ys
 
 
@@ -477,22 +553,6 @@ def _carried(lam: np.ndarray, rel: np.ndarray) -> np.ndarray:
     of rel = d eps times its facet's condition number, relative to |lam|_1."""
     return np.all(lam >= -rel[..., None] * np.sum(np.abs(lam), axis=-1, keepdims=True),
                   axis=-1)
-
-
-def _leaves_cone(N: np.ndarray, x: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Rows of U certified outside the conic hull of the normals N by a
-    facet g . x <= g0 of conv(x) (x = N[:, :-1] / s): w = (g - g0, -g0)
-    has N w <= 0 and u . w > 0.  The 1e-12 slack on N w is covered by the
-    1e-9 margin on u . w, as w - 1e-12 (1, ..., 1) has N w <= 0 exactly."""
-    try:
-        eq = ConvexHull(x).equations                    # g . x + off <= 0 inside
-    except QhullError:
-        return np.zeros(len(U), dtype=bool)
-    W = np.column_stack([eq[:, :-1] + eq[:, -1:], eq[:, -1]])
-    W /= np.linalg.norm(W, axis=1, keepdims=True)
-    W = W[np.all(N @ W.T <= UNIT_TOL, axis=0)]
-    gain = U @ W.T if len(W) else np.zeros((len(U), 1))
-    return np.max(gain, axis=1) > FEAS_TOL * np.linalg.norm(U, axis=1)
 
 
 def _directed_hausdorff_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 import prodenv.geometry
@@ -9,15 +10,16 @@ from prodenv.bounds import (ProfitData, brute_force_bounds,
                             profit_bounds, profit_bounds_fixed_quantity,
                             project_rationalizable, quantity_bounds,
                             rationalizing_hull, sharpness_check, wapm_feasible)
-from prodenv.bounds import (_descent_certificate, _face_minima,
-                            _face_minima_lp, _sweep_2d, _sweep_lp, _wapm_lp)
-from prodenv.errors import ValidationError
-from prodenv.estimation import diewert_value, duality_check
-from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, support_value,
-                              support_values)
+from prodenv.bounds import (_face_minima, _face_minima_lp, _faces, _sweep_2d,
+                            _sweep_lp)
+from prodenv.errors import NumericFailure, ValidationError
+from prodenv.estimation import diewert_supply, diewert_value, duality_check
+from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, free_disposal_hull,
+                              solve_lp, support_value, support_values)
 from prodenv.simulate import DiewertTech
 
 from conftest import random_admissible_b, unit_rays_2d
+from test_geometry import _unit, exact_support
 
 RT2 = np.sqrt(2.0)
 
@@ -304,6 +306,37 @@ class TestTripleQuantityCoverage:
 # The d = 2 closed form against the general-d LP path
 # ---------------------------------------------------------------------------
 
+
+def _wapm_lp(data):
+    """Reference WAPM test, one stacked sparse LP in the y_p of every ray:
+    p_i . y_i = pi_i, and p_i . y_j <= pi_i for every i, j (the i = j rows
+    repeat the equalities).  Returns the verdict and {ray index: y_p}."""
+    k, d = data.k, data.dimension
+    A_eq = sparse.csr_matrix((data.rays.ravel(), np.arange(k * d),
+                              np.arange(0, k * d + 1, d)), shape=(k, k * d))
+    A_ub = sparse.kron(sparse.identity(k, format="csr"),
+                       sparse.csr_matrix(data.rays), format="csr")
+    state, y, _ = solve_lp(np.zeros(k * d), A_ub, np.tile(data.values, k), A_eq, data.values)
+    if state == "infeasible":
+        return False, None
+    return True, dict(enumerate(y.reshape(k, -1)))     # zero objective: never unbounded
+
+
+def _reference_lp_tolerance(mp, data):
+    """Run the LPs at HiGHS's tightest feasibility tolerance, relative to
+    the values: a constraint 1e-6 rad from a face may be violated by tol
+    along it, which lets the LP slide tol / 1e-6 along the face (about 0.05
+    at the default 1e-7).  Presolve at that tolerance once called a face of
+    exact data empty."""
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(data.values))))
+
+    def reference_linprog(*args, **kwargs):
+        kwargs["options"] = {"primal_feasibility_tolerance": tol, "presolve": False}
+        return linprog(*args, **kwargs)
+
+    mp.setattr(prodenv.geometry, "linprog", reference_linprog)
+
+
 CASES = ("plain", "near_parallel", "huge", "single", "out_of_cone",
          "violating", "projected")
 
@@ -352,19 +385,7 @@ class TestClosedFormMatchesLp:
     def test_faces_wapm_and_sweep(self, case, seed):
         data, pc, ybar = _case_2d(case, np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
-            # The reference LPs run at HiGHS's tightest feasibility tolerance,
-            # relative to the values: a constraint 1e-6 rad from a face may be
-            # violated by tol along it, which lets the LP slide tol / 1e-6
-            # along the face (about 0.05 at the default 1e-7).  Presolve at
-            # that tolerance once called a face of exact data empty.
-            tol = 1e-10 * max(1.0, float(np.max(np.abs(data.values))))
-
-            def reference_linprog(*args, **kwargs):
-                kwargs["options"] = {"primal_feasibility_tolerance": tol,
-                                     "presolve": False}
-                return linprog(*args, **kwargs)
-
-            mp.setattr(prodenv.geometry, "linprog", reference_linprog)
+            _reference_lp_tolerance(mp, data)
             self._check(case, data, pc, ybar)
 
     def test_face_lp_tolerance_near_parallel(self):
@@ -398,7 +419,6 @@ class TestClosedFormMatchesLp:
 
         lows, ys = _face_minima(data, pc)
         lows_lp, ys_lp = _face_minima_lp(data, pc)
-        env = data.envelope()
         scale = max(1.0, float(np.max(np.abs(data.values))))
         exact = True
         for i in range(data.k):
@@ -415,7 +435,7 @@ class TestClosedFormMatchesLp:
                     assert lows_lp[i] <= lows[i] + 1e-7 * scale
                     exact = False
             else:
-                w = _descent_certificate(env, data.rays[i], pc)
+                w = _faces(data).descent(pc, i)
                 assert pc @ w < 0
                 assert np.all(data.rays @ w <= 1e-12)
                 assert abs(data.rays[i] @ w) <= 1e-12
@@ -423,8 +443,10 @@ class TestClosedFormMatchesLp:
             return          # the sweep's floors L(p_c) would differ the same way
 
         grid = np.array(unit_rays_2d(np.linspace(0.05, np.pi / 2 - 0.05, 9)))
-        ok2, lo2, hi2, y_lo2, y_hi2 = _sweep_2d(data, 0, ybar, grid)
-        ok_lp, lo_lp, hi_lp, _, _ = _sweep_lp(data, 0, ybar, grid)
+        floors = np.max(_faces(data).minima(grid)[0], axis=1)
+        ok2, lo2, hi2, y_lo2, y_hi2 = _sweep_2d(data, 0, ybar, grid, floors)
+        floors_lp = [np.max(_face_minima_lp(data, pc)[0]) for pc in grid]
+        ok_lp, lo_lp, hi_lp, _, _ = _sweep_lp(data, 0, ybar, grid, floors_lp)
         np.testing.assert_array_equal(ok2, ok_lp)
         for m in np.nonzero(ok2)[0]:
             _same_bound(lo2[m], lo_lp[m])
@@ -437,7 +459,128 @@ class TestClosedFormMatchesLp:
 
 
 # ---------------------------------------------------------------------------
-# d = 3: the face-LP path
+# d >= 3: the hull's vertices against the face LPs and rational arithmetic
+# ---------------------------------------------------------------------------
+
+HULL_CASES = ("plain", "near_parallel", "linear", "free_disposal", "violating",
+              "rank_deficient")
+
+
+def _dyadic(a, bits):
+    return np.round(np.asarray(a) * 2.0 ** bits) / 2.0 ** bits
+
+
+def _case_nd(case, rng, d):
+    """Data in d >= 3 whose values are the profits max_p n . p of a few
+    points p, exactly: normals carry 32 fractional bits and points 10, so
+    each n . p is exact in a double and every face holds a point (WAPM
+    holds in rational arithmetic).  Partners 1e-6 away from half the rays;
+    a linear profit (one point: coplanar lifted points); a free-disposal
+    hull (normals on the orthant boundary, coplanar facets); one more ray
+    whose value its envelope cannot reach (a WAPM violation); or normals
+    with a zero last coordinate (rank d - 1: no hull)."""
+    pts = _dyadic(rng.uniform(-2.0, 2.0, (1 if case == "linear" else 5, d)), 10)
+    if case == "free_disposal":
+        pts = pts[:int(rng.integers(2, 4))]
+        rays = free_disposal_hull(pts).normals[:10]
+    else:
+        k = int(rng.integers(d + 1, 8))
+        rays = _unit(rng.uniform(0.1, 1.0, (k, d)))
+        if case == "near_parallel":
+            rays = np.vstack([rays, _unit(rays[:k // 2] + 1e-6 * rng.normal(size=(k // 2, d)))])
+        if case == "rank_deficient":
+            rays[:, -1] = 0.0
+            rays = _unit(rays)
+    rays = _dyadic(rays, 32)
+    data = ProfitData(1, rays, np.max(rays @ pts.T, axis=1))
+    if case == "violating":
+        mid = _dyadic(_unit(rays.mean(axis=0)), 32)
+        data = data.with_pair(mid, float(np.max(mid @ pts.T)) + 0.5)
+    return data
+
+
+def _exact_face_minima(data, pc):
+    """Least p_c . y on each face in rational arithmetic: face i is the
+    envelope with -n_i . y <= -pi_i added, and its minimum is minus its
+    support at -p_c.  Also returns the rounding scale |p_c| |y*|."""
+    out = [exact_support(np.vstack([data.rays, -data.rays[i]]),
+                         np.append(data.values, -data.values[i]), -pc[None, :])
+           for i in range(data.k)]
+    return -np.array([e[0] for e, _ in out]), np.array([r[0] for _, r in out])
+
+
+class TestHullFacesMatchLp:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("case", HULL_CASES)
+    def test_kernel_matches_face_lps_and_exact(self, case, d):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            data = _case_nd(case, rng, d)
+            for pc in (_unit(data.rays.mean(axis=0)), _unit(rng.uniform(0.1, 1.0, d)),
+                       _unit(np.eye(d)[0] + 0.05)):
+                with pytest.MonkeyPatch.context() as mp:
+                    _reference_lp_tolerance(mp, data)
+                    self._check(case, data, pc)
+
+    @staticmethod
+    def _check(case, data, pc):
+        ok, cert = wapm_feasible(data)
+        assert ok == _wapm_lp(data)[0] == (case != "violating")
+        if case == "violating":
+            for minima in (_face_minima, _face_minima_lp):
+                with pytest.raises(ValidationError):
+                    minima(data, pc)
+            return
+        faces = _faces(data)
+        assert (faces is None) == (case == "rank_deficient")
+        for i, y in cert.items():
+            _check_face_point(data, y, i, data.rays[i], data.values[i])
+
+        lows, ys = _face_minima(data, pc)
+        try:
+            lows_lp, ys_lp = _face_minima_lp(data, pc)
+        except (ValidationError, NumericFailure):
+            # At the reference tolerance HiGHS called a face of these
+            # rationalizable data empty (partners 1e-6 away, d = 4, seed 0)
+            # or ended "model_status is Unknown" (free-disposal hulls, d = 3,
+            # seeds 1 and 2); at FEAS_TOL it solves them.  Rational
+            # arithmetic alone judges these.
+            lows_lp = ys_lp = None
+        exact, reach = _exact_face_minima(data, pc)
+        scale = max(1.0, float(np.max(np.abs(data.values))))
+        at = None if faces is None else faces.minima(pc[None])[1][0]
+        tols = np.zeros(data.k)
+        for i in range(data.k):
+            assert np.isneginf(lows[i]) == np.isneginf(exact[i])
+            assert lows_lp is None or np.isneginf(lows_lp[i]) == np.isneginf(lows[i])
+            if np.isneginf(lows[i]):
+                if faces is not None:
+                    w = faces.descent(pc, i)
+                    assert pc @ w < 0 and abs(data.rays[i] @ w) <= 1e-12
+                    assert np.all(data.rays @ w <= 1e-12)
+                continue
+            _check_face_point(data, ys[i], i, pc, lows[i])
+            assert np.all(data.rays @ ys[i] <= data.values + 1e-12 * scale)
+            # A vertex solved from its d rays in floats moves by up to
+            # d eps cond |y| (partners 1e-6 away: cond ~ 1e7).
+            cond = 1.0 if faces is None else np.linalg.cond(faces.weights[at[i]])
+            tols[i] = (1e-12 * max(1.0, abs(exact[i]))
+                       + data.dimension * np.finfo(float).eps * cond * reach[i])
+            assert abs(lows[i] - exact[i]) <= tols[i]
+            if lows_lp is None:
+                continue
+            if np.max(data.rays @ ys_lp[i] - data.values) <= 1e-12 * scale:
+                _same_bound(lows[i], lows_lp[i])
+            else:
+                assert lows_lp[i] <= lows[i] + 1e-7 * scale
+        lower = profit_bounds(data, pc).lower
+        assert lower == np.max(lows)
+        if np.isfinite(lower):
+            assert abs(lower - np.max(exact)) <= np.max(tols)
+
+
+# ---------------------------------------------------------------------------
+# d = 3 bounds
 # ---------------------------------------------------------------------------
 
 
@@ -480,6 +623,20 @@ class TestThreeGoods:
         with pytest.raises(ValidationError):
             quantity_bounds(bad, pc, np.eye(3)[0])
 
+    def test_near_parallel_bounds_do_not_cross(self):
+        # The envelope of test_near_parallel_rays_beat_the_lp, projected: the
+        # per-face LPs put the lower bound 6.4e-11 above the upper one, their
+        # certificate 1.5e-10 outside a constraint.
+        rng = np.random.default_rng(126)
+        base = _unit(rng.uniform(0.1, 1.0, (10, 3)))
+        rays = np.vstack([base, _unit(base + 1e-6 * rng.normal(size=(10, 3)))])
+        data = project_rationalizable(ProfitData(1, rays, rng.uniform(-1.0, 1.0, 20)))[0]
+        res = profit_bounds(data, _unit(np.array([0.5, 0.6, 0.7])))
+        assert res.lower <= res.upper
+        scale = max(1.0, float(np.max(np.abs(data.values))))
+        for cert in (res.lower_certificate, res.upper_certificate):
+            assert np.all(data.rays @ cert["y"] <= data.values + 1e-12 * scale)
+
     def test_unbounded_lower_has_descent_certificate(self, rng):
         # Two rays leave every face unbounded below at a p_c outside their
         # span; the certificate is a recession direction within the face.
@@ -495,7 +652,7 @@ class TestThreeGoods:
 
 
 # ---------------------------------------------------------------------------
-# LP budget: the d = 2 questions stay (nearly) LP-free
+# LP budget: the bounds questions stay (nearly) LP-free
 # ---------------------------------------------------------------------------
 
 
@@ -543,6 +700,36 @@ class TestLpBudget:
                                            grid)
         assert res.feasible
         assert len(lp_calls) == 0
+
+    def test_three_goods_budget(self, lp_calls):
+        # The hull's vertices answer WAPM and L(p_c): only the y_c programs
+        # solve LPs.
+        rng = np.random.default_rng(60)
+        b = random_admissible_b(rng, d=3)
+        rays = _unit(rng.uniform(0.25, 1.0, size=(60, 3)))
+        data = ProfitData(1, rays, diewert_value(b, rays))
+        cut = ProfitData(1, rays, np.where(np.arange(60) % 7 == 0,
+                                           0.9 * data.values, data.values))
+        assert wapm_feasible(data)[0] and not wapm_feasible(cut)[0]
+        assert len(lp_calls) == 0
+
+        pc = _unit(rays.mean(axis=0))
+        res = profit_bounds(data, pc)
+        assert np.isfinite(res.lower) and np.isfinite(res.upper)
+        assert len(lp_calls) == 0
+
+        quantity_bounds(data, pc, np.eye(3)[0])
+        assert len(lp_calls) == 2
+
+        del lp_calls[:]
+        grid = _unit(rng.uniform(0.25, 1.0, size=(20, 3)))
+        sweep = profit_bounds_fixed_quantity(data, 0, float(diewert_supply(b, grid[7])[0]),
+                                             list(grid))
+        assert sweep.feasible
+        assert len(lp_calls) <= 2 * len(grid)
+
+        assert sharpness_check(data, pc, res.upper)
+        assert not sharpness_check(data, pc, res.upper + 0.1)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_projection_and_convexification(self, d, lp_calls):
