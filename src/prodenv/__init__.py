@@ -4,7 +4,7 @@ Library + CLI for heterogeneous price-taking firms: simulate economies,
 recover discrete-type restricted profit functions from noisy values, recover
 unobserved prices from proxies, build production-set envelopes by support
 duality, bound counterfactuals sharply face by face (closed forms in d = 2,
-small LPs otherwise), and check the Hausdorff/sup-norm estimation duality.
+one hull in d >= 3), and check the Hausdorff/sup-norm estimation duality.
 """
 
 __version__ = "0.1.0"

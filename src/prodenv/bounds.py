@@ -11,17 +11,17 @@ no cross-ray improvement possible (the weak axiom of profit maximization):
 Each y_p lives only on its own face F_p = {y : p . y = pi(p), p* . y <=
 pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
 the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
-cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  In d = 2 the
-faces are segments from one vectorized pass (``geometry._Segments``); in
-d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
-recession generators orthogonal to p, all from one convex hull
-(``geometry._hull_vertices``).  So WAPM, L, the support at p_c and the
-projection take no LP.  Linear programs (HiGHS) per question, d = 2 |
-d >= 3: wapm_feasible 0 | 0; profit_bounds 0-1 | 0-1; quantity_bounds 2 | 2;
-sweep 0 | at most 2 per ray; project_rationalizable 0 | 0.  The extra one
-certifies a +inf upper bound, an answer (limited price variation cannot
-always pin profits down), never raised.  Without a hull (normals of rank
-< d, or a Qhull failure) each face and each support value is an LP.
+cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  The faces come
+from the envelope's face kernel (``geometry._kernel``): segments from one
+vectorized pass in d = 2; in d >= 3 face F_p is the hull of the envelope's
+vertices tight on p plus its recession generators orthogonal to p, all from
+one convex hull.  The kernel also gives the support at p_c, its maximizer or
+its +inf certificate, so WAPM, L, the upper bound and the projection take no
+LP.  Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible
+0 | 0; profit_bounds 0 | 0; quantity_bounds 2 | 2; sweep 0 | at most 2 per
+ray; project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
+a Qhull failure) each face and each support value is an LP, and a +inf bound
+takes one more for its certificate.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Hull, _hull_vertices,
-                       _Segments, free_disposal_hull, recession_direction,
-                       solve_lp, support_value, support_values)
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Hull, _kernel,
+                       _Segments, _support, free_disposal_hull,
+                       recession_direction, solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
@@ -149,10 +149,9 @@ class BoundResult:
 
 
 def _faces(data: ProfitData):
-    """The profit-attaining faces: segments in d = 2, the hull's vertices in
-    d >= 3, None without a hull.  An empty face is exactly a WAPM violation."""
-    faces = (_Segments.cut(data.rays, data.values) if data.dimension == 2
-             else _hull_vertices(data.envelope()))
+    """The profit-attaining faces: the envelope's kernel (None without a
+    hull).  An empty face is exactly a WAPM violation."""
+    faces = _kernel(data.envelope())
     if faces is not None and not np.all(faces.nonempty):
         raise ValidationError(WAPM_VIOLATION)
     return faces
@@ -162,6 +161,8 @@ def _face_minima(data: ProfitData, pc: np.ndarray, faces=None):
     """Least p_c . y on each face (k,) and the attaining points (k, d),
     non-finite rows on -inf faces: closed form in d = 2, the hull's vertices
     in d >= 3, one LP per face without a hull (faces cut here unless given)."""
+    if np.any(pc < 0):
+        raise ValueError("the faces answer only componentwise nonnegative prices p_c")
     faces = _faces(data) if faces is None else faces
     if faces is None:
         return _face_minima_lp(data, pc)
@@ -216,13 +217,12 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     best = float(np.max(lows))
     ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
     i = int(ties[0])
-    # Without a hull, LPs give the certificates.  (One ray's face in d = 2 is
-    # a line, which cannot show that p_c opposite its normal is unbounded.)
+    # Without a hull, LPs give the certificates.
     lower_cert = ({"y": ys[i], "ray": data.rays[i]} if np.isfinite(best)
                   else {"ray": recession_direction(env, -pc, along=data.rays[i])
                         if faces is None else faces.descent(pc, i),
                         "note": "unbounded direction"})
-    sup = faces.support(env, pc) if faces is not None and data.k > 1 else support_value(env, pc)
+    sup = _support(env, faces, pc)
     upper_cert = ({"y": sup.maximizer} if sup.finite
                   else {"ray": sup.direction, "note": "unbounded direction"})
     return BoundResult(

@@ -272,6 +272,8 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
     kind = sec.get_str("question", "profit")
     if kind in ("profit", "quantity"):
         pc = sec.get_vector("p_c", required=True)
+        if np.any(pc < 0) or not np.any(pc > 0):
+            raise ValidationError(f"[bounds] p_c must be nonnegative and nonzero: {pc.tolist()}")
         pc = pc / np.linalg.norm(pc)
         if kind == "profit":
             return f"profit at p_c={pc.tolist()}", lambda data: profit_bounds(data, pc)

@@ -3,17 +3,17 @@
 A production set consistent with observed profit values is represented as an
 intersection of halfspaces, one per observed price ray: the envelope
 ``{y : ray . y <= value for every (ray, value)}``.  The profit function of a
-price-taking firm is the support function of its production set.  In d = 2
-every constraint's face is a segment from one vectorized pass (``_Segments``),
-which gives support values and the exact Hausdorff distance in closed form;
-in d >= 3 one convex hull of the constraints lifted over the price simplex
-gives the envelope's vertices and recession generators (``_hull_vertices``).
-They serve the support values, each certified by weak duality with a linear
-program only for what no certificate covers, and the faces from which
-``prodenv.bounds`` takes the WAPM test and the lower bounds.  Unbounded
-support values are legitimate outputs here (they signal a recession-cone
-violation of the envelope), so +inf is a first-class result state, carried
-with a certificate direction by ``support_value``, rather than an exception.
+price-taking firm is the support function of its production set.  One face
+kernel per envelope (``_kernel``) answers every question about it: in d = 2
+the faces are segments from one vectorized pass (``_Segments``), which also
+give the exact Hausdorff distance; in d >= 3 one convex hull of the
+constraints lifted over the price simplex gives the vertices, recession
+generators and faces (``_Hull``).  The kernel's ``sup`` gives support
+values, maximizers and +inf certificates, with a linear program only for
+what no certificate covers; ``prodenv.bounds`` takes the WAPM test and the
+lower bounds from its faces.  Unbounded support values are legitimate
+outputs (a recession-cone violation of the envelope), so +inf is a
+first-class result state with a certificate direction, not an exception.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -268,27 +268,35 @@ def solve_lp(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=(None, None)):
 
 
 def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
-    """Support function of the envelope at direction ``u``.
+    """Support function of the envelope at a nonnegative direction ``u``.
 
     Returns the finite optimum with its maximizer, or the +inf state with an
     unbounded-ray certificate when ``u`` leaves the conic hull of the
-    constraint normals.  In d >= 3 the value and maximizer come from the
-    hull kernel (``_hull_support``) when it certifies them; a linear program
-    gives the +inf certificate and any value the kernel leaves uncertified.
+    constraint normals.  Both come from the face kernel (``_kernel``) when it
+    certifies them, and from a linear program otherwise.
     """
     uv = _ray_array(u, env.dimension) if isinstance(u, PriceRay) else np.asarray(u, float)
     if uv.shape != (env.dimension,):
         raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
-    hull = _hull_vertices(env)
-    return _support_lp(env, uv) if hull is None else hull.support(env, uv)
+    if np.any(uv < 0):
+        raise ValueError("support_value takes a componentwise nonnegative direction")
+    return _support(env, _kernel(env), uv)
 
 
-def _support_lp(env: HalfspaceEnvelope, uv: np.ndarray) -> SupportResult:
-    state, x, _ = solve_lp(-uv, env.normals, env.offsets)
+def _support(env: HalfspaceEnvelope, kernel, u: np.ndarray) -> SupportResult:
+    """``support_value`` from the kernel's certified answer, else from the
+    support LP (and a recession LP to certify +inf)."""
+    if kernel is not None:
+        (value,), (y,), (w,) = kernel.sup(u[None, :])
+        if value == np.inf:
+            return SupportResult(value=np.inf, direction=w)
+        if np.isfinite(value):
+            return SupportResult(value=float(value), maximizer=y)
+    state, x, _ = solve_lp(-u, env.normals, env.offsets)
     if state == "optimal":
-        return SupportResult(value=float(uv @ x), maximizer=x)
+        return SupportResult(value=float(u @ x), maximizer=x)
     if state == "unbounded":
-        return SupportResult(value=np.inf, direction=recession_direction(env, uv))
+        return SupportResult(value=np.inf, direction=recession_direction(env, u))
     raise NumericFailure("support LP infeasible on a nonempty envelope")
 
 
@@ -380,15 +388,18 @@ class _Segments(NamedTuple):
         """The direction of segment i, +/-tau_i, along which p_c . y falls."""
         return -np.sign(pc @ self.taus[i]) * self.taus[i]
 
-    def support(self, env: HalfspaceEnvelope, pc: np.ndarray) -> SupportResult:
-        """``support_value`` at p_c from the faces of a d = 2 envelope: the
-        largest p_c . y over them and a point attaining it; an LP only for
-        the +inf certificate."""
-        neg, t = (m[0] for m in self.minima(-pc[None, :]))
-        j = int(np.argmin(neg))
-        if np.isneginf(neg[j]):
-            return SupportResult(np.inf, direction=recession_direction(env, pc))
-        return SupportResult(-float(neg[j]), maximizer=self.bases[j] + t[j] * self.taus[j])
+    def sup(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support values at the rows of U (n, 2): the largest u . y over the
+        nonempty faces, the point of the chosen face attaining it and, on a
+        +inf row, the end ray sign(t) tau the face runs off along; NaN where
+        a row has no such point or ray."""
+        neg, t = self.minima(-U)
+        at = np.arange(len(U)), np.argmin(np.where(self.nonempty, neg, np.inf), axis=1)
+        values, t, tau = -neg[at], t[at][:, None], self.taus[at[1]]
+        up = np.isposinf(values)[:, None]
+        with np.errstate(invalid="ignore"):
+            ys = np.where(up, np.nan, self.bases[at[1]] + t * tau)
+        return values, ys, np.where(up, np.sign(t) * tau, np.nan)
 
     def nonempty_only(self) -> "_Segments":
         return _Segments(*(field[self.nonempty] for field in self))
@@ -398,22 +409,19 @@ def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
     """Support values of the envelope at the rows of U (price directions,
     componentwise nonnegative), +inf where unbounded; values only.
 
-    In d = 2 this is the largest maximum of u . y over the nonempty faces,
-    with no LP: a face unbounded in an ascending direction gives +inf.  In
-    d >= 3 the values come from one convex hull (``_hull_support``); a row
-    it cannot certify is a support LP.
+    They come from the face kernel (``_kernel``): in d = 2 the largest
+    maximum of u . y over the nonempty faces, with no LP; in d >= 3 one
+    convex hull.  A row it cannot certify is a support LP.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != env.dimension:
         raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
     if np.any(U < 0):
         raise ValueError("support_values takes componentwise nonnegative directions")
-    if env.dimension == 2:
-        faces = _Segments.cut(env.normals, env.offsets).nonempty_only()
-        return -np.min(faces.minima(-U)[0], axis=1)
-    values = _hull_support(_hull_vertices(env), U)[0]
+    kernel = _kernel(env)
+    values = np.full(len(U), np.nan) if kernel is None else kernel.sup(U)[0]
     for i in np.flatnonzero(np.isnan(values)):
-        values[i] = _support_lp(env, U[i]).value
+        values[i] = _support(env, None, U[i]).value
     return values
 
 
@@ -450,21 +458,41 @@ class _Hull(NamedTuple):
         """The generator of face i along which p_c . y falls fastest."""
         return self.W[np.argmin(np.where(self.flat[i], self.W @ pc, np.inf))]
 
-    def support(self, env: HalfspaceEnvelope, u: np.ndarray) -> SupportResult:
-        """``support_value`` from the vertices: an LP only for the +inf
-        certificate and a value they leave uncertified."""
-        values, ys = _hull_support(self, u[None, :])
-        if values[0] == np.inf:
-            return SupportResult(value=np.inf, direction=recession_direction(env, u))
-        if np.isfinite(values[0]):
-            return SupportResult(value=float(values[0]), maximizer=ys[0])
-        return _support_lp(env, u)
+    def sup(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Certified support values h(u) = max_F u . y_F at the nonnegative
+        rows of U, with maximizers and +inf generators; NaN where uncertified.
+
+        Certificates (weak duality): a finite row's y_F is feasible and tight
+        on its facet's rays, and u's weights over those rays are nonnegative.
+        A +inf row has a generator w with u . w > 1e-9 |u|, which covers the
+        1e-12 slack on N w: w - 1e-12 (1, ..., 1) has N w <= 0 exactly.
+        """
+        values, (ys, dirs) = np.full(len(U), np.nan), np.full((2, *U.shape), np.nan)
+        gains = U @ self.Y.T
+        best = np.argmax(gains, axis=1)
+        ok = _carried(np.einsum("nij,nj->ni", self.weights[best], U), self.rel[best])
+        # Tied facets (coplanar lifted points) can put the argmax on a facet
+        # whose rays do not carry u: take the best facet whose rays do.
+        redo = np.flatnonzero(~ok)
+        if redo.size:
+            cone = _carried(np.einsum("mij,nj->nmi", self.weights, U[redo]), self.rel[None, :])
+            best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
+            ok[redo] = cone[np.arange(redo.size), best[redo]]
+        values[ok], ys[ok] = gains[ok, best[ok]], self.Y[best[ok]]
+        if len(self.W):
+            rise = U @ self.W.T
+            w = np.argmax(rise, axis=1)
+            leaves = ~ok & (rise[np.arange(len(U)), w] > FEAS_TOL * np.linalg.norm(U, axis=1))
+            values[leaves], dirs[leaves] = np.inf, self.W[w[leaves]]
+        return values, ys, dirs
 
 
-def _hull_vertices(env: HalfspaceEnvelope) -> _Hull | None:
-    """The vertices, recession generators and faces of a d >= 3 envelope
-    from one convex hull; None in d < 3, when the normals have rank < d,
-    when Qhull fails or when no vertex is certified.
+def _kernel(env: HalfspaceEnvelope) -> _Segments | _Hull | None:
+    """The face kernel of an envelope, which answers every support and face
+    question about it: its segments in d = 2; in d >= 3 its vertices,
+    recession generators and faces from one convex hull.  None in d = 1,
+    when the normals have rank < d, when Qhull fails or when no vertex is
+    certified.
 
     Constraint j scaled by s_j = sum(normal_j) > 0 is the lifted point
     (x_j, z_j) = (normal_j[:-1], v_j) / s_j over the price simplex, and
@@ -479,7 +507,9 @@ def _hull_vertices(env: HalfspaceEnvelope) -> _Hull | None:
     """
     N, v = env.normals, env.offsets
     d = env.dimension
-    if d < 3 or np.linalg.matrix_rank(N) < d:
+    if d == 2:
+        return _Segments.cut(N, v)
+    if d == 1 or np.linalg.matrix_rank(N) < d:
         return None
     s = N.sum(axis=1)
     x, z = N[:, :-1] / s[:, None], v / s
@@ -513,39 +543,6 @@ def _hull_vertices(env: HalfspaceEnvelope) -> _Hull | None:
     counts = np.sum(tight, axis=0)
     return _Hull(Y, tol, weights, d * np.finfo(float).eps * np.linalg.cond(NF), W, vertex,
                  face, np.cumsum(counts) - counts, np.abs(N @ W.T) <= UNIT_TOL, counts > 0)
-
-
-def _hull_support(hull: _Hull | None, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified support values h(u) = max_F u . y_F at the nonnegative rows
-    of U from the envelope's vertices, with a maximizer for each finite one;
-    NaN marks a row no certificate covers (every row when hull is None).
-
-    Certificates (weak duality): a finite row's y_F is feasible and tight on
-    its facet's rays, and u's weights over those rays are nonnegative.  A
-    +inf row has a generator w with u . w > 1e-9 |u|, which covers the
-    1e-12 slack on N w: w - 1e-12 (1, ..., 1) has N w <= 0 exactly.
-    """
-    n, d = U.shape
-    values, ys = np.full(n, np.nan), np.full((n, d), np.nan)
-    if hull is None:
-        return values, ys
-    Y, weights, rel = hull.Y, hull.weights, hull.rel
-    gains = U @ Y.T
-    best = np.argmax(gains, axis=1)
-    ok = _carried(np.einsum("nij,nj->ni", weights[best], U), rel[best])
-    # Tied facets (coplanar lifted points) can put the argmax on a facet
-    # whose rays do not carry u: take the best facet whose rays do.
-    redo = np.flatnonzero(~ok)
-    if redo.size:
-        cone = _carried(np.einsum("mij,nj->nmi", weights, U[redo]), rel[None, :])
-        best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
-        ok[redo] = cone[np.arange(redo.size), best[redo]]
-    values[ok], ys[ok] = gains[ok, best[ok]], Y[best[ok]]
-    rest = np.flatnonzero(np.isnan(values))
-    if rest.size and len(hull.W):
-        leaves = np.max(U[rest] @ hull.W.T, axis=1) > FEAS_TOL * np.linalg.norm(U[rest], axis=1)
-        values[rest[leaves]] = np.inf
-    return values, ys
 
 
 def _carried(lam: np.ndarray, rel: np.ndarray) -> np.ndarray:

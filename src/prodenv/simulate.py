@@ -373,7 +373,7 @@ class MarketConfig:
       ("grid", rays, weights)   weighted draw
       ("box", lo, hi)           componentwise uniform direction, normalized
       ("endowment", sigma)      ray proportional to 1/omega with lognormal
-                                endowments omega (recorded as metadata)
+                                endowments omega
     entry_rule:
       ("all",)                          every type in every market
       ("nonneg_profit",)                type e enters iff profit >= 0
@@ -509,8 +509,8 @@ class Dataset:
 
 
 def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (prices, x, omega); x equals prices when no proxies are set."""
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (prices, x); x equals prices when no proxies are set."""
     m, d = cfg.num_markets, cfg.dimension
     if cfg.proxy_goods is not None:
         cols = []
@@ -523,7 +523,7 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
                 cols.append(rng.uniform(lo, hi, size=m))
         x = np.column_stack(cols)
         prices = np.column_stack([g.g(x[:, j]) for j, g in enumerate(cfg.proxy_goods)])
-        return prices, x, np.array([])
+        return prices, x
     law = cfg.price_law
     if law[0] == "grid":
         rays = np.vstack([
@@ -537,13 +537,11 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
         prices = rng.uniform(lo, hi, size=(m, d))
         prices /= np.linalg.norm(prices, axis=1, keepdims=True)
     elif law[0] == "endowment":
-        omega = rng.lognormal(mean=0.0, sigma=law[1], size=(m, d))
-        prices = 1.0 / omega
+        prices = 1.0 / rng.lognormal(mean=0.0, sigma=law[1], size=(m, d))
         prices /= np.linalg.norm(prices, axis=1, keepdims=True)
-        return prices, prices.copy(), omega
     else:
         raise ValidationError(f"unknown price law {law[0]!r}")
-    return prices, prices.copy(), np.array([])
+    return prices, prices.copy()
 
 
 def _draw_restricted(cfg: MarketConfig, rng: np.random.Generator) -> np.ndarray:
@@ -597,7 +595,7 @@ def generate_dataset(tech: TechnologySpec, cfg: MarketConfig) -> Dataset:
     if cfg.dimension != tech.dimension:
         raise ValidationError("market dimension does not match the technology")
     rng = np.random.default_rng(cfg.seed)
-    prices, x, _omega = _draw_prices(cfg, rng)
+    prices, x = _draw_prices(cfg, rng)
     restricted = _draw_restricted(cfg, rng)
 
     probe_idx = np.linspace(0, cfg.num_markets - 1, min(16, cfg.num_markets)).astype(int)

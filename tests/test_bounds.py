@@ -152,6 +152,15 @@ class TestProfitBounds:
         with pytest.raises(ValidationError):
             profit_bounds(data, np.array([1, 1]) / RT2)
 
+    def test_negative_price_rejected(self):
+        # A halfplane's support at -normal is +inf, which no face shows.
+        data = ProfitData(1, np.array([[1 / RT2, 1 / RT2]]), np.array([0.0]))
+        pc = np.array([-1.0, 0.6]) / np.hypot(1.0, 0.6)
+        with pytest.raises(ValueError):
+            profit_bounds(data, pc)
+        with pytest.raises(ValueError):
+            quantity_bounds(data, pc, [1.0, 0.0])
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_coverage_property(self, seed):
@@ -676,18 +685,18 @@ class TestLpBudget:
         assert wapm_feasible(data)[0] and not wapm_feasible(cut)[0]
         assert len(lp_calls) == 0
 
-        # Closed form at a finite p_c; out of the cone, one LP certifies +inf.
-        for pc, lps in ((np.array([np.cos(0.8), np.sin(0.8)]), 0),
-                        (np.array([np.cos(0.05), np.sin(0.05)]), 1)):
-            del lp_calls[:]
+        # Closed form at a finite p_c; out of the cone, a face's end ray
+        # certifies +inf.
+        for pc, finite in ((np.array([np.cos(0.8), np.sin(0.8)]), True),
+                           (np.array([np.cos(0.05), np.sin(0.05)]), False)):
             res = profit_bounds(data, pc)
-            assert np.isfinite(res.upper) == (lps == 0)
-            assert len(lp_calls) == lps
-        del lp_calls[:]
+            assert np.isfinite(res.upper) == finite
+            assert len(lp_calls) == 0
         single = ProfitData(1, np.array([[1 / RT2, 1 / RT2]]), np.array([0.0]))
         res = profit_bounds(single, np.array([1, 2]) / np.sqrt(5))
         assert np.isneginf(res.lower) and np.isposinf(res.upper)
-        assert len(lp_calls) <= 2
+        assert not support_value(data.envelope(), np.array([np.cos(0.05), np.sin(0.05)])).finite
+        assert len(lp_calls) == 0
 
         del lp_calls[:]
         quantity_bounds(data, np.array([np.cos(0.8), np.sin(0.8)]), [1.0, 0.0])
@@ -716,6 +725,14 @@ class TestLpBudget:
         pc = _unit(rays.mean(axis=0))
         res = profit_bounds(data, pc)
         assert np.isfinite(res.lower) and np.isfinite(res.upper)
+        assert len(lp_calls) == 0
+
+        # Out of the rays' cone a recession generator certifies +inf.
+        out = _unit(np.array([1.0, 0.05, 0.05]))
+        unbounded = profit_bounds(data, out)
+        w = unbounded.upper_certificate["ray"]
+        assert unbounded.upper == np.inf
+        assert np.all(rays @ w <= 1e-12) and out @ w > 0
         assert len(lp_calls) == 0
 
         quantity_bounds(data, pc, np.eye(3)[0])

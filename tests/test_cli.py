@@ -79,6 +79,8 @@ class TestPipeline:
         (("trim = 0\n", "trim = 0\nmode = eulr\n"), "[proxies] unknown mode 'eulr'"),
         (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0 ; 0 0 1"),
          "[duality] b_true must be 2 x 2"),
+        (("p_c = 1.0 0.6\n", "p_c = -1.0 0.6\n"), "[bounds] p_c must be nonnegative"),
+        (("p_c = 1.0 0.6\n", "p_c = 0 0\n"), "[bounds] p_c must be nonnegative and nonzero"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):

@@ -16,7 +16,7 @@ from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
-                              euler_residual, free_disposal_hull,
+                              _support, euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
                               recession_ok, solve_lp, support_value,
                               support_values)
@@ -376,9 +376,12 @@ class TestSupportValues:
                       + unit_rays_2d([0.05, 1.52]))
         got = support_values(env, U)
         for u, v in zip(U, got):
-            ref = support_value(env, u)
+            ref = _support(env, None, u)            # the support LP, not the faces
             if not (ref.finite and np.isfinite(v)):
                 assert v == ref.value
+                if v == np.inf:
+                    w = support_value(env, u).direction
+                    assert np.all(env.normals @ w <= 1e-12) and u @ w > 0
                 continue
             tol = 1e-12 * max(1.0, abs(ref.value))
             slack = float(np.max(env.normals @ ref.maximizer - env.offsets))
@@ -413,7 +416,7 @@ class TestSupportValues:
                 assert np.all(env.normals @ y <= env.offsets + 1e-9)
         assert finite > 50
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("case", SUPPORT_CASES_ND)
     def test_matches_exact_oracle(self, case, d):
         # Own rays, positive rays and near-axis rays (mostly +inf) against
@@ -468,6 +471,8 @@ class TestSupportValues:
         # A halfplane's support at -normal is +inf, which no face shows.
         with pytest.raises(ValueError):
             support_values(diag_env(), [[-1.0, -1.0]])
+        with pytest.raises(ValueError):
+            support_value(diag_env(), -diag_env().normals[0])
         with pytest.raises(ValueError):
             support_values(diag_env(), [1.0, 1.0])
 
