@@ -32,16 +32,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, PriceRay, _Hull, _kernel,
-                       _Segments, _support, free_disposal_hull,
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _kernel,
+                       _Segments, _support, _vec, free_disposal_hull,
                        recession_direction, solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
-
-
-def _vec(ray) -> np.ndarray:
-    return ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +392,7 @@ def brute_force_bounds(data: ProfitData, p_c, resolution: int = 50) -> BoundResu
         raise ValueError("brute_force_bounds supports at most 4 rays")
     if resolution < 2:
         raise ValidationError("resolution too coarse for the enumeration oracle")
-    pc = p_c.components if isinstance(p_c, PriceRay) else np.asarray(p_c, float)
+    pc = _vec(p_c)
 
     intervals = _face_intervals(data)
     if intervals is None:

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -24,21 +23,12 @@ from .config import STAGES, PipelineConfig, artifact_file
 from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
-from .geometry import PriceRay, RestrictedPriceSet
+from .geometry import PriceRay, RestrictedPriceSet, _write_json, angle_rays
 from .identify import ProfitTable, identify_profits
-from .proxies import ProxyModel, recover_g_housing, recover_proxy_model
-from .simulate import Dataset, generate_dataset, profit_oracle, TechnologySpec
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".partial"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=1))
+from .proxies import (ProxyModel, quantile_anchors, recover_g_housing,
+                      recover_proxy_model)
+from .simulate import (Dataset, csv_rows, generate_dataset, profit_oracle,
+                       TechnologySpec)
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +64,6 @@ def profit_data_from_table(table: ProfitTable, e: int,
                       values=vals)
 
 
-def _csv_rows(source, name: str, **kwargs) -> np.ndarray:
-    """The numeric rows of a CSV (a path or an open file past its header)
-    as a 2-d array; a file with no data rows is a ValidationError naming
-    it, not numpy's warning and a later crash."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        body = np.loadtxt(source, delimiter=",", ndmin=2, **kwargs)
-    if body.size == 0:
-        raise ValidationError(f"{name!r} has no data rows")
-    return body
-
-
 def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header ray_1..ray_d, value
     [, type_e].  Rays may be unnormalized prices; values are rescaled onto
@@ -97,7 +74,7 @@ def profit_data_from_csv(path: str) -> dict:
         if d == 0 or header[d:d + 1] != ["value"]:
             raise ValidationError(f"{path!r} is not a profit-pairs CSV "
                                   "(need ray_1..ray_d, value[, type_e])")
-        body = _csv_rows(fh, path)
+        body = csv_rows(fh, path)
     has_type = "type_e" in header
     types = body[:, d + 1].astype(int) if has_type else np.ones(len(body), int)
     out = {}
@@ -166,23 +143,23 @@ def stage_identify(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     data = Dataset.from_csv(_input_path("identify", s, inputs),
                             noise_width=s.identify.noise_width or 0.0)
     table = identify_profits(data, s.identify)
-    _write_json(out_path, table.to_json_dict())
+    table.save(out_path)
     return out_path
 
 
 def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     s = cfg.settings["proxies"]
     if s.mode == "housing":
-        profile = _csv_rows(s.profile_csv, s.profile_csv, skiprows=1, usecols=(0, 1))
+        profile = csv_rows(s.profile_csv, s.profile_csv, skiprows=1, usecols=(0, 1))
         good = recover_g_housing(profile[:, 0], profile[:, 1], s.anchor)
         model = ProxyModel(goods=(good,), anchor_x=np.array([s.anchor[0]]),
                            anchor_p=np.array([s.anchor[1]]))
-        _write_json(out_path, model.to_json_dict())
+        model.save(out_path)
         return out_path
 
     if s.profile_csv:
         # Aggregate-mean profile: x coordinates plus a mean-profit column.
-        body = _csv_rows(s.profile_csv, s.profile_csv, skiprows=1)
+        body = csv_rows(s.profile_csv, s.profile_csv, skiprows=1)
         pi_tilde, axes = _lattice_interpolant(body[:, :-1], body[:, -1],
                                               f"rows of profile {s.profile_csv!r}")
     else:
@@ -193,14 +170,13 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     obs = (d if s.observed_index is None else s.observed_index) - 1
     anchors = s.anchors
     if anchors is None:
-        qs = np.linspace(0.1, 0.9, max(d - 1, s.n_anchors or 0))
-        anchors = np.quantile(axes[obs], qs)
+        anchors = quantile_anchors(axes[obs], max(d - 1, s.n_anchors or 0))
     x_ref = (np.array([float(np.median(a)) for a in axes])
              if s.x_ref is None else s.x_ref)
     grids = [a[s.trim:-s.trim] if s.trim > 0 else a for a in axes]
     model = recover_proxy_model(pi_tilde, grids, x_ref, anchors,
                                 (s.anchor_x, s.anchor_p), observed_index=obs)
-    _write_json(out_path, model.to_json_dict())
+    model.save(out_path)
     return out_path
 
 
@@ -248,17 +224,16 @@ def stage_estimate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
                 for d in _per_type_data("estimate", s, inputs).values()]
     fit = fit_diewert(per_type, d_y=per_type[0][0].shape[1], convexity=s.convexity,
                       monotone=s.monotone, tau=s.tau)
-    _write_json(out_path, fit.to_json_dict())
+    fit.save(out_path)
     return out_path
 
 
-def _parse_pbar(spec: str) -> tuple:
+def _parse_pbar(spec: str) -> list:
     """Evaluation-grid spec: 'lo:hi:n' angles in d=2, or a CSV of ray rows."""
     if ":" in spec and not os.path.exists(spec):
         lo, hi, n = spec.split(":")
-        angles = np.linspace(float(lo), float(hi), int(n))
-        return tuple(PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles)
-    return tuple(PriceRay.from_direction(r) for r in _csv_rows(spec, spec))
+        return angle_rays(np.linspace(float(lo), float(hi), int(n)))
+    return [PriceRay.from_direction(r) for r in csv_rows(spec, spec)]
 
 
 def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
@@ -269,8 +244,7 @@ def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     if inputs.get("pbar"):
         rays = _parse_pbar(inputs["pbar"])
     else:
-        angles = np.linspace(s.angle_lo, s.angle_hi, s.n_rays)
-        rays = tuple(PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles)
+        rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
     price_set = RestrictedPriceSet(rays, convex_flag=True)
     report = duality_check(
         lambda p: float(diewert_value(s.b_true, p[None, :])[0]),

@@ -10,6 +10,7 @@ done; only defaults that depend on a stage's input data are left to it.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -18,6 +19,7 @@ import numpy as np
 
 from .bounds import profit_bounds, profit_bounds_fixed_quantity, quantity_bounds
 from .errors import ValidationError
+from .geometry import angle_rays
 from .identify import BucketingConfig, IdentifyConfig
 from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec)
 
@@ -26,13 +28,24 @@ def artifact_file(artifact: str) -> str:
     return "dataset.csv" if artifact == "dataset" else artifact + ".json"
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return np.array([[float(v) for v in r.replace(",", " ").split()] for r in rows])
+def _parse_number(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return v
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.replace(",", " ").split()])
+    return np.array([_parse_number(v) for v in text.replace(",", " ").split()])
+
+
+def _parse_matrix(text: str) -> np.ndarray:
+    return np.array([_parse_vector(r) for r in text.split(";") if r.strip()])
+
+
+def _parse_range(text: str) -> tuple[float, float]:
+    lo, hi = map(float, _parse_vector(text))
+    return lo, hi
 
 
 class SectionView:
@@ -55,20 +68,24 @@ class SectionView:
         v = self._raw(key, required, default)
         return v if v is None else str(v)
 
+    def parse(self, key: str, text: str, parse, what: str):
+        """``parse(text)`` for ``key``; its error names the key."""
+        try:
+            return parse(text)
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"[{self.name}] {key} must be {what}: {exc}")
+
     def _typed(self, key: str, parse, what: str, required: bool, default):
         v = self._raw(key, required, default)
         if not isinstance(v, str):            # absent: the default as given
             return v
-        try:
-            return parse(v)
-        except ValueError as exc:
-            raise ValidationError(f"[{self.name}] {key} must be {what}: {exc}")
+        return self.parse(key, v, parse, what)
 
     def get_int(self, key: str, default: Optional[int] = None, required: bool = False):
         return self._typed(key, int, "an integer", required, default)
 
     def get_float(self, key: str, default: Optional[float] = None, required: bool = False):
-        return self._typed(key, float, "a number", required, default)
+        return self._typed(key, _parse_number, "a number", required, default)
 
     def get_bool(self, key: str, default: bool = False) -> bool:
         v = self._raw(key, False, None)
@@ -134,27 +151,26 @@ def parse_technology(sec: SectionView) -> TechnologySpec:
     raise ValidationError(f"[simulate] unknown technology {kind!r}")
 
 
+def _parse_proxy_good(spec: str) -> ProxyGood:
+    """One proxy spec, form[:param,param]:lo,hi[:lattice]."""
+    form, *rest = spec.split(":")
+    if not rest:
+        raise ValueError("no range")
+    params: tuple = ()
+    if len(rest) >= 2 and form.strip() not in ("identity", "exp"):
+        params = tuple(map(float, _parse_vector(rest[0])))
+        rest = rest[1:]
+    lo, hi = _parse_range(rest[0])
+    lattice = int(rest[1]) if len(rest) > 1 else 0
+    return ProxyGood(form=form.strip(), params=params, x_range=(lo, hi), lattice=lattice)
+
+
 def _parse_proxy_goods(sec: SectionView) -> Optional[tuple]:
     keys = sec.keys_with_prefix("proxy_")
     if not keys:
         return None
-    goods = []
-    for key in keys:
-        # form[:param,param]:lo,hi[:lattice]
-        parts = sec.get_str(key).split(":")
-        if len(parts) < 2:
-            raise ValidationError(f"[simulate] {key} must be form[:params]:lo,hi[:lattice]")
-        form = parts[0].strip()
-        rest = parts[1:]
-        params: tuple = ()
-        if len(rest) >= 2 and form not in ("identity", "exp"):
-            params = tuple(float(v) for v in rest[0].replace(",", " ").split())
-            rest = rest[1:]
-        rng = tuple(float(v) for v in rest[0].replace(",", " ").split())
-        lattice = int(rest[1]) if len(rest) > 1 else 0
-        goods.append(ProxyGood(form=form, params=params,
-                               x_range=(rng[0], rng[1]), lattice=lattice))
-    return tuple(goods)
+    return tuple(sec.parse(key, sec.get_str(key), _parse_proxy_good,
+                           "form[:params]:lo,hi[:lattice]") for key in keys)
 
 
 def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketConfig:
@@ -164,7 +180,7 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
         if angles is not None:
             if dimension != 2:
                 raise ValidationError("[simulate] grid_angles needs dimension 2")
-            rays = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+            rays = angle_rays(angles)
         else:
             mat = sec.get_matrix("grid_rays", required=True)
             rays = [r / np.linalg.norm(r) for r in mat]
@@ -182,8 +198,8 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
     elif entry_kind == "nonneg_profit":
         entry = ("nonneg_profit",)
     elif entry_kind.startswith("threshold:"):
-        weights = _parse_vector(entry_kind.split(":", 1)[1])
-        entry = ("threshold_by_type", weights)
+        entry = ("threshold_by_type", sec.parse("entry", entry_kind[len("threshold:"):],
+                                                _parse_vector, "threshold:<weights>"))
     else:
         raise ValidationError(f"[simulate] unknown entry rule {entry_kind!r}")
 
@@ -191,10 +207,11 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
     if rq == "none":
         restricted = None
     elif rq.startswith("fixed:"):
-        restricted = ("fixed", _parse_vector(rq.split(":", 1)[1]))
+        restricted = ("fixed", sec.parse("restricted_law", rq[len("fixed:"):],
+                                         _parse_vector, "fixed:<values>"))
     elif rq.startswith("uniform:"):
-        lo, hi = (float(v) for v in rq.split(":", 1)[1].split(","))
-        restricted = ("uniform", lo, hi)
+        restricted = ("uniform", *sec.parse("restricted_law", rq[len("uniform:"):],
+                                            _parse_range, "uniform:lo,hi"))
     else:
         raise ValidationError(f"[simulate] unknown restricted_law {rq!r}")
 
@@ -283,8 +300,7 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
     if kind == "fixed_quantity":
         coord = sec.get_int("coord", required=True) - 1
         ybar = sec.get_float("ybar", required=True)
-        angles = np.linspace(0.01, np.pi / 2 - 0.01, sec.get_int("n_grid_rays", 720))
-        grid = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+        grid = angle_rays(np.linspace(0.01, np.pi / 2 - 0.01, sec.get_int("n_grid_rays", 720)))
 
         def solve(data):
             if data.dimension != 2:

@@ -6,7 +6,8 @@ construction, convex in prices under the sign pattern (offdiagonal <= 0,
 diagonal >= 0), and monotone across types when every coefficient is
 nondecreasing in e.  All of that composes into a single linear program for
 least-absolute-deviations (median regression; any quantile is a config
-knob), so the fit inherits the shape restrictions exactly.
+knob), so the fit inherits the shape restrictions exactly.  Its value and
+supply formulas are ``prodenv.simulate``'s, re-exported here.
 
 The duality side: for a convex, homogeneous, continuous estimator, the
 Hausdorff distance between the extended plug-in set and the truth equals the
@@ -17,7 +18,6 @@ is smaller than the lowest normalized profit on the grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,8 +26,9 @@ from scipy import sparse
 
 from .errors import NumericFailure, ValidationError
 from .geometry import (HalfspaceEnvelope, RestrictedPriceSet, _check_schema,
-                       hausdorff_extended, hausdorff_oracle_2d, solve_lp,
-                       support_values)
+                       _Artifact, hausdorff_extended, hausdorff_oracle_2d,
+                       solve_lp, support_values)
+from .simulate import diewert_supply, diewert_value
 
 MIN_DIAG_INCREMENT = 1e-6     # strict monotonicity margin between adjacent types
 
@@ -49,21 +50,8 @@ def diewert_basis(prices: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def diewert_value(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
-    sq = np.sqrt(prices)
-    return np.einsum("ns,sj,nj->n", sq, np.asarray(b, float), sq)
-
-
-def diewert_supply(b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Net supply implied by a coefficient matrix: y_s = sum_j b_sj sqrt(p_j/p_s)."""
-    p = np.asarray(p, dtype=float)
-    sq = np.sqrt(p)
-    return (np.asarray(b, float) @ sq) / sq
-
-
 @dataclass
-class DiewertFit:
+class DiewertFit(_Artifact):
     """Per-type symmetric coefficient matrices with the fit residual and the
     slack of the shape constraints at the solution."""
 
@@ -104,15 +92,6 @@ class DiewertFit:
         _check_schema(doc, "prodenv.diewert-fit", 1)
         return cls(b_stack=np.asarray(doc["b"], dtype=float),
                    residual=doc["residual"], slack_report=doc.get("slack", {}))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "DiewertFit":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def fit_diewert(per_type: Sequence[tuple], d_y: int,
@@ -278,34 +257,30 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
     if geometric_oracle and price_set.dimension == 2:
         oracle_val = hausdorff_oracle_2d(env_true, env_hat)
 
+    bound = None
     if convex_flag:
         d_h = hausdorff_extended(support_values(env_true, rays),
                                  support_values(env_hat, rays), price_set)
         verdict = "equality" if abs(d_h - eta) <= 1e-6 else "equality-violated"
-        return DualityReport(n_rays=len(price_set), eta=eta, d_h=d_h,
-                             big_r=big_r, small_r=small_r, bound=None,
-                             convex=True, verdict=verdict, oracle_d_h=oracle_val)
-
-    if small_r <= 0:
-        raise ValidationError(
-            "inflation bound needs inf pi/|p| > 0 on the grid (got r <= 0)")
-    # Support of the plug-in set at each ray: the convexification of pi_hat.
-    h_conv = support_values(env_hat, rays)
-    if not np.all(np.isfinite(h_conv)):
-        raise NumericFailure("plug-in set support is unbounded on its own grid")
-    d_h = float(np.max(np.abs(a - h_conv)))
-    if oracle_val is not None:
-        d_h = max(d_h, float(oracle_val))
-    if eta >= small_r:
-        return DualityReport(n_rays=len(price_set), eta=eta, d_h=d_h,
-                             big_r=big_r, small_r=small_r, bound=None,
-                             convex=False, verdict="bound-inapplicable",
-                             oracle_d_h=oracle_val)
-    bound = eta * (big_r / small_r) * (1 + eta / big_r) / (1 - eta / small_r)
-    verdict = "bound-holds" if d_h <= bound + 1e-9 else "bound-violated"
-    return DualityReport(n_rays=len(price_set), eta=eta, d_h=d_h,
-                         big_r=big_r, small_r=small_r, bound=bound,
-                         convex=False, verdict=verdict, oracle_d_h=oracle_val)
+    else:
+        if small_r <= 0:
+            raise ValidationError(
+                "inflation bound needs inf pi/|p| > 0 on the grid (got r <= 0)")
+        # Support of the plug-in set at each ray: the convexification of pi_hat.
+        h_conv = support_values(env_hat, rays)
+        if not np.all(np.isfinite(h_conv)):
+            raise NumericFailure("plug-in set support is unbounded on its own grid")
+        d_h = float(np.max(np.abs(a - h_conv)))
+        if oracle_val is not None:
+            d_h = max(d_h, float(oracle_val))
+        if eta >= small_r:
+            verdict = "bound-inapplicable"
+        else:
+            bound = eta * (big_r / small_r) * (1 + eta / big_r) / (1 - eta / small_r)
+            verdict = "bound-holds" if d_h <= bound + 1e-9 else "bound-violated"
+    return DualityReport(n_rays=len(price_set), eta=eta, d_h=d_h, big_r=big_r,
+                         small_r=small_r, bound=bound, convex=bool(convex_flag),
+                         verdict=verdict, oracle_d_h=oracle_val)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,15 @@ lower bounds from its faces.  Unbounded support values are legitimate
 outputs (a recession-cone violation of the envelope), so +inf is a
 first-class result state with a certificate direction, not an exception.
 
-All types are immutable values and all operations are pure functions.
+``_check_schema`` and the atomic ``_write_json`` are the reading and writing
+halves of the artifact format; everything else is a pure function on
+immutable values.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -90,6 +94,10 @@ class PriceRay:
 
     def __repr__(self):
         return f"PriceRay({np.array2string(self.components, precision=6)})"
+
+
+def _vec(ray) -> np.ndarray:
+    return ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
 
 
 def _ray_array(ray, dim: int | None = None) -> np.ndarray:
@@ -186,6 +194,36 @@ def _check_schema(doc: dict, name: str, major: int) -> None:
     base, _, ver = tag.partition("/")
     if base != name or not ver or int(ver.split(".")[0]) != major:
         raise ValidationError(f"expected schema {name}/{major}, got {tag!r}")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Writes ``doc`` as indented JSON to ``path.partial`` and renames it to
+    ``path``, so ``path`` is whole or absent; a failed write leaves only the
+    partial file."""
+    tmp = path + ".partial"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1)
+    os.replace(tmp, path)
+
+
+class _Artifact:
+    """``save`` and ``load`` for a class with ``to_json_dict`` and
+    ``from_json_dict``."""
+
+    def save(self, path: str) -> None:
+        _write_json(path, self.to_json_dict())
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path) as fh:
+            return cls.from_json_dict(json.load(fh))
+
+
+def angle_rays(angles) -> list[np.ndarray]:
+    """The d = 2 unit rays (cos a, sin a), one per angle.  Each is computed
+    from its scalar angle, so a ray's bits do not depend on the grid it is
+    part of."""
+    return [np.array([np.cos(a), np.sin(a)]) for a in angles]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +359,7 @@ def recession_ok(env: HalfspaceEnvelope, probe_rays: Sequence) -> bool:
     the recession-cone property; a full certificate over all positive prices
     is not decidable from finitely many probes.
     """
-    U = [r.components if isinstance(r, PriceRay) else r for r in probe_rays]
+    U = [_vec(r) for r in probe_rays]
     return not U or bool(np.all(np.isfinite(support_values(env, U))))
 
 
@@ -435,7 +473,7 @@ class _Hull(NamedTuple):
     Y: np.ndarray             # (m, d) certified feasible vertices y_F
     tol: np.ndarray           # (m, 1) their feasibility and tightness tolerance
     weights: np.ndarray       # (m, d, d) u -> lam with u = N_F^T lam
-    rel: np.ndarray           # (m,) rounding of lam: d eps cond(N_F)
+    NF: np.ndarray            # (m, d, d) the rays of each vertex's facet
     W: np.ndarray             # (r, d) unit generators of the recession cone
     vertex: np.ndarray        # (nnz,) vertex of each tight pair, sorted by face
     face: np.ndarray          # (nnz,) its face
@@ -458,6 +496,10 @@ class _Hull(NamedTuple):
         """The generator of face i along which p_c . y falls fastest."""
         return self.W[np.argmin(np.where(self.flat[i], self.W @ pc, np.inf))]
 
+    def rel(self, facets) -> np.ndarray:
+        """The rounding of the weights on ``facets``: d eps cond(N_F)."""
+        return self.Y.shape[1] * np.finfo(float).eps * np.linalg.cond(self.NF[facets])
+
     def sup(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Certified support values h(u) = max_F u . y_F at the nonnegative
         rows of U, with maximizers and +inf generators; NaN where uncertified.
@@ -470,12 +512,14 @@ class _Hull(NamedTuple):
         values, (ys, dirs) = np.full(len(U), np.nan), np.full((2, *U.shape), np.nan)
         gains = U @ self.Y.T
         best = np.argmax(gains, axis=1)
-        ok = _carried(np.einsum("nij,nj->ni", self.weights[best], U), self.rel[best])
+        chosen, at = np.unique(best, return_inverse=True)
+        ok = _carried(np.einsum("nij,nj->ni", self.weights[best], U), self.rel(chosen)[at])
         # Tied facets (coplanar lifted points) can put the argmax on a facet
         # whose rays do not carry u: take the best facet whose rays do.
         redo = np.flatnonzero(~ok)
         if redo.size:
-            cone = _carried(np.einsum("mij,nj->nmi", self.weights, U[redo]), self.rel[None, :])
+            cone = _carried(np.einsum("mij,nj->nmi", self.weights, U[redo]),
+                            self.rel(slice(None))[None, :])
             best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
             ok[redo] = cone[np.arange(redo.size), best[redo]]
         values[ok], ys[ok] = gains[ok, best[ok]], self.Y[best[ok]]
@@ -541,8 +585,8 @@ def _kernel(env: HalfspaceEnvelope) -> _Segments | _Hull | None:
     tight = np.abs(Y @ N.T - v) <= tol                                 # (m, k)
     face, vertex = np.nonzero(tight.T)
     counts = np.sum(tight, axis=0)
-    return _Hull(Y, tol, weights, d * np.finfo(float).eps * np.linalg.cond(NF), W, vertex,
-                 face, np.cumsum(counts) - counts, np.abs(N @ W.T) <= UNIT_TOL, counts > 0)
+    return _Hull(Y, tol, weights, NF, W, vertex, face, np.cumsum(counts) - counts,
+                 np.abs(N @ W.T) <= UNIT_TOL, counts > 0)
 
 
 def _carried(lam: np.ndarray, rel: np.ndarray) -> np.ndarray:

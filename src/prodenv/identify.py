@@ -21,7 +21,6 @@ many ranked types under bounded, mean-zero measurement error:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,9 +29,11 @@ from scipy.optimize import minimize, nnls
 
 from .errors import (DeconvolutionFailure, IdentificationFailure,
                      InsufficientData, ValidationError)
+from .geometry import _Artifact, _check_schema
 from .simulate import Dataset
 
 ATOM_MERGE_TOL = 1e-8
+ROUND_DECIMALS = 9            # "unique" bucketing rounds values to this many decimals
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,6 @@ class BucketingConfig:
 
     mode: str = "quantile"
     buckets_per_dim: int = 10
-    round_decimals: int = 9
 
     def __post_init__(self):
         if self.mode not in ("quantile", "unique"):
@@ -94,7 +94,7 @@ def build_cells(data: Dataset, bucketing: BucketingConfig) -> dict:
     ids = np.empty((n, m), dtype=int)
     if bucketing.mode == "unique":
         for j in range(m):
-            rounded = np.round(cols[:, j], bucketing.round_decimals)
+            rounded = np.round(cols[:, j], ROUND_DECIMALS)
             _, inv = np.unique(rounded, return_inverse=True)
             ids[:, j] = inv
     else:
@@ -383,7 +383,7 @@ class CellAssignment:
 
 
 @dataclass
-class ProfitTable:
+class ProfitTable(_Artifact):
     """Identified profit values per conditioning cell and type, plus the
     anchor and the tabulated noise distribution used to recover them."""
 
@@ -427,7 +427,6 @@ class ProfitTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProfitTable":
-        from .geometry import _check_schema
         _check_schema(doc, "prodenv.profit-table", 1)
         anchor = Anchor(
             cell_key=CellKey(tuple(doc["anchor"]["cell"]["y"]),
@@ -454,15 +453,6 @@ class ProfitTable:
             ))
         return cls(d_e=doc["d_e"], anchor=anchor,
                    anchor_value=doc["anchor"]["value"], noise_cdf=noise, cells=cells)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "ProfitTable":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def rank_and_assign(cell_atoms: dict, d_e: int, cells: dict,

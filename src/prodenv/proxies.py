@@ -9,7 +9,9 @@ with alpha = 1 for profits (any homogeneity degree alpha >= 0 works the same
 way).  Varying the observed-price coordinate generates a linear system for
 the vector t; when the matrix of partial derivatives at the anchor points is
 nonsingular (the rank condition), t is identified, and each g_j follows by
-integrating log g_j' = 1/t_j from a location anchor g(x0) = p0.
+integrating log g_j' = 1/t_j from a location anchor g(x0) = p0.  The anchor
+points come from one ``_anchor_points`` for both the rank matrix and
+``solve_t``; by default the anchors are rank quantiles (``quantile_anchors``).
 
 The housing variant uses market-average housing value as the proxy and the
 zero-average-profit condition, which reduces the system to the scalar ODE
@@ -18,14 +20,13 @@ g'(v)/g(v) = pi~'(v)/v.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import IntegrationError, RankConditionError
-from .geometry import _check_schema
+from .geometry import _Artifact, _check_schema
 
 DERIV_BLOWUP = 1e12          # |t| beyond this flags a vanishing g' (warning state)
 COND_THRESHOLD = 1e8         # nonsingularity verdict cutoff
@@ -59,6 +60,12 @@ class RankDiagnostic:
         }
 
 
+def _anchor_points(x_minus: np.ndarray, anchors: np.ndarray, obs: int) -> np.ndarray:
+    """Row l is the proxy vector with ``x_minus`` in the free coordinates and
+    anchors[l] in the observed one."""
+    return np.insert(np.tile(x_minus, (anchors.size, 1)), obs, anchors, axis=1)
+
+
 def rank_matrix(pi_tilde: Callable, x_minus, anchors,
                 observed_index: Optional[int] = None) -> RankDiagnostic:
     """Assemble the rank-condition matrix at ``x_minus``.
@@ -74,13 +81,8 @@ def rank_matrix(pi_tilde: Callable, x_minus, anchors,
     free = [j for j in range(d) if j != obs]
     if anchors.size < d - 1:
         raise ValueError(f"need at least {d-1} anchor values, got {anchors.size}")
-    M = np.empty((anchors.size, d - 1))
-    for l, a in enumerate(anchors):
-        x_full = np.empty(d)
-        x_full[free] = x_minus
-        x_full[obs] = a
-        for c, j in enumerate(free):
-            M[l, c] = _central_diff(pi_tilde, x_full, j)
+    M = np.array([[_central_diff(pi_tilde, x_full, j) for j in free]
+                  for x_full in _anchor_points(x_minus, anchors, obs)])
     if not np.all(np.isfinite(M)):
         raise ValueError("profit evaluator returned non-finite partials "
                          "(anchor outside the proxy domain?)")
@@ -107,13 +109,8 @@ def solve_t(pi_tilde: Callable, x, anchors,
     if not diag.nonsingular:
         raise RankConditionError(
             f"rank condition fails at x_minus={x_minus} (cond={diag.cond:.3g})")
-    anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
-    b = np.empty(anchors.size)
-    for l, a in enumerate(anchors):
-        x_full = np.empty(d)
-        x_full[free] = x_minus
-        x_full[obs] = a
-        b[l] = float(pi_tilde(x_full)) - _central_diff(pi_tilde, x_full, obs) * a
+    b = np.array([float(pi_tilde(x_full)) - _central_diff(pi_tilde, x_full, obs) * x_full[obs]
+                  for x_full in _anchor_points(x_minus, diag.anchors, obs)])
     t, *_ = np.linalg.lstsq(diag.matrix, b, rcond=None)
     return t
 
@@ -146,7 +143,7 @@ class ProxyGoodModel:
 
 
 @dataclass(frozen=True)
-class ProxyModel:
+class ProxyModel(_Artifact):
     """Tabulated price maps per good with the location anchor pinned exactly."""
 
     goods: tuple
@@ -194,15 +191,6 @@ class ProxyModel:
                      for good_gaps in doc.get("gaps", []))
         return cls(goods=goods, anchor_x=np.array(doc["anchor"]["x"]),
                    anchor_p=np.array(doc["anchor"]["p"]), gaps=gaps)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "ProxyModel":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _integrate_log_from_anchor(grid: np.ndarray, integrand: np.ndarray,
@@ -282,7 +270,6 @@ def recover_proxy_model(pi_tilde: Callable, grids: Sequence[np.ndarray],
     obs = d - 1 if observed_index is None else observed_index
     free = [j for j in range(d) if j != obs]
     t_field: list[np.ndarray] = [np.array([]) for _ in range(d)]
-    diagnostics = []
     for c, j in enumerate(free):
         grid = np.asarray(grids[j], dtype=float)
         tj = np.full(grid.size, np.nan)
@@ -293,16 +280,11 @@ def recover_proxy_model(pi_tilde: Callable, grids: Sequence[np.ndarray],
                 tj[i] = solve_t(pi_tilde, x_full, anchors, observed_index=obs)[c]
             except RankConditionError:
                 pass    # left as a gap; bridged in integrate_g
-        diagnostics.append(rank_matrix(
-            pi_tilde, np.asarray([x_ref[k] for k in free], dtype=float),
-            anchors, observed_index=obs))
         t_field[j] = tj
-    observed_flags = [j == obs for j in range(d)]
-    x0, p0 = anchor
-    model = integrate_g(t_field, grids, (x0, p0), observed_flags)
-    return ProxyModel(goods=model.goods, anchor_x=model.anchor_x,
-                      anchor_p=model.anchor_p, diagnostics=tuple(diagnostics),
-                      gaps=model.gaps)
+    # The rank diagnostic at x_ref, recorded once per free good.
+    diag = rank_matrix(pi_tilde, x_ref[free], anchors, observed_index=obs)
+    model = integrate_g(t_field, grids, anchor, [j == obs for j in range(d)])
+    return replace(model, diagnostics=(diag,) * len(free))
 
 
 def recover_g_housing(vbar_grid, pl_values, anchor: tuple) -> ProxyGoodModel:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnboundedProblem, ValidationError
-from .geometry import PriceRay
+from .geometry import _vec
 
 # ---------------------------------------------------------------------------
 # Technologies
@@ -133,10 +133,20 @@ class DiewertTech:
         object.__setattr__(self, "b", b)
 
     def profit(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        sqrt_p = np.sqrt(p)
-        value = float(sqrt_p @ self.b @ sqrt_p)
-        supply = (self.b @ sqrt_p) / sqrt_p
-        return value, supply
+        return float(diewert_value(self.b, p)[0]), diewert_supply(self.b, p)
+
+
+def diewert_value(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Generalized-Leontief profits sum_s sum_j b[s,j] sqrt(p_s p_j) at the
+    rows of ``prices``."""
+    sq = np.sqrt(np.atleast_2d(np.asarray(prices, dtype=float)))
+    return np.einsum("ns,sj,nj->n", sq, np.asarray(b, float), sq)
+
+
+def diewert_supply(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Net supply implied by a coefficient matrix: y_s = sum_j b_sj sqrt(p_j/p_s)."""
+    sq = np.sqrt(np.asarray(p, dtype=float))
+    return (np.asarray(b, float) @ sq) / sq
 
 
 @dataclass(frozen=True)
@@ -236,6 +246,13 @@ class TechnologySpec:
                    types=tuple(DiewertTech(b, restricted_scales) for b in b_stack))
 
 
+def _positive_prices(p) -> np.ndarray:
+    pv = np.asarray(p, dtype=float)
+    if np.any(pv <= 0) or not np.all(np.isfinite(pv)):
+        raise ValueError("prices must be strictly positive and finite")
+    return pv
+
+
 def profit_oracle(tech: TechnologySpec, e: int, p,
                   y_restricted=None) -> tuple[float, np.ndarray]:
     """Exact restricted profit and optimizer for type ``e`` at price ``p``.
@@ -246,9 +263,7 @@ def profit_oracle(tech: TechnologySpec, e: int, p,
     """
     if not (1 <= e <= tech.num_types):
         raise ValueError(f"type index {e} outside 1..{tech.num_types}")
-    pv = np.asarray(p, dtype=float)
-    if np.any(pv <= 0) or not np.all(np.isfinite(pv)):
-        raise ValueError("prices must be strictly positive and finite")
+    pv = _positive_prices(p)
     t = tech.types[e - 1]
     if isinstance(t, DiewertTech):
         if pv.size != t.b.shape[0]:
@@ -271,13 +286,12 @@ def profit_oracle(tech: TechnologySpec, e: int, p,
 def profit_oracle_batch(tech: TechnologySpec, prices: np.ndarray,
                         restricted: Optional[np.ndarray] = None) -> np.ndarray:
     """Profits for all types at a batch of price vectors, shape (n, d_e)."""
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
+    prices = np.atleast_2d(_positive_prices(prices))
     n = prices.shape[0]
     out = np.empty((n, tech.num_types))
     for j, t in enumerate(tech.types):
         if isinstance(t, DiewertTech):
-            sq = np.sqrt(prices)
-            out[:, j] = np.einsum("ns,sj,nj->n", sq, t.b, sq)
+            out[:, j] = diewert_value(t.b, prices)
             if t.restricted_scales and restricted is not None:
                 out[:, j] *= restricted[:, 0]
         elif isinstance(t, PowerTech):
@@ -290,15 +304,12 @@ def profit_oracle_batch(tech: TechnologySpec, prices: np.ndarray,
 
 def nested_check(tech: TechnologySpec, probe_rays: Sequence) -> bool:
     """True iff profit is strictly increasing in the type index at every
-    probe ray (the profit-side equivalent of nested production sets)."""
+    probe ray (the profit-side equivalent of nested production sets), in
+    ``profit_oracle_batch``'s numbers, the ones datasets are drawn from."""
     if not probe_rays:
         raise ValueError("need at least one probe ray")
-    for ray in probe_rays:
-        rv = ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
-        profits = [profit_oracle(tech, e, rv)[0] for e in range(1, tech.num_types + 1)]
-        if np.any(np.diff(profits) <= 0):
-            return False
-    return True
+    profits = profit_oracle_batch(tech, np.vstack([_vec(ray) for ray in probe_rays]))
+    return bool(np.all(np.diff(profits, axis=1) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +492,8 @@ class Dataset:
         if d == 0 or header[0] != "market_id" or "noisy_profit" not in header:
             raise ValidationError("not a prodenv dataset CSV")
         debug = header[-1] == "type_e"
-        with warnings.catch_warnings():
-            # A header-only file is reported below, not warned about.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(path_or_buf, delimiter=",", ndmin=2, quotechar='"')
-        if body.size == 0:
-            raise ValidationError("dataset has a header but no rows")
+        body = csv_rows(path_or_buf, getattr(path_or_buf, "name", "dataset"),
+                        quotechar='"')
         if body.shape[1] != len(header):
             raise ValidationError(f"dataset rows have {body.shape[1]} fields, "
                                   f"the header {len(header)}")
@@ -501,6 +508,20 @@ class Dataset:
             noise_width=noise_width,
             seed=-1,
         )
+
+
+def csv_rows(source, name: str, **kwargs) -> np.ndarray:
+    """The numeric rows of a CSV (a path or an open file past its header)
+    as a 2-d array; ``kwargs`` go to ``np.loadtxt``.  A file with no data
+    rows is a ValidationError naming it, not numpy's warning and a later
+    crash."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        body = np.loadtxt(source, delimiter=",", ndmin=2, **kwargs)
+    if body.size == 0:
+        raise ValidationError(f"{name!r} has no data rows")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +547,7 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
         return prices, x
     law = cfg.price_law
     if law[0] == "grid":
-        rays = np.vstack([
-            r.components if isinstance(r, PriceRay) else np.asarray(r, float)
-            for r in law[1]])
+        rays = np.vstack([_vec(r) for r in law[1]])
         weights = np.asarray(law[2], float) if len(law) > 2 else None
         idx = rng.choice(rays.shape[0], size=m, p=weights)
         prices = rays[idx]

@@ -81,6 +81,20 @@ class TestPipeline:
          "[duality] b_true must be 2 x 2"),
         (("p_c = 1.0 0.6\n", "p_c = -1.0 0.6\n"), "[bounds] p_c must be nonnegative"),
         (("p_c = 1.0 0.6\n", "p_c = 0 0\n"), "[bounds] p_c must be nonnegative and nonzero"),
+        (("p_c = 1.0 0.6\n", "p_c = nan 0.6\n"),
+         "[bounds] p_c must be a list of numbers: 'nan' is not a finite number"),
+        (("p_c = 1.0 0.6\n", "p_c = inf 1\n"),
+         "[bounds] p_c must be a list of numbers: 'inf' is not a finite number"),
+        (("b_true = 2.8 -0.3 ;", "b_true = 2.8 nan ;"),
+         "[duality] b_true must be a matrix: 'nan' is not a finite number"),
+        (("entry = all\n", "entry = threshold:0.2,x,0.5\n"),
+         "[simulate] entry must be threshold:<weights>: could not convert"),
+        (("entry = all\n", "entry = all\nrestricted_law = uniform:0.5\n"),
+         "[simulate] restricted_law must be uniform:lo,hi"),
+        (("entry = all\n", "entry = all\nrestricted_law = fixed:1 inf\n"),
+         "[simulate] restricted_law must be fixed:<values>: 'inf' is not"),
+        (("proxy_1 = square_plus:1.0:0.6,1.4:3", "proxy_1 = square_plus:1.0:0.6,nan:3"),
+         "[simulate] proxy_1 must be form[:params]:lo,hi[:lattice]: 'nan' is not"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):

@@ -146,6 +146,18 @@ class TestIntegrateG:
         assert len(model.gaps[0]) == 2
         assert loaded.gaps == model.gaps
 
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        # A document JSON cannot encode fails mid-write; the target path
+        # stays absent instead of holding a truncated artifact.
+        grid = np.arange(0.5, 2.0001, 0.01)
+        model = integrate_g([grid.copy()], [grid], (np.array([1.0]), np.array([1.0])))
+        doc = dict(model.to_json_dict(), gaps=[object()])
+        monkeypatch.setattr(ProxyModel, "to_json_dict", lambda self: doc)
+        path = tmp_path / "proxy.json"
+        with pytest.raises(TypeError):
+            model.save(str(path))
+        assert not path.exists()
+
     def test_observed_good_passthrough(self):
         grid = np.linspace(0.5, 2.0, 51)
         model = integrate_g([np.array([])], [grid], (np.array([1.0]),

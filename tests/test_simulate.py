@@ -102,6 +102,12 @@ class TestNestedCheck:
         with pytest.raises(ValueError):
             nested_check(triple, [])
 
+    @pytest.mark.parametrize("probe", [[0.0, 1.0], [-0.5, 1.0]])
+    def test_nonpositive_probe_rejected(self, triple, rng, probe):
+        for tech in (triple, nested_diewert(rng)):
+            with pytest.raises(ValueError):
+                nested_check(tech, [np.array(probe)])
+
 
 class TestNonmonotoneOrdering:
     def test_optimizer_ordering_from_construction(self, triple):
@@ -267,7 +273,7 @@ class TestDatasetCsv:
     @pytest.mark.parametrize("text, message", [
         ("", "empty dataset file"),
         ("market_id,x_1,x_2,is_price_1,is_price_2,noisy_profit\r\n",
-         "header but no rows"),
+         "'dataset' has no data rows"),
         ("a,b\r\n1,2\r\n", "not a prodenv dataset CSV"),
         ("market_id,x_1,is_price_1,noisy_profit\r\n0,0.5,1\r\n",
          "rows have 3 fields, the header 4"),
