@@ -270,14 +270,11 @@ def golden_table() -> str:
     output/input price ratio 0.12, checked against their interval brackets."""
     tech = TechnologySpec.nonmonotone_supply_triple()
     p = np.array([0.12, 1.0])
-    vals = []
-    for e in (1, 2, 3):
-        _, opt = profit_oracle(tech, e, p)
-        vals.extend([-opt[1], opt[0]])     # input level, then output level
+    opts = np.array([profit_oracle(tech, e, p)[1] for e in (1, 2, 3)])
+    vals = np.column_stack([-opts[:, 1], opts[:, 0]]).ravel()   # input, then output level
     lines = ["nonmonotone-supply golden table (price ratio 0.12)",
              f"{'quantity':>8} {'value':>12} {'bracket':>18} {'ok':>4}"]
-    for (name, (lo, hi)), v in zip(_GOLDEN_BRACKETS, [vals[0], vals[1], vals[2],
-                                                      vals[3], vals[4], vals[5]]):
+    for (name, (lo, hi)), v in zip(_GOLDEN_BRACKETS, vals):
         ok = lo < v < hi
         lines.append(f"{name:>8} {v:12.6f} ({lo:7.3f},{hi:7.3f}) {'yes' if ok else 'NO':>4}")
     l_order = vals[0] < vals[4] < vals[2]

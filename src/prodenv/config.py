@@ -21,7 +21,8 @@ from .bounds import profit_bounds, profit_bounds_fixed_quantity, quantity_bounds
 from .errors import ValidationError
 from .geometry import angle_rays
 from .identify import BucketingConfig, IdentifyConfig
-from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec)
+from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec,
+                       check_entry_weights)
 
 
 def artifact_file(artifact: str) -> str:
@@ -198,8 +199,10 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
     elif entry_kind == "nonneg_profit":
         entry = ("nonneg_profit",)
     elif entry_kind.startswith("threshold:"):
-        entry = ("threshold_by_type", sec.parse("entry", entry_kind[len("threshold:"):],
-                                                _parse_vector, "threshold:<weights>"))
+        entry = ("threshold_by_type",
+                 sec.parse("entry", entry_kind[len("threshold:"):],
+                           lambda s: check_entry_weights(_parse_vector(s)),
+                           "threshold:<weights>"))
     else:
         raise ValidationError(f"[simulate] unknown entry rule {entry_kind!r}")
 

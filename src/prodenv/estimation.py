@@ -67,9 +67,6 @@ class DiewertFit(_Artifact):
     def dimension(self) -> int:
         return self.b_stack.shape[1]
 
-    def value(self, e: int, prices) -> np.ndarray:
-        return diewert_value(self.b_stack[e - 1], prices)
-
     def evaluator(self, e: int) -> Callable[[np.ndarray], float]:
         b = self.b_stack[e - 1]
         return lambda p: float(diewert_value(b, np.asarray(p, float)[None, :])[0])

@@ -686,6 +686,15 @@ def free_disposal_hull(points: Sequence) -> HalfspaceEnvelope:
 # ---------------------------------------------------------------------------
 
 
+def central_diff(f: Callable[[np.ndarray], float], x: np.ndarray, j: int,
+                 step: float) -> float:
+    """``d f / d x_j`` at x by a central difference of the given step."""
+    hi, lo = x.copy(), x.copy()
+    hi[j] += step
+    lo[j] -= step
+    return (float(f(hi)) - float(f(lo))) / (2.0 * step)
+
+
 def euler_residual(f: Callable[[np.ndarray], float], p, h: float = 1e-5) -> float:
     """``sum_j d f/d p_j * p_j - f(p)`` with central differences of step h*p_j.
 
@@ -696,15 +705,7 @@ def euler_residual(f: Callable[[np.ndarray], float], p, h: float = 1e-5) -> floa
     if h <= 0:
         raise ValueError("step h must be positive")
     f0 = float(f(pv))
-    total = 0.0
-    for j in range(pv.size):
-        step = h * pv[j]
-        hi, lo = pv.copy(), pv.copy()
-        hi[j] += step
-        lo[j] -= step
-        deriv = (float(f(hi)) - float(f(lo))) / (2.0 * step)
-        total += deriv * pv[j]
-    res = total - f0
+    res = sum(central_diff(f, pv, j, h * pv[j]) * pv[j] for j in range(pv.size)) - f0
     if not np.isfinite(res):
         raise NumericFailure("euler_residual: non-finite evaluation")
     return res

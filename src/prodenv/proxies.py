@@ -26,30 +26,28 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import IntegrationError, RankConditionError
-from .geometry import _Artifact, _check_schema
+from .geometry import _Artifact, _check_schema, central_diff
 
 DERIV_BLOWUP = 1e12          # |t| beyond this flags a vanishing g' (warning state)
 COND_THRESHOLD = 1e8         # nonsingularity verdict cutoff
 
 
-def _central_diff(f: Callable, x: np.ndarray, j: int, h_rel: float = 1e-5) -> float:
-    step = h_rel * max(abs(float(x[j])), 1e-3)
-    hi, lo = x.copy(), x.copy()
-    hi[j] += step
-    lo[j] -= step
-    return (float(f(hi)) - float(f(lo))) / (2.0 * step)
+def _partial(f: Callable, x: np.ndarray, j: int) -> float:
+    """``d f / d x_j`` by a central difference of step 1e-5 * max(|x_j|, 1e-3)."""
+    return central_diff(f, x, j, 1e-5 * max(abs(float(x[j])), 1e-3))
 
 
 @dataclass(frozen=True)
 class RankDiagnostic:
     """The matrix of profit partials at the anchor points, its condition
-    number, and the nonsingularity verdict."""
+    number, and the nonsingularity verdict.  A diagnostic read back from
+    JSON has no matrix."""
 
     x_minus: np.ndarray
     anchors: np.ndarray
-    matrix: np.ndarray
     cond: float
     nonsingular: bool
+    matrix: Optional[np.ndarray] = None
 
     def as_json(self) -> dict:
         return {
@@ -81,7 +79,7 @@ def rank_matrix(pi_tilde: Callable, x_minus, anchors,
     free = [j for j in range(d) if j != obs]
     if anchors.size < d - 1:
         raise ValueError(f"need at least {d-1} anchor values, got {anchors.size}")
-    M = np.array([[_central_diff(pi_tilde, x_full, j) for j in free]
+    M = np.array([[_partial(pi_tilde, x_full, j) for j in free]
                   for x_full in _anchor_points(x_minus, anchors, obs)])
     if not np.all(np.isfinite(M)):
         raise ValueError("profit evaluator returned non-finite partials "
@@ -109,7 +107,7 @@ def solve_t(pi_tilde: Callable, x, anchors,
     if not diag.nonsingular:
         raise RankConditionError(
             f"rank condition fails at x_minus={x_minus} (cond={diag.cond:.3g})")
-    b = np.array([float(pi_tilde(x_full)) - _central_diff(pi_tilde, x_full, obs) * x_full[obs]
+    b = np.array([float(pi_tilde(x_full)) - _partial(pi_tilde, x_full, obs) * x_full[obs]
                   for x_full in _anchor_points(x_minus, diag.anchors, obs)])
     t, *_ = np.linalg.lstsq(diag.matrix, b, rcond=None)
     return t
@@ -190,7 +188,10 @@ class ProxyModel(_Artifact):
         gaps = tuple([tuple(run) for run in good_gaps]
                      for good_gaps in doc.get("gaps", []))
         return cls(goods=goods, anchor_x=np.array(doc["anchor"]["x"]),
-                   anchor_p=np.array(doc["anchor"]["p"]), gaps=gaps)
+                   anchor_p=np.array(doc["anchor"]["p"]), gaps=gaps, diagnostics=tuple(
+                       RankDiagnostic(np.array(d["x_minus"]), np.array(d["anchors"]),
+                                      d["cond"], d["nonsingular"])
+                       for d in doc.get("diagnostics", [])))
 
 
 def _integrate_log_from_anchor(grid: np.ndarray, integrand: np.ndarray,
@@ -313,11 +314,10 @@ def euler_system_residual(pi_tilde: Callable, model: ProxyModel, x,
     """Residual of the proxy-space Euler identity at x for homogeneity
     degree alpha: sum_j d pi~/d x_j * t_j - alpha * pi~."""
     x = np.asarray(x, dtype=float)
-    total = 0.0
-    for j, good in enumerate(model.goods):
-        t_j = float(x[j]) if good.observed else float(good.t(x[j]))
-        total += _central_diff(pi_tilde, x, j) * t_j
-    return total - alpha * float(pi_tilde(x))
+    t = [float(x[j]) if good.observed else float(good.t(x[j]))
+         for j, good in enumerate(model.goods)]
+    euler = sum(_partial(pi_tilde, x, j) * t_j for j, t_j in enumerate(t))
+    return euler - alpha * float(pi_tilde(x))
 
 
 def quantile_anchors(values, count: int) -> np.ndarray:

@@ -2,12 +2,14 @@
 variation, entry rules, price proxies, a separable demand side, and noisy
 observation generation.
 
-A firm type is a closed-form technology whose profit maximization has an
-exact solution (power, kinked-power, generalized-Leontief) or a tabulated
-concave frontier refined by golden section.  Nestedness across types (a more
-productive firm can do everything a less productive one can, and more) is the
-maintained ranking restriction and is checked on a probe grid before any
-dataset is generated.
+A firm type is a ``Technology`` whose profit maximization has an exact
+solution: power, kinked-power and generalized-Leontief in closed form, a
+tabulated concave frontier at its best grid node.  Each type has one profit
+formula, evaluated for a whole batch of price vectors at once;
+``profit_oracle`` is one row of ``profit_oracle_batch``.  Nestedness across
+types (a more productive firm can do everything a less productive one can,
+and more) is the maintained ranking restriction and is checked on a probe
+grid before any dataset is generated.
 
 Price variation across markets is drawn directly as a distribution over price
 rays; the endowment field parameterizes one such law but no market-clearing
@@ -33,8 +35,27 @@ from .geometry import _vec
 # ---------------------------------------------------------------------------
 
 
+class Technology:
+    """A firm type: ``profit(P)`` gives the maximized profits at prices P of
+    shape (..., dimension) and the optimal netputs, goods on the last axis;
+    ``value(P)`` gives the profits alone."""
+
+    dimension = 2                 # single-output types price (p_out, p_in)
+    restricted_scales = False
+
+    def value(self, P) -> np.ndarray:
+        return self.profit(P)[0]
+
+
+def _best(vals: np.ndarray, ls, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The best candidate along the last axis: its profit and netput (y, -l)."""
+    k = np.argmax(vals, axis=-1)[..., None]
+    ls, ys = (np.take_along_axis(np.broadcast_to(a, vals.shape), k, -1)[..., 0] for a in (ls, ys))
+    return vals.max(axis=-1), np.stack([ys, -ls], axis=-1)
+
+
 @dataclass(frozen=True)
-class PowerTech:
+class PowerTech(Technology):
     """Single-output technology y <= scale * l**exponent, netputs (y, -l)."""
 
     scale: float
@@ -46,14 +67,15 @@ class PowerTech:
         if self.scale <= 0:
             raise ValidationError("power technology needs positive scale")
 
-    def profit(self, p_out: float, p_in: float) -> tuple[float, np.ndarray]:
-        l_star = (p_out * self.scale * self.exponent / p_in) ** (1.0 / (1.0 - self.exponent))
-        y_star = self.scale * l_star ** self.exponent
-        return p_out * y_star - p_in * l_star, np.array([y_star, -l_star])
+    def profit(self, P) -> tuple[np.ndarray, np.ndarray]:
+        p_out, p_in = np.moveaxis(np.asarray(P, dtype=float), -1, 0)
+        l = (p_out * self.scale * self.exponent / p_in) ** (1 / (1 - self.exponent))
+        la = l ** self.exponent
+        return p_out * self.scale * la - p_in * l, np.stack([self.scale * la, -l], axis=-1)
 
 
 @dataclass(frozen=True)
-class KinkedTech:
+class KinkedTech(Technology):
     """Three-piece frontier: power, then linear, then a scaled power shifted
     up to keep the frontier continuous.
 
@@ -75,45 +97,34 @@ class KinkedTech:
         if not (0 < self.l1 < self.l2):
             raise ValidationError("kinked technology needs 0 < l1 < l2")
 
-    @property
-    def shift(self) -> float:
-        return (self.slope * (self.l2 - self.l1) + self.l1 ** self.a1
-                - self.a2_scale * self.l2 ** self.a2_exp)
-
     def frontier(self, l):
         l = np.asarray(l, dtype=float)
-        return np.where(
-            l <= self.l1,
-            np.power(np.maximum(l, 0.0), self.a1),
-            np.where(
-                l <= self.l2,
-                self.slope * (l - self.l1) + self.l1 ** self.a1,
-                self.a2_scale * np.power(l, self.a2_exp) + self.shift,
-            ),
-        )
+        shift = (self.slope * (self.l2 - self.l1) + self.l1 ** self.a1
+                 - self.a2_scale * self.l2 ** self.a2_exp)
+        return np.where(l <= self.l1, np.power(np.maximum(l, 0.0), self.a1),
+                        np.where(l <= self.l2, self.slope * (l - self.l1) + self.l1 ** self.a1,
+                                 self.a2_scale * np.power(l, self.a2_exp) + shift))
 
-    def profit(self, p_out: float, p_in: float) -> tuple[float, np.ndarray]:
-        # Each piece admits an exact maximizer; the global optimum is the best
-        # of the three.
-        candidates = []
-        l_a = (p_out * self.a1 / p_in) ** (1.0 / (1.0 - self.a1))
-        candidates.append(min(l_a, self.l1))
-        candidates.extend([self.l1, self.l2])   # linear piece peaks at an end
-        l_c = (p_out * self.a2_scale * self.a2_exp / p_in) ** (1.0 / (1.0 - self.a2_exp))
-        candidates.append(max(l_c, self.l2))
-        ls = np.array(candidates)
-        vals = p_out * self.frontier(ls) - p_in * ls
-        k = int(np.argmax(vals))
-        return float(vals[k]), np.array([float(self.frontier(ls[k])), -float(ls[k])])
+    def profit(self, P) -> tuple[np.ndarray, np.ndarray]:
+        # Each piece has an exact maximizer (the linear piece peaks at an
+        # end); the optimum is the best of the four candidates.
+        p_out, p_in = np.moveaxis(np.asarray(P, dtype=float), -1, 0)
+        l_a = (p_out * self.a1 / p_in) ** (1 / (1 - self.a1))
+        l_c = (p_out * self.a2_scale * self.a2_exp / p_in) ** (1 / (1 - self.a2_exp))
+        ls = np.stack(np.broadcast_arrays(np.minimum(l_a, self.l1), self.l1, self.l2,
+                                          np.maximum(l_c, self.l2)), axis=-1)
+        ys = self.frontier(ls)
+        return _best(p_out[..., None] * ys - p_in[..., None] * ls, ls, ys)
 
 
 @dataclass(frozen=True)
-class DiewertTech:
+class DiewertTech(Technology):
     """Generalized-Leontief profit pi(p) = sum_s sum_j b[s,j] sqrt(p_s p_j).
 
     The coefficient matrix must be symmetric; the sufficient sign pattern for
     convexity in prices (offdiagonal <= 0, diagonal >= 0) is enforced.  The
-    implied net supply is y_s(p) = sum_j b[s,j] sqrt(p_j / p_s).
+    implied net supply is y_s(p) = sum_j b[s,j] sqrt(p_j / p_s).  ``value``
+    builds no supplies.
     """
 
     b: np.ndarray
@@ -132,8 +143,16 @@ class DiewertTech:
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
 
-    def profit(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(diewert_value(self.b, p)[0]), diewert_supply(self.b, p)
+    @property
+    def dimension(self) -> int:
+        return self.b.shape[0]
+
+    def value(self, P) -> np.ndarray:
+        P = np.asarray(P, dtype=float)
+        return diewert_value(self.b, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])[()]
+
+    def profit(self, P) -> tuple[np.ndarray, np.ndarray]:
+        return self.value(P), diewert_supply(self.b, P)
 
 
 def diewert_value(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
@@ -143,19 +162,20 @@ def diewert_value(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
     return np.einsum("ns,sj,nj->n", sq, np.asarray(b, float), sq)
 
 
-def diewert_supply(b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Net supply implied by a coefficient matrix: y_s = sum_j b_sj sqrt(p_j/p_s)."""
-    sq = np.sqrt(np.asarray(p, dtype=float))
-    return (np.asarray(b, float) @ sq) / sq
+def diewert_supply(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Net supply implied by a coefficient matrix, y_s = sum_j b_sj
+    sqrt(p_j/p_s), at a price vector or along the last axis of ``prices``."""
+    sq = np.sqrt(np.asarray(prices, dtype=float))
+    return (sq @ np.asarray(b, float).T) / sq
 
 
 @dataclass(frozen=True)
-class HicksNeutralTech:
+class HicksNeutralTech(Technology):
     """Output scaling scale * fbar(l) with fbar tabulated on a grid.
 
-    fbar must be concave on the grid; the profit problem is solved on the
-    piecewise-linear interpolant by a grid scan plus golden-section
-    refinement of the bracketing interval.
+    fbar must be concave on the grid, so the profit on its piecewise-linear
+    interpolant is concave and piecewise linear, and its maximum over the
+    grid's range is at the best grid node.
     """
 
     scale: float
@@ -175,33 +195,11 @@ class HicksNeutralTech:
         object.__setattr__(self, "grid_l", gl)
         object.__setattr__(self, "grid_f", gf)
 
-    def profit(self, p_out: float, p_in: float) -> tuple[float, np.ndarray]:
-        def obj(l):
-            return p_out * self.scale * np.interp(l, self.grid_l, self.grid_f) - p_in * l
-
-        vals = obj(self.grid_l)
-        k = int(np.argmax(vals))
-        lo = self.grid_l[max(k - 1, 0)]
-        hi = self.grid_l[min(k + 1, self.grid_l.size - 1)]
-        # Golden-section to 1e-10 relative on the bracketing interval.
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        while (b - a) > 1e-10 * max(1.0, abs(b)):
-            if obj(c) >= obj(d):
-                b, d = d, c
-                c = b - invphi * (b - a)
-            else:
-                a, c = c, d
-                d = a + invphi * (b - a)
-        l_star = 0.5 * (a + b)
-        if obj(self.grid_l[k]) >= obj(l_star):
-            l_star = self.grid_l[k]
-        y_star = self.scale * float(np.interp(l_star, self.grid_l, self.grid_f))
-        return p_out * y_star - p_in * l_star, np.array([y_star, -float(l_star)])
-
-
-TechKind = PowerTech | KinkedTech | DiewertTech | HicksNeutralTech
+    def profit(self, P) -> tuple[np.ndarray, np.ndarray]:
+        p_out, p_in = np.moveaxis(np.asarray(P, dtype=float), -1, 0)
+        ys = self.scale * self.grid_f
+        return _best(p_out[..., None] * ys - p_in[..., None] * self.grid_l,
+                     self.grid_l, ys)
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,7 @@ class TechnologySpec:
 
     @property
     def dimension(self) -> int:
-        t = self.types[0]
-        return t.b.shape[0] if isinstance(t, DiewertTech) else 2
+        return self.types[0].dimension
 
     @classmethod
     def nonmonotone_supply_triple(cls) -> "TechnologySpec":
@@ -253,53 +250,48 @@ def _positive_prices(p) -> np.ndarray:
     return pv
 
 
+def _capacity(t: Technology, restricted: Optional[np.ndarray], n: int) -> np.ndarray:
+    """The factor on type t's profits and netputs at n rows: a restricted-scale
+    type's first restricted quantity, else 1."""
+    if not t.restricted_scales or restricted is None:
+        return np.ones(n)
+    cap = np.asarray(restricted, dtype=float)[:, 0]
+    if np.any(cap <= 0):
+        raise ValueError("restricted capacity must be positive")
+    return cap
+
+
 def profit_oracle(tech: TechnologySpec, e: int, p,
                   y_restricted=None) -> tuple[float, np.ndarray]:
-    """Exact restricted profit and optimizer for type ``e`` at price ``p``.
+    """Exact restricted profit and optimal netput of type ``e`` at one price
+    vector ``p``.
 
-    Closed-form where available; unbounded problems (frontier exponent >= 1
-    would be rejected at construction, so in practice nonpositive prices or a
-    non-finite evaluation) raise.
+    The row ``p[None, :]`` goes through the code of ``profit_oracle_batch``,
+    so the value is the batch's bit for bit.  A non-finite value raises
+    UnboundedProblem.
     """
     if not (1 <= e <= tech.num_types):
         raise ValueError(f"type index {e} outside 1..{tech.num_types}")
-    pv = _positive_prices(p)
     t = tech.types[e - 1]
-    if isinstance(t, DiewertTech):
-        if pv.size != t.b.shape[0]:
-            raise ValueError("price dimension mismatch")
-        value, supply = t.profit(pv)
-        if t.restricted_scales and y_restricted is not None:
-            cap = float(np.atleast_1d(np.asarray(y_restricted, dtype=float))[0])
-            if cap <= 0:
-                raise ValueError("restricted capacity must be positive")
-            value, supply = cap * value, cap * supply
-    else:
-        if pv.size != 2:
-            raise ValueError("single-output technologies price as (p_out, p_in)")
-        value, supply = t.profit(float(pv[0]), float(pv[1]))
+    pv = _positive_prices(p)
+    if pv.shape != (t.dimension,):
+        raise ValueError(f"type {e} prices {t.dimension} goods, not shape {pv.shape}")
+    cap = _capacity(t, None if y_restricted is None else np.reshape(y_restricted, (1, -1)), 1)[0]
+    values, netputs = t.profit(pv[None, :])
+    value = float(values[0] * cap)
     if not np.isfinite(value):
         raise UnboundedProblem("profit maximization has no finite value")
-    return value, supply
+    return value, netputs[0] * cap
 
 
 def profit_oracle_batch(tech: TechnologySpec, prices: np.ndarray,
                         restricted: Optional[np.ndarray] = None) -> np.ndarray:
     """Profits for all types at a batch of price vectors, shape (n, d_e)."""
     prices = np.atleast_2d(_positive_prices(prices))
-    n = prices.shape[0]
-    out = np.empty((n, tech.num_types))
-    for j, t in enumerate(tech.types):
-        if isinstance(t, DiewertTech):
-            out[:, j] = diewert_value(t.b, prices)
-            if t.restricted_scales and restricted is not None:
-                out[:, j] *= restricted[:, 0]
-        elif isinstance(t, PowerTech):
-            l = (prices[:, 0] * t.scale * t.exponent / prices[:, 1]) ** (1 / (1 - t.exponent))
-            out[:, j] = prices[:, 0] * t.scale * l ** t.exponent - prices[:, 1] * l
-        else:
-            out[:, j] = [profit_oracle(tech, j + 1, prices[i])[0] for i in range(n)]
-    return out
+    if prices.shape[1] != tech.dimension:
+        raise ValueError(f"the technology prices {tech.dimension} goods, not {prices.shape[1]}")
+    return np.column_stack([t.value(prices) * _capacity(t, restricted, len(prices))
+                            for t in tech.types])
 
 
 def nested_check(tech: TechnologySpec, probe_rays: Sequence) -> bool:
@@ -414,6 +406,8 @@ class MarketConfig:
             raise ValidationError(f"unknown noise shape {self.noise[1]!r}")
         if self.entry_rule[0] not in ("all", "nonneg_profit", "threshold_by_type"):
             raise ValidationError(f"unknown entry rule {self.entry_rule[0]!r}")
+        if self.entry_rule[0] == "threshold_by_type":
+            check_entry_weights(self.entry_rule[1])
         if self.proxy_goods is not None:
             if len(self.proxy_goods) != self.dimension:
                 raise ValidationError("need one proxy spec per good")
@@ -424,6 +418,14 @@ class MarketConfig:
     def noise_width(self) -> float:
         """Full support width K of the measurement error."""
         return 2.0 * self.noise[0]
+
+
+def check_entry_weights(weights) -> np.ndarray:
+    """Threshold entry weights, checked finite, nonnegative and not all 0."""
+    w = np.asarray(weights, dtype=float)
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+        raise ValidationError("threshold entry weights must be finite, nonnegative and not all 0")
+    return w
 
 
 @dataclass
@@ -569,9 +571,8 @@ def _draw_restricted(cfg: MarketConfig, rng: np.random.Generator) -> np.ndarray:
     if law is None:
         return np.empty((m, 0))
     if law[0] == "fixed":
-        vals = np.atleast_2d(np.asarray(law[1], dtype=float))
-        if vals.shape[0] == 1 and vals.shape[1] > 1 and np.asarray(law[1]).ndim == 1:
-            vals = np.asarray(law[1], dtype=float)[:, None]
+        vals = np.asarray(law[1], dtype=float)
+        vals = vals.reshape(-1, 1) if vals.ndim < 2 else vals      # rows are draws
         return vals[rng.choice(vals.shape[0], size=m)]
     if law[0] == "uniform":
         lo, hi = np.atleast_1d(law[1]), np.atleast_1d(law[2])

@@ -10,6 +10,8 @@ from prodenv.cli import (golden_table, main, profit_data_from_table,
                          render_artifact, run_pipeline, table_evaluator)
 from prodenv.errors import ValidationError
 from prodenv.config import PipelineConfig
+from prodenv.simulate import (Dataset, PowerTech, TechnologySpec,
+                              profit_oracle_batch)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -95,6 +97,10 @@ class TestPipeline:
          "[simulate] restricted_law must be fixed:<values>: 'inf' is not"),
         (("proxy_1 = square_plus:1.0:0.6,1.4:3", "proxy_1 = square_plus:1.0:0.6,nan:3"),
          "[simulate] proxy_1 must be form[:params]:lo,hi[:lattice]: 'nan' is not"),
+        (("entry = all\n", "entry = threshold:0.2,-0.3,0.5\n"),
+         "[simulate] entry must be threshold:<weights>: threshold entry weights must be"),
+        (("entry = all\n", "entry = threshold:0,0,0\n"),
+         "[simulate] entry must be threshold:<weights>: threshold entry weights must be"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -181,6 +187,25 @@ class TestCommandLine:
                      "--out", table]) == 0
         doc = json.loads(pathlib.Path(table).read_text())
         assert doc["schema"].startswith("prodenv.profit-table/")
+
+    @pytest.mark.parametrize("technology, tech", [
+        ("technology = power\npower_scales = 1 2 3\npower_exponents = 0.4 0.4 0.4",
+         TechnologySpec(kind="power", types=tuple(PowerTech(s, 0.4) for s in (1, 2, 3)))),
+        ("technology = nonmonotone-triple", TechnologySpec.nonmonotone_supply_triple()),
+    ], ids=["power", "nonmonotone-triple"])
+    def test_single_output_simulate(self, tmp_path, technology, tech):
+        # At noise 0 each recorded profit is the batch oracle's at its row.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[pipeline]\nstages = simulate\nseed = 5\n\n[simulate]\n"
+                       f"{technology}\nmarkets = 400\nbox_lo = 0.05\nentry = all\n"
+                       "noise_half_width = 0\n")
+        data = str(tmp_path / "d.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", data, "--debug"]) == 0
+        back = Dataset.from_csv(data)
+        assert len(back) == 400 * 3
+        truth = profit_oracle_batch(tech, back.x)
+        assert np.array_equal(back.noisy_profit,
+                              truth[np.arange(len(back)), back.type_e - 1])
 
     def test_report_command(self, demo_config, capsys):
         cfg_path, out = demo_config

@@ -183,6 +183,20 @@ class TestRecoverProxyModel:
         assert model.goods[2].observed
         assert all(d.nonsingular for d in model.diagnostics)
 
+    def test_diagnostics_survive_save_and_load(self, tmp_path):
+        grids = [np.arange(0.5, 2.0001, 0.05), np.arange(0.2, 1.5001, 0.05),
+                 np.arange(0.8, 2.5001, 0.05)]
+        x0 = np.array([1.0, 1.0, 1.0])
+        model = recover_proxy_model(pi_tilde_exact, grids,
+                                    x_ref=np.array([1.1, 0.7, 1.4]),
+                                    anchors=ANCHORS3, anchor=(x0, g_true(x0)))
+        path = str(tmp_path / "proxy.json")
+        model.save(path)
+        loaded = ProxyModel.load(path)
+        assert len(model.diagnostics) == 2
+        assert loaded.to_json_dict() == model.to_json_dict()
+        assert all(d.matrix is None for d in loaded.diagnostics)
+
     def test_euler_residual_consistent_pair(self):
         grids = [np.arange(0.5, 2.0001, 0.01), np.arange(0.2, 1.5001, 0.01),
                  np.arange(0.8, 2.5001, 0.01)]

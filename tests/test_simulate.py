@@ -83,6 +83,55 @@ class TestProfitOracle:
             DiewertTech(np.array([[1.0, -0.3], [-0.2, 1.0]]))
 
 
+def _hicks_pair(rng):
+    grid = np.linspace(0.0, 4.0, 60)
+    return TechnologySpec(kind="hicks", types=tuple(
+        HicksNeutralTech(scale=s, grid_l=grid, grid_f=np.sqrt(grid)) for s in (1.0, 2.0)))
+
+
+TECHNOLOGIES = {
+    "power": lambda rng: TechnologySpec(kind="power", types=(
+        PowerTech(1.0, 0.4), PowerTech(2.0, 0.4), PowerTech(3.5, 0.45))),
+    "triple": lambda rng: TechnologySpec.nonmonotone_supply_triple(),
+    "hicks": _hicks_pair,
+    "diewert": lambda rng: nested_diewert(rng, d=3),
+    "diewert-restricted": lambda rng: TechnologySpec.diewert_family(
+        [t.b for t in nested_diewert(rng, d=3).types], restricted_scales=True),
+}
+
+
+class TestOneProfitFormula:
+    @pytest.mark.parametrize("name", list(TECHNOLOGIES))
+    def test_oracle_is_a_row_of_the_batch(self, name):
+        rng = np.random.default_rng(7)
+        tech = TECHNOLOGIES[name](rng)
+        n = 500
+        P = rng.uniform(0.05, 2.0, size=(n, tech.dimension))
+        R = rng.uniform(0.5, 2.0, size=(n, 1)) if name.endswith("restricted") else None
+        batch = profit_oracle_batch(tech, P, R)
+        unequal, off_euler = 0, 0
+        for e in range(1, tech.num_types + 1):
+            for i in range(n):
+                value, netput = profit_oracle(tech, e, P[i], None if R is None else R[i])
+                unequal += value != batch[i, e - 1]
+                off_euler += abs(P[i] @ netput - value) > 1e-12 * abs(value)
+        assert unequal == 0, f"{unequal} of {batch.size} oracle values differ from the batch"
+        assert off_euler == 0, f"{off_euler} netputs do not price to their value"
+        if name == "hicks":
+            # A concave piecewise-linear profit peaks at a grid node.
+            dense = np.linspace(0.0, 4.0, 4001)
+            for e, t in enumerate(tech.types, start=1):
+                nodes = P[:, :1] * (t.scale * t.grid_f) - P[:, 1:] * t.grid_l
+                assert np.array_equal(batch[:, e - 1], nodes.max(axis=1))
+                between = (P[:, :1] * t.scale * np.interp(dense, t.grid_l, t.grid_f)
+                           - P[:, 1:] * dense)
+                assert np.all(between.max(axis=1) <= batch[:, e - 1] + 1e-12)
+        if name.startswith("diewert"):
+            value, supply = tech.types[0].profit(P[0])
+            assert np.isscalar(value) and supply.shape == (3,)
+            assert value == tech.types[0].value(P[:1])[0]
+
+
 class TestNestedCheck:
     def test_triple_is_nested(self, triple):
         probes = [PriceRay.from_direction(P_RATIO), PriceRay.from_direction([1, 1])]
