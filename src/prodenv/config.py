@@ -232,18 +232,18 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
 
 
 def parse_identify_config(sec: SectionView) -> IdentifyConfig:
-    return IdentifyConfig(
-        bucketing=BucketingConfig(
-            mode=sec.get_str("bucketing", "quantile"),
-            buckets_per_dim=sec.get_int("buckets_per_dim", 10),
-        ),
-        noise_width=sec.get_float("noise_width", None),
-        max_types=sec.get_int("max_types", None),
-        min_anchor_count=sec.get_int("min_anchor_count", 200),
-        min_cell_count=sec.get_int("min_cell_count", 50),
-        penalty_c=sec.get_float("penalty_c", 1.0),
-        fit_error_threshold=sec.get_float("fit_error_threshold", 0.1),
-    )
+    bucketing = BucketingConfig(mode=sec.get_str("bucketing", "quantile"),
+                                buckets_per_dim=sec.get_int("buckets_per_dim", 10))
+    keys = dict(noise_width=sec.get_float("noise_width", None),
+                max_types=sec.get_int("max_types", None),
+                min_anchor_count=sec.get_int("min_anchor_count", 200),
+                min_cell_count=sec.get_int("min_cell_count", 50),
+                penalty_c=sec.get_float("penalty_c", 1.0),
+                fit_error_threshold=sec.get_float("fit_error_threshold", 0.1))
+    try:
+        return IdentifyConfig(bucketing=bucketing, **keys)
+    except ValidationError as exc:        # its message starts with the key
+        raise ValidationError(f"[{sec.name}] {exc}") from None
 
 
 # Stage settings: each parser reads every key its stage uses from the

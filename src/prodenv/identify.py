@@ -9,10 +9,10 @@ many ranked types under bounded, mean-zero measurement error:
 2. the cluster mean identifies that type's profit, and the residuals inside
    the isolating interval identify the noise distribution;
 3. in every cell, the observed distribution is a finite mixture convolved
-   with the noise law; Nelder-Mead places the atoms to minimise the sup-norm
-   CDF distance, with NNLS weights under a sum-to-one row (the
-   moment-generating-function ratio, the textbook device, is kept as a
-   numerical diagnostic because it is unstable at large |t|);
+   with the noise law; for each atom count that a window-cover lower bound
+   leaves able to win, Nelder-Mead places the atoms to minimise the sup-norm
+   CDF distance, with NNLS weights under a sum-to-one row (the MGF ratio,
+   the textbook device, is a diagnostic only: it is unstable at large |t|);
 4. atoms are assigned to types from the top down: the largest atom belongs
    to the most productive type.  A cell with fewer atoms than types pins
    down only the top types; the missing ones are low types that do not
@@ -22,6 +22,7 @@ many ranked types under bounded, mean-zero measurement error:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .simulate import Dataset
 
 ATOM_MERGE_TOL = 1e-8
 ROUND_DECIMALS = 9            # "unique" bucketing rounds values to this many decimals
+MGF_T = np.delete(np.linspace(-3.0, 3.0, 13), 6)   # the MGF diagnostic's t: +-0.5 .. +-3
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,10 @@ class NoiseCdf:
     def half_width(self) -> float:
         return float(max(abs(self.points[0]), abs(self.points[-1])))
 
+    @cached_property
+    def mgf(self) -> list:
+        return [float(np.mean(np.exp(t * self.points))) for t in MGF_T]
+
     def evaluate(self, t) -> np.ndarray:
         """Right-continuous empirical CDF, broadcast over any shape.
 
@@ -271,23 +277,29 @@ def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarr
     return np.array(out_a), np.array(out_w)
 
 
+def _cannot_fit(t_grid: np.ndarray, f_emp: np.ndarray, width: float, k: int,
+                theta: float) -> bool:
+    """True when the window-cover bound shows every k-atom fit has error > theta."""
+    band, s = 2.0 * (theta + 1e-12), 0
+    for _ in range(k):
+        e = np.searchsorted(f_emp, f_emp[s] + band, side="right")
+        if e == f_emp.size:
+            return False
+        s = min(np.searchsorted(t_grid, t_grid[e] + width, side="right"), t_grid.size - 1)
+    return np.searchsorted(f_emp, f_emp[s] + band, side="right") < f_emp.size
+
+
 def _mgf_diagnostic(sample: np.ndarray, noise: NoiseCdf, atoms: np.ndarray,
                     weights: np.ndarray, rel_tol: float = 0.05) -> bool:
     """Ratio of empirical MGFs against the fitted mixture's MGF on [-3, 3]."""
     center = float(np.mean(sample))
-    t_grid = np.linspace(-3.0, 3.0, 13)
-    t_grid = t_grid[np.abs(t_grid) > 1e-9]
-    ok = True
-    for t in t_grid:
+    for t, m_eta in zip(MGF_T, noise.mgf):
         m_obs = float(np.mean(np.exp(t * (sample - center))))
-        m_eta = float(np.mean(np.exp(t * noise.points)))
-        if m_eta <= 0 or not np.isfinite(m_obs):
-            return False
-        ratio = m_obs / m_eta
         m_fit = float(weights @ np.exp(t * (atoms - center)))
-        if abs(ratio - m_fit) > rel_tol * max(abs(m_fit), 1e-12):
-            ok = False
-    return ok
+        if (m_eta <= 0 or not np.isfinite(m_obs)
+                or abs(m_obs / m_eta - m_fit) > rel_tol * max(abs(m_fit), 1e-12)):
+            return False
+    return True
 
 
 def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
@@ -296,10 +308,20 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
     """Fit a discrete mixture convolved with the noise law to the cell's
     empirical CDF; the atom count minimizes fit error + c*k/sqrt(n).
 
-    For each k, Nelder-Mead places the atoms to minimise the sup-norm CDF
+    Nelder-Mead places a fitted k's atoms to minimise the sup-norm CDF
     distance.  Each trial evaluates the noise CDF once, at every grid point
     minus every atom; those values give the NNLS weights (Lawson & Hanson),
-    under a sum-to-one row weighted by beta = 10, and the model CDF."""
+    under a sum-to-one row weighted by beta = 10, and the model CDF.
+
+    Atom a moves the model only on a + [p_0, p_N] (the noise range), so a
+    fit misses f_emp by half its rise between windows: if k greedy windows
+    leave a rise above 2 theta, every k-atom fit errs by more than theta.
+    Phase 1 fits k = 1, 2, ... up to a fit at the noise floor 0.9c/sqrt(n),
+    which more atoms cannot beat, deferring each k the bound puts above it;
+    phase 2 fits a deferred k, largest first, if the bound lets it tie the
+    best score.  Slack absorbs rounding: the answer is that of every k."""
+    if max_types < 1:
+        raise ValidationError(f"max_types must be at least 1, got {max_types!r}")
     sample = np.sort(np.asarray(sample, dtype=float))
     n = sample.size
     if n < min_count:
@@ -327,16 +349,11 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
         return err, w
 
     results = {}
-    for k in range(1, max_types + 1):
-        if k > n:
-            break
+
+    def fit(k: int) -> float:
         # Initialize atoms at the means of the k widest-gap clusters.
-        if k == 1:
-            init = np.array([sample.mean()])
-        else:
-            gaps = np.diff(sample)
-            cuts = np.sort(np.argsort(gaps)[-(k - 1):]) + 1
-            init = np.array([c.mean() for c in np.split(sample, cuts)])
+        cuts = np.sort(np.argsort(np.diff(sample))[n - k:]) + 1
+        init = np.array([c.mean() for c in np.split(sample, cuts)])
         err, w = objective_for(init)
         atoms = init
         if err > 2.0 / np.sqrt(n):
@@ -347,12 +364,24 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
             if err2 < err:
                 atoms, err, w = np.sort(res.x), err2, w2
         results[k] = (err, atoms, w)
-        # A fit at the sampling noise floor cannot be beaten by more atoms
-        # once the per-atom penalty is paid.
-        if err <= 0.9 * penalty_c / np.sqrt(n):
-            break
+        return err
 
-    best_k = min(results, key=lambda k: results[k][0] + penalty_c * k / np.sqrt(n))
+    def score(k: int) -> float:
+        return results[k][0] + penalty_c * k / np.sqrt(n)
+
+    width = noise.points[-1] - noise.points[0] + 1e-9 * (
+        1 + np.abs(t_grid).max() + np.abs(noise.points).max())
+    floor, deferred = 0.9 * penalty_c / np.sqrt(n), []
+    for k in range(1, min(max_types, n) + 1):
+        if _cannot_fit(t_grid, f_emp, width, k, floor):
+            deferred.append(k)
+        elif fit(k) <= floor:
+            break
+    for k in reversed(deferred):
+        best = min(map(score, results), default=np.inf) * (1 + 1e-12)
+        if not _cannot_fit(t_grid, f_emp, width, k, best - penalty_c * k / np.sqrt(n)):
+            fit(k)
+    best_k = min(sorted(results), key=score)
     err, atoms, weights = results[best_k]
     if err > fit_error_threshold:
         raise DeconvolutionFailure(
@@ -495,6 +524,16 @@ class IdentifyConfig:
     penalty_c: float = 1.0
     fit_error_threshold: float = 0.1
     anchor_span_slack: float = 0.0
+
+    def __post_init__(self):
+        for key, ok, what in (
+                ("max_types", self.max_types is None or self.max_types >= 1, "at least 1"),
+                ("min_anchor_count", self.min_anchor_count >= 1, "at least 1"),
+                ("min_cell_count", self.min_cell_count >= 1, "at least 1"),
+                ("penalty_c", self.penalty_c >= 0, "nonnegative"),
+                ("fit_error_threshold", self.fit_error_threshold > 0, "positive")):
+            if not ok:
+                raise ValidationError(f"{key} must be {what}, got {getattr(self, key)!r}")
 
 
 def identify_profits(data: Dataset, config: IdentifyConfig = IdentifyConfig()) -> ProfitTable:

@@ -101,6 +101,14 @@ class TestPipeline:
          "[simulate] entry must be threshold:<weights>: threshold entry weights must be"),
         (("entry = all\n", "entry = threshold:0,0,0\n"),
          "[simulate] entry must be threshold:<weights>: threshold entry weights must be"),
+        (("max_types = 3\n", "max_types = 0\n"), "[identify] max_types must be at least 1"),
+        (("min_anchor_count = 1\n", "min_anchor_count = 0\n"),
+         "[identify] min_anchor_count must be at least 1"),
+        (("min_cell_count = 1\n", "min_cell_count = 0\n"),
+         "[identify] min_cell_count must be at least 1"),
+        (("penalty_c = 0.2\n", "penalty_c = -0.2\n"), "[identify] penalty_c must be nonnegative"),
+        (("penalty_c = 0.2\n", "penalty_c = 0.2\nfit_error_threshold = 0\n"),
+         "[identify] fit_error_threshold must be positive"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):

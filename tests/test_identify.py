@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from prodenv.errors import (DeconvolutionFailure, IdentificationFailure,
-                            InsufficientData)
+                            InsufficientData, ValidationError)
 from prodenv.identify import (AtomSet, BucketingConfig, IdentifyConfig,
-                              NoiseCdf, ProfitTable, deconvolve_atoms,
+                              NoiseCdf, ProfitTable, _cannot_fit, deconvolve_atoms,
                               estimate_noise_cdf, find_separated_cell,
                               identify_profits, rank_and_assign)
 from prodenv.simulate import MarketConfig, TechnologySpec, generate_dataset, profit_oracle
@@ -132,8 +132,10 @@ class TestDeconvolveAtoms:
 
     def test_pinned_bits_and_no_state_between_calls(self, monkeypatch):
         # Atoms, weights and fit error to the last bit: a faster objective
-        # must keep the arithmetic, and with it these values.  Sample B takes Nelder-Mead at k = 1, 2 and 3; calling A, B, A shows
-        # that nothing carries over between calls or atom counts.
+        # must keep the arithmetic, and with it these values.  Sample B takes
+        # Nelder-Mead at k = 2 and 3 (the window-cover bound proves its
+        # one-atom fit cannot win); calling A, B, A shows that nothing
+        # carries over between calls or atom counts.
         import prodenv.identify as identify
 
         def run(seed, atoms, penalty_c):
@@ -156,7 +158,7 @@ class TestDeconvolveAtoms:
         monkeypatch.setattr(identify, "minimize",
                             lambda f, x0, **kw: sizes.append(len(x0)) or real(f, x0, **kw))
         assert run(0, [1.0, 1.1, 1.2], 0.2) == pinned_b
-        assert sizes == [1, 2, 3]
+        assert sizes == [2, 3]
         monkeypatch.undo()
         assert first_a == pinned_a
         assert run(101, [1.0, 2.0, 3.0], 1.0) == first_a
@@ -166,6 +168,107 @@ class TestDeconvolveAtoms:
         sample = np.repeat([1.0, 1.0 + 1e-9], 200)
         atoms = deconvolve_atoms(sample, noise, max_types=4)
         assert len(atoms) == 1
+
+
+def random_design(seed):
+    """A cell sample, its noise law, penalty_c and max_types: uniform,
+    clipped-normal or triangular noise of half-width 0.01-0.3, 1-4 atoms
+    separated or overlapping, within-cell spread 0, 0.02 or 0.2, and n from
+    50 to 5000."""
+    rng = np.random.default_rng(seed)
+    hw = rng.uniform(0.01, 0.3)
+    draw = [lambda size: rng.uniform(-hw, hw, size),
+            lambda size: np.clip(rng.normal(0.0, hw / 2, size), -hw, hw),
+            lambda size: rng.triangular(-hw, 0.0, hw, size)][seed % 3]
+    noise = NoiseCdf.from_residuals(draw(2000))
+    m = int(rng.integers(1, 5))
+    gap = hw * (3.0 if rng.random() < 0.5 else 0.6)
+    atoms = 1.0 + gap * np.arange(m) + rng.uniform(0, 0.1 * hw, m)
+    n = int(np.exp(rng.uniform(np.log(50), np.log(5000))))
+    spread = [0.0, 0.02, 0.2][int(rng.integers(3))]
+    sample = (atoms[rng.choice(m, size=n, p=rng.dirichlet(np.full(m, 3.0)))]
+              + rng.uniform(-spread, spread, n) + draw(n))
+    return sample, noise, float(rng.choice([0.2, 1.0, 3.0])), int(rng.integers(1, 7))
+
+
+class TestAtomCountBound:
+    @staticmethod
+    def outcome(seed):
+        sample, noise, c, max_types = random_design(seed)
+        try:
+            fit = deconvolve_atoms(sample, noise, max_types, penalty_c=c)
+        except DeconvolutionFailure as exc:
+            return str(exc)
+        return ([v.hex() for v in fit.atoms.tolist()],
+                [v.hex() for v in fit.weights.tolist()], fit.fit_error.hex(), fit.mgf_ok)
+
+    def test_same_bits_as_the_unpruned_search(self, monkeypatch):
+        import prodenv.identify as identify
+        calls = []
+        real = identify.minimize
+        monkeypatch.setattr(identify, "minimize",
+                            lambda f, x0, **kw: calls.append(len(x0)) or real(f, x0, **kw))
+        pruned = [self.outcome(seed) for seed in range(200)]
+        pruned_calls = len(calls)
+        monkeypatch.setattr(identify, "_cannot_fit", lambda *args: False)
+        assert [self.outcome(seed) for seed in range(200)] == pruned
+        # The designs exercise the bound: fewer Nelder-Mead runs, and both
+        # fits and failures among the outcomes.
+        assert pruned_calls < len(calls) - pruned_calls
+        assert {type(o) for o in pruned} == {str, tuple}
+
+    def test_bound_never_exceeds_an_attained_error(self, monkeypatch):
+        import prodenv.identify as identify
+        real = identify._cannot_fit
+        for seed in range(0, 200, 2):
+            sample, noise, c, max_types = random_design(seed)
+            for k in range(1, max_types + 1):
+                grid = []
+                # Every count but k is pruned, so the fit error is k's.
+                monkeypatch.setattr(identify, "_cannot_fit",
+                                    lambda t, f, w, j, theta: grid.append((t, f, w)) or j != k)
+                err = deconvolve_atoms(sample, noise, max_types, penalty_c=c,
+                                       fit_error_threshold=2.0).fit_error
+                assert not real(*grid[0], k, err)
+
+    def test_separated_cell_needs_no_nelder_mead(self, monkeypatch):
+        import prodenv.identify as identify
+
+        def fail(*args, **kw):
+            raise AssertionError("minimize called")
+        rng = np.random.default_rng(3)
+        noise = NoiseCdf.from_residuals(rng.uniform(-0.05, 0.05, size=2000))
+        sample = draw_mixture(rng, [1.0, 1.5, 2.0], [0.3, 0.3, 0.4], 3000, 0.05)
+        monkeypatch.setattr(identify, "minimize", fail)
+        fit = deconvolve_atoms(sample, noise, max_types=3, penalty_c=0.2)
+        assert np.allclose(fit.atoms, [1.0, 1.5, 2.0], atol=0.005)
+
+    def test_window_cover(self):
+        # f_emp rises by 0.5 at t = 1 and t = 3 on a grid of step 1: a
+        # window of width 0.5 holds one grid point, so one window leaves a
+        # rise on flat ground and two do not.
+        t = np.arange(5.0)
+        f = np.array([0.0, 0.5, 0.5, 1.0, 1.0])
+        assert _cannot_fit(t, f, 0.5, 1, 0.2)
+        assert not _cannot_fit(t, f, 0.5, 2, 0.2)
+        assert not _cannot_fit(t, f, 0.5, 1, 0.25)             # half the rise
+        assert not _cannot_fit(t, f, 3.0, 1, 0.2)              # one wide window
+        assert _cannot_fit(t, f, 0.5, 3, -0.1)                 # no fit has err < 0
+
+
+class TestIdentifySettings:
+    @pytest.mark.parametrize("key, value", [
+        ("max_types", 0), ("min_anchor_count", 0), ("min_cell_count", 0),
+        ("penalty_c", -0.2), ("penalty_c", float("nan")),
+        ("fit_error_threshold", 0.0)])
+    def test_bad_setting_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must be"):
+            IdentifyConfig(**{key: value})
+
+    def test_deconvolve_needs_an_atom(self):
+        noise = NoiseCdf.from_residuals(np.zeros(10))
+        with pytest.raises(ValidationError, match="max_types must be at least 1"):
+            deconvolve_atoms(np.ones(100), noise, max_types=0)
 
 
 class TestRankAndAssign:
