@@ -1,8 +1,10 @@
 """Command-line interface: pipeline orchestration and report rendering.
 
 Subcommands: simulate, identify, proxies, bounds, estimate, duality, report,
-and run (the whole pipeline from one config).  Exit codes: 0 success,
-2 validation, 3 identification failure, 4 numeric failure.
+and run (the whole pipeline from one config).  A ``stage_<name>`` returns its
+artifact and opens no file: ``_input`` loads the files it reads, and only the
+runner writes, through ``_save``.  Exit codes: 0 success, 2 validation,
+3 identification failure, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -65,18 +67,17 @@ def profit_data_from_table(table: ProfitTable, e: int,
 
 
 def profit_data_from_csv(path: str) -> dict:
-    """Standalone profit pairs from a CSV with header ray_1..ray_d, value
-    [, type_e].  Rays may be unnormalized prices; values are rescaled onto
+    """Standalone profit pairs from a CSV with header exactly ray_1..ray_d,
+    value[, type_e].  Rays may be unnormalized prices; values are rescaled onto
     the unit sphere by homogeneity.  Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for h in header if h.startswith("ray_"))
-        if d == 0 or header[d:d + 1] != ["value"]:
+        if d == 0 or header[d:] not in (["value"], ["value", "type_e"]):
             raise ValidationError(f"{path!r} is not a profit-pairs CSV "
                                   "(need ray_1..ray_d, value[, type_e])")
         body = csv_rows(fh, path)
-    has_type = "type_e" in header
-    types = body[:, d + 1].astype(int) if has_type else np.ones(len(body), int)
+    types = body[:, d + 1].astype(int) if header[-1] == "type_e" else np.ones(len(body), int)
     out = {}
     for e in np.unique(types):
         sub = body[types == e]
@@ -87,20 +88,22 @@ def profit_data_from_csv(path: str) -> dict:
 
 
 def _lattice_interpolant(X: np.ndarray, values, source: str):
-    """Multilinear interpolant of ``values`` at the rows of ``X``, which must
-    fill the lattice of their coordinates (rounded to 1e-9); returns it with
-    the lattice axes.  ``source`` names the points in the error."""
+    """Multilinear interpolant of ``values`` at the rows of ``X``, one per
+    node of the lattice of their coordinates (rounded to 1e-9); returns it
+    with the lattice axes.  ``source`` names the points in the error."""
     from scipy.interpolate import RegularGridInterpolator
     coords = np.round(X, 9)
     axes = [np.unique(col) for col in coords.T]
-    grid_vals = np.full(tuple(a.size for a in axes), np.nan)
-    grid_vals[tuple(np.searchsorted(a, col) for a, col in zip(axes, coords.T))] = values
-    missing = int(np.isnan(grid_vals).sum())
-    if missing:
-        raise ValidationError(
-            f"{source} do not form a full lattice; cannot interpolate "
-            f"({missing} of {grid_vals.size} nodes missing)")
-    interp = RegularGridInterpolator(axes, grid_vals, bounds_error=False,
+    shape = tuple(a.size for a in axes)
+    nodes = np.ravel_multi_index([np.searchsorted(a, c) for a, c in zip(axes, coords.T)], shape)
+    counts = np.bincount(nodes, minlength=int(np.prod(shape)))
+    if counts.min() == 0 or counts.max() > 1:
+        raise ValidationError(f"{source} do not give each lattice node once; cannot "
+                              f"interpolate ({(counts == 0).sum()} of {counts.size} nodes "
+                              f"missing, {(counts > 1).sum()} given more than once)")
+    grid_vals = np.empty(counts.size)
+    grid_vals[nodes] = values
+    interp = RegularGridInterpolator(axes, grid_vals.reshape(shape), bounds_error=False,
                                      fill_value=None)
     return lambda x: float(interp(np.asarray(x, float)[None, :])[0]), axes
 
@@ -121,41 +124,30 @@ def table_evaluator(table: ProfitTable, e: int):
 # ---------------------------------------------------------------------------
 
 
-def _input_path(stage: str, settings, inputs: dict) -> str:
-    """The file ``stage`` reads: its [<stage>] input, else the artifact in
-    ``inputs`` (made earlier, or named on the command line)."""
-    if settings.input is not None:
-        return settings.input
-    return inputs.get(STAGES[stage].needs)
+def _input(stage: str, settings, inputs: dict, load):
+    """What ``stage`` reads: its [<stage>] input, else its artifact in
+    ``inputs`` (a value, or a path from a flag); a path is read with ``load``."""
+    source = settings.input if settings.input is not None else inputs.get(STAGES[stage].needs)
+    return load(source) if isinstance(source, str) else source
 
 
-def stage_simulate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_simulate(cfg: PipelineConfig, inputs: dict) -> Dataset:
     s = cfg.settings["simulate"]
-    data = generate_dataset(s.tech, s.market)
-    tmp = out_path + ".partial"
-    data.to_csv(tmp, debug=cfg.debug)
-    os.replace(tmp, out_path)
-    return out_path
+    return generate_dataset(s.tech, s.market)
 
 
-def stage_identify(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_identify(cfg: PipelineConfig, inputs: dict) -> ProfitTable:
     s = cfg.settings["identify"]
-    data = Dataset.from_csv(_input_path("identify", s, inputs),
-                            noise_width=s.identify.noise_width or 0.0)
-    table = identify_profits(data, s.identify)
-    table.save(out_path)
-    return out_path
+    return identify_profits(_input("identify", s, inputs, Dataset.from_csv), s.identify)
 
 
-def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_proxies(cfg: PipelineConfig, inputs: dict) -> ProxyModel:
     s = cfg.settings["proxies"]
     if s.mode == "housing":
         profile = csv_rows(s.profile_csv, s.profile_csv, skiprows=1, usecols=(0, 1))
         good = recover_g_housing(profile[:, 0], profile[:, 1], s.anchor)
-        model = ProxyModel(goods=(good,), anchor_x=np.array([s.anchor[0]]),
-                           anchor_p=np.array([s.anchor[1]]))
-        model.save(out_path)
-        return out_path
+        return ProxyModel(goods=(good,), anchor_x=np.array([s.anchor[0]]),
+                          anchor_p=np.array([s.anchor[1]]))
 
     if s.profile_csv:
         # Aggregate-mean profile: x coordinates plus a mean-profit column.
@@ -163,7 +155,7 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
         pi_tilde, axes = _lattice_interpolant(body[:, :-1], body[:, -1],
                                               f"rows of profile {s.profile_csv!r}")
     else:
-        table = ProfitTable.load(_input_path("proxies", s, inputs))
+        table = _input("proxies", s, inputs, ProfitTable.load)
         pi_tilde, axes = table_evaluator(
             table, table.d_e if s.type_e is None else s.type_e)
     d = len(axes)
@@ -174,10 +166,8 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     x_ref = (np.array([float(np.median(a)) for a in axes])
              if s.x_ref is None else s.x_ref)
     grids = [a[s.trim:-s.trim] if s.trim > 0 else a for a in axes]
-    model = recover_proxy_model(pi_tilde, grids, x_ref, anchors,
-                                (s.anchor_x, s.anchor_p), observed_index=obs)
-    model.save(out_path)
-    return out_path
+    return recover_proxy_model(pi_tilde, grids, x_ref, anchors,
+                               (s.anchor_x, s.anchor_p), observed_index=obs)
 
 
 def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
@@ -185,8 +175,9 @@ def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
     it holds: pairs from a CSV, or a profit table's cells mapped to prices
     through the proxy model ([<stage>] proxy_model, else the proxies
     stage's), when there is one."""
-    path = _input_path(stage, s, inputs)
-    if path.endswith(".csv"):
+    def load(path):
+        if not path.endswith(".csv"):
+            return ProfitTable.load(path)
         if s.proxy_model is not None:
             raise ValidationError(f"[{stage}] proxy_model maps a profit table's "
                                   f"cells to prices; {path!r} holds prices")
@@ -196,14 +187,16 @@ def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
             raise ValidationError(f"{path!r} has no pairs of type "
                                   f"{', '.join(map(str, sorted(missing)))}")
         return {e: pairs[e] for e in types or sorted(pairs)}
-    table = ProfitTable.load(path)
-    proxy_file = inputs.get("proxy_model") if s.proxy_model is None else s.proxy_model
-    model = ProxyModel.load(proxy_file) if proxy_file else None
+    table = _input(stage, s, inputs, load)
+    if isinstance(table, dict):
+        return table
+    model = (inputs.get("proxy_model") if s.proxy_model is None
+             else ProxyModel.load(s.proxy_model))
     return {e: profit_data_from_table(table, e, model)
             for e in types or range(1, table.d_e + 1)}
 
 
-def stage_bounds(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_bounds(cfg: PipelineConfig, inputs: dict) -> dict:
     s = cfg.settings["bounds"]
     reports = []
     for e, data in _per_type_data("bounds", s, inputs, s.types).items():
@@ -213,19 +206,16 @@ def stage_bounds(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
         if s.repair == "project":
             doc["repair_shift"] = shift
         reports.append(doc)
-    _write_json(out_path, {"schema": "prodenv.bounds-report/1",
-                           "question": s.question, "per_type": reports})
-    return out_path
+    return {"schema": "prodenv.bounds-report/1", "question": s.question,
+            "per_type": reports}
 
 
-def stage_estimate(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_estimate(cfg: PipelineConfig, inputs: dict) -> DiewertFit:
     s = cfg.settings["estimate"]
     per_type = [(d.rays, d.values)
                 for d in _per_type_data("estimate", s, inputs).values()]
-    fit = fit_diewert(per_type, d_y=per_type[0][0].shape[1], convexity=s.convexity,
-                      monotone=s.monotone, tau=s.tau)
-    fit.save(out_path)
-    return out_path
+    return fit_diewert(per_type, d_y=per_type[0][0].shape[1], convexity=s.convexity,
+                       monotone=s.monotone, tau=s.tau)
 
 
 def _parse_pbar(spec: str) -> list:
@@ -236,9 +226,9 @@ def _parse_pbar(spec: str) -> list:
     return [PriceRay.from_direction(r) for r in csv_rows(spec, spec)]
 
 
-def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
+def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
     s = cfg.settings["duality"]
-    fit = DiewertFit.load(_input_path("duality", s, inputs))
+    fit = _input("duality", s, inputs, DiewertFit.load)
     if fit.dimension != 2:
         raise ValidationError("[duality] the built-in grid is 2-dimensional")
     if inputs.get("pbar"):
@@ -246,12 +236,10 @@ def stage_duality(cfg: PipelineConfig, inputs: dict, out_path: str) -> str:
     else:
         rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
     price_set = RestrictedPriceSet(rays, convex_flag=True)
-    report = duality_check(
+    return duality_check(
         lambda p: float(diewert_value(s.b_true, p[None, :])[0]),
         fit.evaluator(fit.d_e if s.type_e is None else s.type_e), price_set,
-        convex_flag=True, geometric_oracle=s.geometric_oracle)
-    _write_json(out_path, report.to_json_dict())
-    return out_path
+        convex_flag=True, geometric_oracle=s.geometric_oracle).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +330,25 @@ def render_artifact(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _save(value, path: str, debug: bool = False) -> None:
+    """Writes an artifact through ``path.partial``: a dataset as CSV, with its
+    hidden type column under ``debug``, any other value as JSON."""
+    if isinstance(value, Dataset):
+        value.to_csv(path + ".partial", debug=debug)
+        os.replace(path + ".partial", path)
+    else:
+        _write_json(path, value if isinstance(value, dict) else value.to_json_dict())
+
+
 def run_pipeline(config_path: str, out_dir: Optional[str] = None,
                  debug: bool = False) -> dict:
-    cfg = PipelineConfig.from_file(config_path, debug=debug)
+    cfg = PipelineConfig.from_file(config_path)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     with open(config_path, "rb") as fh:
         cfg_hash = hashlib.sha256(fh.read()).hexdigest()
 
-    artifacts: dict[str, str] = {}
+    values: dict = {}             # artifact -> the value its stage made
     timings = []
     for stage in cfg.stages:
         made = STAGES[stage].makes
@@ -358,8 +356,8 @@ def run_pipeline(config_path: str, out_dir: Optional[str] = None,
         try:
             # Looked up by name at call time, so a wrapper set on this
             # module's stage_<name> is the one that runs.
-            artifacts[made] = globals()["stage_" + stage](
-                cfg, artifacts, os.path.join(out, artifact_file(made)))
+            values[made] = globals()["stage_" + stage](cfg, values)
+            _save(values[made], os.path.join(out, artifact_file(made)), debug)
         except ProdenvError as exc:
             exc.args = (f"stage {stage!r}: {exc}",)
             raise
@@ -373,9 +371,9 @@ def run_pipeline(config_path: str, out_dir: Optional[str] = None,
         "versions": {"prodenv": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "stages": timings,
-        "artifacts": artifacts,
+        "artifacts": {a: os.path.join(out, artifact_file(a)) for a in values},
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    _save(manifest, os.path.join(out, "manifest.json"))
     return manifest
 
 
@@ -449,9 +447,9 @@ def main(argv: Optional[list] = None) -> int:
         if args.command in STAGES:
             inputs = vars(args)
             cfg = PipelineConfig.from_file(args.config, stages=[args.command],
-                                           inputs=inputs,
-                                           debug=inputs.get("debug", False))
-            globals()["stage_" + args.command](cfg, inputs, args.out)
+                                           inputs=inputs)
+            _save(globals()["stage_" + args.command](cfg, inputs), args.out,
+                  inputs.get("debug", False))
         elif args.command == "report":
             if args.golden_table or not args.artifacts:
                 print(golden_table())

@@ -234,7 +234,7 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
 def parse_identify_config(sec: SectionView) -> IdentifyConfig:
     bucketing = BucketingConfig(mode=sec.get_str("bucketing", "quantile"),
                                 buckets_per_dim=sec.get_int("buckets_per_dim", 10))
-    keys = dict(noise_width=sec.get_float("noise_width", None),
+    keys = dict(noise_width=sec.get_float("noise_width", 0.0),
                 max_types=sec.get_int("max_types", None),
                 min_anchor_count=sec.get_int("min_anchor_count", 200),
                 min_cell_count=sec.get_int("min_cell_count", 50),
@@ -378,12 +378,11 @@ class PipelineConfig:
     stages: list
     out_dir: str
     seed: int
-    debug: bool = False           # the dataset keeps its hidden type column
     settings: dict = field(default_factory=dict, repr=False)   # stage -> settings
 
     @classmethod
     def from_file(cls, path: Optional[str], stages: Optional[list] = None,
-                  inputs=(), debug: bool = False) -> "PipelineConfig":
+                  inputs=()) -> "PipelineConfig":
         """The plan in the INI file at ``path``: its [pipeline] stages, or
         ``stages`` when given, with ``inputs`` naming the artifacts the
         caller supplies.  Fails before any work on an unknown section,
@@ -394,7 +393,7 @@ class PipelineConfig:
         listed = sec.get_str("stages", required=stages is None)
         cfg = cls(stages=stages or listed.split(),
                   out_dir=sec.get_str("out_dir", "prodenv-run"),
-                  seed=sec.get_int("seed", 0), debug=debug)
+                  seed=sec.get_int("seed", 0))
         sec.check_unknown()
         made = set(inputs)
         for s in cfg.stages:

@@ -527,6 +527,8 @@ class IdentifyConfig:
 
     def __post_init__(self):
         for key, ok, what in (
+                ("noise_width", self.noise_width is None or self.noise_width >= 0, "nonnegative"),
+                ("anchor_span_slack", self.anchor_span_slack >= 0, "nonnegative"),
                 ("max_types", self.max_types is None or self.max_types >= 1, "at least 1"),
                 ("min_anchor_count", self.min_anchor_count >= 1, "at least 1"),
                 ("min_cell_count", self.min_cell_count >= 1, "at least 1"),

@@ -479,12 +479,12 @@ class Dataset:
             path_or_buf.write(body)
 
     @classmethod
-    def from_csv(cls, path_or_buf, noise_width: float = 0.0) -> "Dataset":
-        """Reads what ``to_csv`` writes; LF line ends and double-quoted
-        fields are accepted too."""
+    def from_csv(cls, path_or_buf) -> "Dataset":
+        """Reads what ``to_csv`` writes, LF line ends and double-quoted fields
+        too.  A file records no noise width, so ``noise_width`` is 0."""
         if isinstance(path_or_buf, (str, bytes)):
             with open(path_or_buf, newline="") as fh:
-                return cls.from_csv(fh, noise_width)
+                return cls.from_csv(fh)
         line = path_or_buf.readline()
         if not line:
             raise ValidationError("empty dataset file")
@@ -507,7 +507,7 @@ class Dataset:
             noisy_profit=body[:, 1 + k + 2 * d],
             type_e=(body[:, -1].astype(int) if debug
                     else np.zeros(body.shape[0], dtype=int)),
-            noise_width=noise_width,
+            noise_width=0.0,
             seed=-1,
         )
 

@@ -109,6 +109,8 @@ class TestPipeline:
         (("penalty_c = 0.2\n", "penalty_c = -0.2\n"), "[identify] penalty_c must be nonnegative"),
         (("penalty_c = 0.2\n", "penalty_c = 0.2\nfit_error_threshold = 0\n"),
          "[identify] fit_error_threshold must be positive"),
+        (("noise_width = 0.0001\n", "noise_width = -0.5\n"),
+         "[identify] noise_width must be nonnegative"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -121,21 +123,54 @@ class TestPipeline:
 
     def test_stage_inputs_from_explicit_paths(self, demo_config, tmp_path):
         # [<stage>] input names the file a stage reads in place of an
-        # earlier stage's artifact; the results are those of the full run.
+        # earlier stage's value; the results are those of the full run.  The
+        # dataset file has no type_e column and the simulated dataset has
+        # one, so identification does not read it.
         cfg_path, out = demo_config
         full = run_pipeline(cfg_path)["artifacts"]
         part = tmp_path / "part.ini"
+        proxy_model = f"proxy_model = {full['proxy_model']}\n"
         part.write_text(
             DEMO_CONFIG.format(out=tmp_path / "part")
-            .replace("stages = simulate identify proxies bounds estimate duality",
-                     "stages = identify bounds")
+            .replace("stages = simulate ", "stages = ")
             .replace("[identify]\n", f"[identify]\ninput = {full['dataset']}\n")
+            .replace("[proxies]\n", f"[proxies]\ninput = {full['profit_table']}\n")
             .replace("[bounds]\n", f"[bounds]\ninput = {full['profit_table']}\n"
-                                   f"proxy_model = {full['proxy_model']}\n"))
+                                   + proxy_model)
+            .replace("[estimate]\n", f"[estimate]\ninput = {full['profit_table']}\n"
+                                     + proxy_model)
+            .replace("[duality]\n", f"[duality]\ninput = {full['diewert_fit']}\n"))
         manifest = run_pipeline(str(part))
-        assert list(manifest["artifacts"]) == ["profit_table", "bounds_report"]
+        assert list(manifest["artifacts"]) == ["profit_table", "proxy_model",
+                                               "bounds_report", "diewert_fit",
+                                               "duality_report"]
         for name, path in manifest["artifacts"].items():
             assert pathlib.Path(path).read_bytes() == pathlib.Path(full[name]).read_bytes()
+
+    def test_subcommand_chain_matches_run(self, demo_config, tmp_path):
+        # Each subcommand reads the file the one before it wrote, where the
+        # run hands the values on; every artifact has the same bytes.
+        cfg_path, _ = demo_config
+        full = run_pipeline(cfg_path)["artifacts"]
+        mine = {name: str(tmp_path / os.path.basename(path)) for name, path in full.items()}
+        cfg = tmp_path / "chain.ini"
+        proxy_model = f"proxy_model = {mine['proxy_model']}\n"
+        cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "unused")
+                       .replace("[bounds]\n", "[bounds]\n" + proxy_model)
+                       .replace("[estimate]\n", "[estimate]\n" + proxy_model))
+        profits = ["--profits", mine["profit_table"]]
+        for command, args, made in (
+                ("simulate", ["--config", str(cfg)], "dataset"),
+                ("identify", ["--data", mine["dataset"], "--config", str(cfg)],
+                 "profit_table"),
+                ("proxies", profits + ["--config", str(cfg)], "proxy_model"),
+                ("bounds", profits + ["--question", str(cfg)], "bounds_report"),
+                ("estimate", profits + ["--config", str(cfg)], "diewert_fit"),
+                ("duality", ["--fit", mine["diewert_fit"], "--truth", str(cfg)],
+                 "duality_report")):
+            assert main([command, *args, "--out", mine[made]]) == 0
+            assert (pathlib.Path(mine[made]).read_bytes()
+                    == pathlib.Path(full[made]).read_bytes()), made
 
     def test_stages_are_looked_up_by_name(self, demo_config, monkeypatch):
         # The benchmark times each stage by replacing prodenv.cli.stage_<name>;
@@ -397,6 +432,18 @@ anchor_p = 2.0 1.2
         err = capsys.readouterr().err
         assert "holey.csv" in err and "1 of 6 nodes missing" in err
 
+    def test_profile_with_a_repeated_node_is_named(self, tmp_path, capsys):
+        rows = [f"{a},{b},1.0" for a in (1.0, 2.0) for b in (1.0, 2.0, 3.0)]
+        csv_path = tmp_path / "twice.csv"
+        csv_path.write_text("\n".join(["x_1,x_2,mean_profit"] + rows + ["1.0,1.0,50.0"]))
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(f"[proxies]\nprofile_csv = {csv_path}\n"
+                       "anchor_x = 1.0 1.0\nanchor_p = 1.0 1.0\n")
+        assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
+                     "--out", str(tmp_path / "proxy.json")]) == 2
+        err = capsys.readouterr().err
+        assert "twice.csv" in err and "1 given more than once" in err
+
     @pytest.mark.parametrize("rows", ["", "1.0,2.0\n"])
     def test_short_housing_profile_is_reported(self, tmp_path, capsys, rows):
         csv_path = tmp_path / "housing.csv"
@@ -485,6 +532,18 @@ class TestCsvProfitInput:
         assert main(["bounds", "--profits", str(path), "--question", str(q),
                      "--out", str(tmp_path / "b.json")]) == 2
         assert "not a profit-pairs CSV" in capsys.readouterr().err
+
+    def test_pairs_csv_with_an_unknown_column_is_reported(self, tmp_path, capsys):
+        # The type is read from the column named type_e, not from the column
+        # after value.
+        path = tmp_path / "weighted.csv"
+        path.write_text("ray_1,ray_2,value,weight,type_e\n1.0,0.5,1.0,7,1\n"
+                        "0.5,1.0,1.0,7,1\n")
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = profit\np_c = 1.0 1.0\n")
+        assert main(["bounds", "--profits", str(path), "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert "weighted.csv' is not a profit-pairs CSV" in capsys.readouterr().err
 
     def test_header_only_pairs_csv_is_reported(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -260,7 +260,8 @@ class TestIdentifySettings:
     @pytest.mark.parametrize("key, value", [
         ("max_types", 0), ("min_anchor_count", 0), ("min_cell_count", 0),
         ("penalty_c", -0.2), ("penalty_c", float("nan")),
-        ("fit_error_threshold", 0.0)])
+        ("fit_error_threshold", 0.0), ("noise_width", -0.5),
+        ("anchor_span_slack", -0.1)])
     def test_bad_setting_rejected(self, key, value):
         with pytest.raises(ValidationError, match=f"^{key} must be"):
             IdentifyConfig(**{key: value})

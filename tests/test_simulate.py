@@ -266,7 +266,7 @@ class TestGenerateDataset:
         assert data.y_restricted.shape[1] == 1
         path = tmp_path / "data.csv"
         data.to_csv(str(path), debug=True)
-        back = Dataset.from_csv(str(path), noise_width=data.noise_width)
+        back = Dataset.from_csv(str(path))
         for name in ("market_id", "y_restricted", "x", "is_price",
                      "noisy_profit", "type_e"):
             assert np.array_equal(getattr(back, name), getattr(data, name)), name
@@ -332,6 +332,20 @@ class TestDatasetCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=message):
                 Dataset.from_csv(io.StringIO(text))
+
+    def test_round_trip_keeps_every_bit(self, data):
+        # A stage that reads the dataset file and one handed the simulated
+        # arrays give the same bytes only if reading back is exact.
+        special = np.array([-0.0, 0.0, 5e-324, 1e16, 1e16, 0.1, 0.1])
+        data.noisy_profit[:special.size] = special
+        data.x[:special.size, 0] = special[::-1]
+        buf = io.StringIO()
+        data.to_csv(buf)
+        back = Dataset.from_csv(io.StringIO(buf.getvalue()))
+        for name in ("x", "y_restricted", "noisy_profit"):
+            a, b = getattr(data, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.signbit(back.noisy_profit[0]) and not np.signbit(back.noisy_profit[1])
 
     def test_lf_and_quoted_input_load(self, data):
         buf = io.StringIO()
