@@ -53,7 +53,9 @@ class ProfitData:
         values = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
         if rays.shape[0] != values.size or rays.shape[0] == 0:
             raise ValueError("need one value per ray, at least one pair")
-        if np.any(np.abs(np.linalg.norm(rays, axis=1) - 1.0) > 1e-9):
+        if not (np.all(np.isfinite(rays)) and np.all(np.isfinite(values))):
+            raise ValueError("price rays and values must be finite")
+        if not np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-9):
             raise ValueError("price rays must be unit vectors")
         keys = {tuple(np.round(r, 12)) for r in rays}
         if len(keys) != rays.shape[0]:

@@ -69,15 +69,26 @@ def profit_data_from_table(table: ProfitTable, e: int,
 def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header exactly ray_1..ray_d,
     value[, type_e].  Rays may be unnormalized prices; values are rescaled onto
-    the unit sphere by homogeneity.  Returns {type: ProfitData}."""
+    the unit sphere by homogeneity.  A row with the wrong field count, a zero
+    or non-finite ray, a non-finite value or a non-integer type_e is a
+    ValidationError naming the file.  Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for h in header if h.startswith("ray_"))
         if d == 0 or header[d:] not in (["value"], ["value", "type_e"]):
             raise ValidationError(f"{path!r} is not a profit-pairs CSV "
                                   "(need ray_1..ray_d, value[, type_e])")
-        body = csv_rows(fh, path)
-    types = body[:, d + 1].astype(int) if header[-1] == "type_e" else np.ones(len(body), int)
+        body = csv_rows(fh, path, len(header))
+    rays = body[:, :d]
+    types = body[:, d + 1] if header[-1] == "type_e" else np.ones(len(body))
+    for bad, what in ((~np.all(np.isfinite(rays), axis=1) | ~np.any(rays, axis=1),
+                       "a zero or non-finite ray"),
+                      (~np.isfinite(body[:, d]), "a non-finite value"),
+                      (~np.isfinite(types) | (types != np.round(types)),
+                       "a type_e that is not an integer")):
+        if np.any(bad):
+            raise ValidationError(f"{path!r} data row {int(np.argmax(bad)) + 1} has {what}")
+    types = types.astype(int)
     out = {}
     for e in np.unique(types):
         sub = body[types == e]

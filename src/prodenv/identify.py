@@ -106,16 +106,16 @@ def build_cells(data: Dataset, bucketing: BucketingConfig) -> dict:
             ids[:, j] = np.searchsorted(edges, cols[:, j], side="right")
     cells: dict[CellKey, Cell] = {}
     order = np.lexsort(ids.T[::-1])
-    ids_sorted = ids[order]
-    breaks = np.nonzero(np.any(np.diff(ids_sorted, axis=0) != 0, axis=1))[0] + 1
-    for chunk in np.split(order, breaks):
-        row = ids[chunk[0]]
+    ids, cols, profit = ids[order], cols[order], data.noisy_profit[order]
+    breaks = np.nonzero(np.any(np.diff(ids, axis=0) != 0, axis=1))[0] + 1
+    for a, b in zip([0, *breaks], [*breaks, n]):
+        row = ids[a]
         key = CellKey(tuple(int(v) for v in row[:k]), tuple(int(v) for v in row[k:]))
-        sub = cols[chunk]
+        sub = cols[a:b]
         diam = float(np.max(sub.max(axis=0) - sub.min(axis=0))) if sub.size else 0.0
         cells[key] = Cell(
             key=key,
-            values=np.sort(data.noisy_profit[chunk]),
+            values=np.sort(profit[a:b]),
             y_center=sub[:, :k].mean(axis=0),
             x_center=sub[:, k:].mean(axis=0),
             diameter=diam,

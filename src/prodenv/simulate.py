@@ -21,6 +21,7 @@ always a top interval.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -452,7 +453,8 @@ class Dataset:
     def to_csv(self, path_or_buf, debug: bool = False) -> None:
         """Writes a header line and one CRLF-ended line per row, built a
         column at a time.  Floats are written as their ``repr``, so
-        ``from_csv`` reads back the same bits."""
+        ``from_csv`` reads back the same bits.  A column at most half distinct
+        formats each distinct bit pattern once (so -0.0 apart from 0.0)."""
         k, d = self.y_restricted.shape[1], self.x.shape[1]
         header = (["market_id"]
                   + [f"y_restricted_{j+1}" for j in range(k)]
@@ -462,7 +464,11 @@ class Dataset:
                   + (["type_e"] if debug else []))
 
         def text(col, dtype=float):
-            return map(repr, np.asarray(col, dtype=dtype).tolist())
+            col = np.asarray(col, dtype=dtype)
+            bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+            if 2 * bits.size > col.size:   # the object take would cost more
+                return map(repr, col.tolist())
+            return np.array(list(map(repr, bits.view(col.dtype).tolist())), object)[inv]
 
         cols = ([text(self.market_id, int)]
                 + [text(c) for c in self.y_restricted.T]
@@ -472,7 +478,7 @@ class Dataset:
                 + ([text(self.type_e, int)] if debug else []))
         lines = [",".join(header), *map(",".join, zip(*cols))]
         body = "\r\n".join(lines) + "\r\n"
-        if isinstance(path_or_buf, (str, bytes)):
+        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
             with open(path_or_buf, "w", newline="") as fh:
                 fh.write(body)
         else:
@@ -482,7 +488,7 @@ class Dataset:
     def from_csv(cls, path_or_buf) -> "Dataset":
         """Reads what ``to_csv`` writes, LF line ends and double-quoted fields
         too.  A file records no noise width, so ``noise_width`` is 0."""
-        if isinstance(path_or_buf, (str, bytes)):
+        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
             with open(path_or_buf, newline="") as fh:
                 return cls.from_csv(fh)
         line = path_or_buf.readline()
@@ -495,10 +501,7 @@ class Dataset:
             raise ValidationError("not a prodenv dataset CSV")
         debug = header[-1] == "type_e"
         body = csv_rows(path_or_buf, getattr(path_or_buf, "name", "dataset"),
-                        quotechar='"')
-        if body.shape[1] != len(header):
-            raise ValidationError(f"dataset rows have {body.shape[1]} fields, "
-                                  f"the header {len(header)}")
+                        len(header), quotechar='"')
         return cls(
             market_id=body[:, 0].astype(int),
             y_restricted=body[:, 1:1 + k],
@@ -512,17 +515,21 @@ class Dataset:
         )
 
 
-def csv_rows(source, name: str, **kwargs) -> np.ndarray:
+def csv_rows(source, name: str, fields: Optional[int] = None,
+             **kwargs) -> np.ndarray:
     """The numeric rows of a CSV (a path or an open file past its header)
     as a 2-d array; ``kwargs`` go to ``np.loadtxt``.  A file with no data
-    rows is a ValidationError naming it, not numpy's warning and a later
-    crash."""
+    rows, or rows of other than ``fields`` fields when it is given, is a
+    ValidationError naming it, not numpy's warning and a later crash."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
         body = np.loadtxt(source, delimiter=",", ndmin=2, **kwargs)
     if body.size == 0:
         raise ValidationError(f"{name!r} has no data rows")
+    if fields is not None and body.shape[1] != fields:
+        raise ValidationError(f"{name!r} rows have {body.shape[1]} fields, "
+                              f"the header {fields}")
     return body
 
 

@@ -31,6 +31,20 @@ def diewert_data(b, angles, e=1):
     return ProfitData(e=e, rays=rays, values=vals), tech
 
 
+class TestProfitData:
+    @pytest.mark.parametrize("rays, values, message", [
+        # abs(nan - 1) > tol is False, so a NaN ray must fail some other way.
+        ([[np.nan, np.nan], [0.0, 1.0]], [1.0, 1.0], "must be finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.inf], "must be finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "must be finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], "must be finite"),
+        ([[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "unit vectors"),
+    ])
+    def test_rejects_non_finite_and_off_sphere_pairs(self, rays, values, message):
+        with pytest.raises(ValueError, match=message):
+            ProfitData(1, rays, values)
+
+
 class TestWapmFeasible:
     def test_oracle_data_feasible(self, rng):
         b = random_admissible_b(rng)

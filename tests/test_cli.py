@@ -552,6 +552,32 @@ class TestCsvProfitInput:
                      "--out", str(tmp_path / "f.json")]) == 2
         assert "empty.csv' has no data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1.0,0.0,1.0,7\n0.0,1.0,1.0,7\n0.6,0.8,1.4,7\n",
+         "bad.csv' rows have 4 fields, the header 3"),
+        ("1.0,0.0,1.0\n0.0,0.0,1.0\n", "bad.csv' data row 2 has a zero or non-finite ray"),
+        ("1.0,0.0,1.0\nnan,1.0,1.0\n", "bad.csv' data row 2 has a zero or non-finite ray"),
+        ("1.0,inf,1.0\n0.0,1.0,1.0\n", "bad.csv' data row 1 has a zero or non-finite ray"),
+        ("1.0,0.0,1.0\n0.0,1.0,inf\n", "bad.csv' data row 2 has a non-finite value"),
+    ])
+    def test_malformed_pairs_rows_are_named(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("ray_1,ray_2,value\n" + rows)
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = profit\np_c = 1.0 1.0\n")
+        assert main(["bounds", "--profits", str(path), "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("type_e", ["1.5", "nan"])
+    def test_non_integer_type_is_named(self, tmp_path, capsys, type_e):
+        path = tmp_path / "typed.csv"
+        path.write_text(f"ray_1,ray_2,value,type_e\n1.0,0.0,1.0,1\n0.0,1.0,1.0,{type_e}\n")
+        assert main(["estimate", "--profits", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert ("typed.csv' data row 2 has a type_e that is not an integer"
+                in capsys.readouterr().err)
+
     def test_empty_pbar_csv_is_reported(self, tmp_path, capsys):
         csv_path, _ = self._write_pairs_csv(tmp_path)
         fit = str(tmp_path / "f.json")

@@ -31,6 +31,33 @@ def draw_mixture(rng, atoms, weights, n, half_width):
     return np.asarray(atoms)[comp] + rng.uniform(-half_width, half_width, size=n)
 
 
+class TestBuildCells:
+    def test_cells_match_row_grouping(self):
+        # Cells, their order and their contents equal a per-row grouping of
+        # eight shuffled columns.
+        from prodenv.identify import build_cells
+        from prodenv.simulate import Dataset
+        rng = np.random.default_rng(11)
+        base = np.column_stack([rng.permutation(300) * 0.01 + j for j in range(8)])
+        rows = rng.permutation(np.repeat(np.arange(300), 10))
+        cols = base[rows]
+        n = rows.size
+        data = Dataset(market_id=np.arange(n), y_restricted=cols[:, :6], x=cols[:, 6:],
+                       is_price=np.ones(2, bool), noisy_profit=rng.permutation(n) * 1.0,
+                       type_e=np.ones(n, int), noise_width=0.0, seed=0)
+        cells = build_cells(data, BucketingConfig(mode="unique"))
+        groups: dict = {}
+        for i, row in enumerate(np.round(cols, 9)):
+            groups.setdefault(tuple(row), []).append(i)
+        assert len(cells) == len(groups) == 300
+        for cell, key in zip(cells.values(), sorted(groups)):
+            idx = groups[key]
+            assert np.array_equal(cell.values, np.sort(data.noisy_profit[idx]))
+            assert np.array_equal(cell.y_center, cols[idx, :6].mean(axis=0))
+            assert np.array_equal(cell.x_center, cols[idx, 6:].mean(axis=0))
+            assert cell.diameter == 0.0
+
+
 class TestFindSeparatedCell:
     def test_three_isolated_clusters(self, rng):
         vals = draw_mixture(rng, [1.0, 5.0, 9.0], [1 / 3] * 3, 3000, 0.1)

@@ -319,6 +319,35 @@ class TestDatasetCsv:
         data.to_csv(str(path), debug=debug)
         assert path.read_bytes() == _reference_csv(data, debug).encode()
 
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_lattice_text_matches_row_writer(self, debug):
+        # Columns at most half distinct are formatted once per distinct bit
+        # pattern: -0.0 and 0.0 must keep their own text.  x_2 sits at the
+        # threshold (20 distinct of 40) and y_restricted_1 just over it (21).
+        n, rng = 40, np.random.default_rng(7)
+        special = [-0.0, 0.0, 5e-324, 1e16]
+        x = np.column_stack([np.tile(special + [0.1], 8),
+                             np.repeat(special + list(np.linspace(0.3, 2.0, 16)), 2)])
+        over = special + list(np.linspace(0.5, 1.5, 17))
+        y = np.column_stack([over + over[:n - 21], np.tile([-0.0, 0.0, 1e16, 0.75], 10)])
+        perm = rng.permutation(n)
+        data = Dataset(market_id=np.arange(n)[perm] // 2, y_restricted=y[perm], x=x[perm],
+                       is_price=np.array([True, False]),
+                       noisy_profit=rng.uniform(-1.0, 1.0, n), type_e=np.tile([1, 2], n // 2),
+                       noise_width=0.0, seed=0)
+        assert [np.unique(c.view(np.int64)).size for c in (*x.T, y[:, 0])] == [5, 20, 21]
+        buf = io.StringIO()
+        data.to_csv(buf, debug=debug)
+        assert buf.getvalue() == _reference_csv(data, debug)
+
+    def test_path_like(self, data, tmp_path):
+        path = tmp_path / "data.csv"
+        data.to_csv(path, debug=True)
+        assert path.read_bytes() == _reference_csv(data, True).encode()
+        back = Dataset.from_csv(path)
+        for name in ("x", "y_restricted", "noisy_profit", "type_e"):
+            assert np.array_equal(getattr(back, name), getattr(data, name)), name
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty dataset file"),
         ("market_id,x_1,x_2,is_price_1,is_price_2,noisy_profit\r\n",
