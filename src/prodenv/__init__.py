@@ -9,9 +9,9 @@ one hull in d >= 3), and check the Hausdorff/sup-norm estimation duality.
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundResult, ProfitData, brute_force_bounds,
-                     profit_bounds, profit_bounds_fixed_quantity,
-                     quantity_bounds, sharpness_check, wapm_feasible)
+from .bounds import (BoundResult, ProfitData, profit_bounds,
+                     profit_bounds_fixed_quantity, quantity_bounds,
+                     sharpness_check, wapm_feasible)
 from .errors import (DeconvolutionFailure, IdentificationFailure,
                      InsufficientData, IntegrationError, NumericFailure,
                      ProdenvError, RankConditionError, UnboundedProblem,

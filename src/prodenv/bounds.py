@@ -341,131 +341,6 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
                        argmax_rays=(rays[i_hi],), grid_metadata=meta)
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracle (d = 2, few rays)
-# ---------------------------------------------------------------------------
-
-
-def _face_intervals(data: ProfitData) -> Optional[list[tuple[float, float]]]:
-    """Feasible parameter interval per profit-attaining face.
-
-    On face i, y_i(t) = pi_i p_i + t tau_i with tau_i the 90-degree rotation
-    of p_i; the cross constraints p_j . y_i <= pi_j are linear in t.  An
-    empty interval means no WAPM assignment exists.  Cross constraints do not
-    couple faces because each equality pins p_j . y_j at pi_j.
-    """
-    intervals = []
-    for i in range(data.k):
-        p_i, v_i = data.rays[i], data.values[i]
-        tau = np.array([-p_i[1], p_i[0]])
-        base = v_i * p_i
-        lo, hi = -np.inf, np.inf
-        for j in range(data.k):
-            if j == i:
-                continue
-            a = float(data.rays[j] @ tau)
-            rhs = data.values[j] - float(data.rays[j] @ base)
-            if abs(a) < 1e-14:
-                if rhs < -1e-9:
-                    return None
-                continue
-            if a > 0:
-                hi = min(hi, rhs / a)
-            else:
-                lo = max(lo, rhs / a)
-        if lo > hi + 1e-9:
-            return None
-        intervals.append((lo, hi))
-    return intervals
-
-
-def brute_force_bounds(data: ProfitData, p_c, resolution: int = 50) -> BoundResult:
-    """Independent enumeration oracle for profit bounds in d = 2.
-
-    Parametrizes each face by one scalar, enumerates assignments {y_p} on a
-    dense product grid (step at most 2/resolution in each parameter), checks
-    the WAPM constraints directly, and takes the extremes of the implied
-    counterfactual profit max_p (p_c . y_p) -- the support of each
-    assignment's free-disposal hull at p_c.
-    """
-    if data.dimension != 2:
-        raise ValueError("brute_force_bounds supports d = 2 only")
-    if data.k > 4:
-        raise ValueError("brute_force_bounds supports at most 4 rays")
-    if resolution < 2:
-        raise ValidationError("resolution too coarse for the enumeration oracle")
-    pc = _vec(p_c)
-
-    intervals = _face_intervals(data)
-    if intervals is None:
-        return BoundResult(lower=np.nan, upper=np.nan, feasible=False,
-                           grid_metadata={"reason": "no feasible assignment found"})
-
-    taus = np.column_stack([-data.rays[:, 1], data.rays[:, 0]])   # (k, 2)
-    bases = data.values[:, None] * data.rays                       # (k, 2)
-    slopes = taus @ pc                                             # d f_i / d t
-    offsets = bases @ pc
-
-    # Analytic per-face extremes of f_i(t) = offsets[i] + slopes[i] * t.
-    sups, infs = np.empty(data.k), np.empty(data.k)
-    for i, (lo, hi) in enumerate(intervals):
-        s = slopes[i]
-        cands = []
-        for end in (lo, hi):
-            if np.isfinite(end):
-                cands.append(offsets[i] + s * end)
-        sup_i = max(cands) if cands else -np.inf
-        inf_i = min(cands) if cands else np.inf
-        if s > 1e-14 and np.isposinf(hi):
-            sup_i = np.inf
-        if s < -1e-14 and np.isneginf(lo):
-            sup_i = np.inf
-        if s > 1e-14 and np.isneginf(lo):
-            inf_i = -np.inf
-        if s < -1e-14 and np.isposinf(hi):
-            inf_i = -np.inf
-        if abs(s) <= 1e-14:
-            sup_i = inf_i = offsets[i]
-        sups[i], infs[i] = sup_i, inf_i
-
-    # Dense-grid enumeration over the (truncated) box as the direct check;
-    # endpoints are on the grid, and each f_i is linear, so finite extremes
-    # are hit exactly.
-    step = 2.0 / resolution
-    grids = []
-    span_cap = 4.0 * (1.0 + float(np.max(np.abs(data.values))))
-    for (lo, hi) in intervals:
-        lo_t = lo if np.isfinite(lo) else min(-span_cap, (hi if np.isfinite(hi) else 0.0) - span_cap)
-        hi_t = hi if np.isfinite(hi) else max(span_cap, (lo if np.isfinite(lo) else 0.0) + span_cap)
-        n = max(2, int(np.ceil((hi_t - lo_t) / step)) + 1)
-        grids.append(np.linspace(lo_t, hi_t, n))
-    mesh = np.meshgrid(*grids, indexing="ij")
-    tt = np.stack([m.ravel() for m in mesh], axis=1)               # (N, k)
-    f = offsets[None, :] + tt * slopes[None, :]                    # (N, k)
-    # Feasibility audit of the sampled assignments (belt and braces).
-    ok = np.ones(tt.shape[0], dtype=bool)
-    for j in range(data.k):
-        y_j = bases[j][None, :] + tt[:, j][:, None] * taus[j][None, :]
-        ok &= np.all(y_j @ data.rays.T <= data.values[None, :] + 1e-7, axis=1)
-    if not np.any(ok):
-        return BoundResult(lower=np.nan, upper=np.nan, feasible=False,
-                           grid_metadata={"reason": "no feasible assignment found"})
-    vals = np.max(f[ok], axis=1)
-    emp_hi, emp_lo = float(vals.max()), float(vals.min())
-    upper = np.inf if np.any(np.isposinf(sups)) else emp_hi
-    lower = -np.inf if np.all(np.isneginf(infs)) else emp_lo
-
-    i_hi = int(np.argmax(vals))
-    idx_hi = np.nonzero(ok)[0][i_hi]
-    assign_hi = bases + tt[idx_hi][:, None] * taus
-    return BoundResult(
-        lower=lower, upper=upper,
-        upper_certificate={"assignment": assign_hi.ravel()},
-        grid_metadata={"resolution": resolution,
-                       "grid_sizes": [len(g) for g in grids]},
-    )
-
-
 def project_rationalizable(data: ProfitData) -> tuple[ProfitData, float]:
     """Minimal downward repair of estimated profits onto rationalizability.
 

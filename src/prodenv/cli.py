@@ -26,7 +26,7 @@ from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
 from .geometry import PriceRay, RestrictedPriceSet, _write_json, angle_rays
-from .identify import ProfitTable, identify_profits
+from .identify import ProfitTable, identify_profits, lattice_ids
 from .proxies import (ProxyModel, quantile_anchors, recover_g_housing,
                       recover_proxy_model)
 from .simulate import (Dataset, csv_rows, generate_dataset, profit_oracle,
@@ -69,9 +69,9 @@ def profit_data_from_table(table: ProfitTable, e: int,
 def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header exactly ray_1..ray_d,
     value[, type_e].  Rays may be unnormalized prices; values are rescaled onto
-    the unit sphere by homogeneity.  A row with the wrong field count, a zero
-    or non-finite ray, a non-finite value or a non-integer type_e is a
-    ValidationError naming the file.  Returns {type: ProfitData}."""
+    the unit sphere by homogeneity.  A row with the wrong field count, a zero,
+    negative or non-finite ray, a non-finite value or a non-integer type_e is
+    a ValidationError naming the file.  Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for h in header if h.startswith("ray_"))
@@ -81,8 +81,8 @@ def profit_data_from_csv(path: str) -> dict:
         body = csv_rows(fh, path, len(header))
     rays = body[:, :d]
     types = body[:, d + 1] if header[-1] == "type_e" else np.ones(len(body))
-    for bad, what in ((~np.all(np.isfinite(rays), axis=1) | ~np.any(rays, axis=1),
-                       "a zero or non-finite ray"),
+    for bad, what in ((~np.all(np.isfinite(rays) & (rays >= 0), axis=1) | ~np.any(rays, axis=1),
+                       "a zero, negative or non-finite ray"),
                       (~np.isfinite(body[:, d]), "a non-finite value"),
                       (~np.isfinite(types) | (types != np.round(types)),
                        "a type_e that is not an integer")):
@@ -103,10 +103,9 @@ def _lattice_interpolant(X: np.ndarray, values, source: str):
     node of the lattice of their coordinates (rounded to 1e-9); returns it
     with the lattice axes.  ``source`` names the points in the error."""
     from scipy.interpolate import RegularGridInterpolator
-    coords = np.round(X, 9)
-    axes = [np.unique(col) for col in coords.T]
+    axes, ids = zip(*(lattice_ids(col) for col in X.T))
     shape = tuple(a.size for a in axes)
-    nodes = np.ravel_multi_index([np.searchsorted(a, c) for a, c in zip(axes, coords.T)], shape)
+    nodes = np.ravel_multi_index(ids, shape)
     counts = np.bincount(nodes, minlength=int(np.prod(shape)))
     if counts.min() == 0 or counts.max() > 1:
         raise ValidationError(f"{source} do not give each lattice node once; cannot "

@@ -88,31 +88,48 @@ class Cell:
         return self.values.size
 
 
+def lattice_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a column rounded to ROUND_DECIMALS, ascending,
+    and each entry's index into them."""
+    rounded = np.round(values, ROUND_DECIMALS)
+    distinct = np.unique(rounded)
+    return distinct, np.searchsorted(distinct, rounded)
+
+
 def build_cells(data: Dataset, bucketing: BucketingConfig) -> dict:
-    """Group observations into conditioning cells keyed by bucket ids."""
+    """Group observations into conditioning cells keyed by bucket ids.
+
+    Cells come in lexicographic order of their bucket ids (restricted
+    quantities first).  The ids fold into one mixed-radix label, and one
+    stable sort of that label groups the rows, so each cell keeps its rows in
+    data order."""
     cols = np.hstack([data.y_restricted, data.x])
-    k = data.y_restricted.shape[1]
-    n, m = cols.shape
-    ids = np.empty((n, m), dtype=int)
+    k, n = data.y_restricted.shape[1], len(cols)
     if bucketing.mode == "unique":
-        for j in range(m):
-            rounded = np.round(cols[:, j], ROUND_DECIMALS)
-            _, inv = np.unique(rounded, return_inverse=True)
-            ids[:, j] = inv
+        ids = [lattice_ids(col)[1] for col in cols.T]
     else:
         q = np.linspace(0, 1, bucketing.buckets_per_dim + 1)[1:-1]
-        for j in range(m):
-            edges = np.quantile(cols[:, j], q)
-            ids[:, j] = np.searchsorted(edges, cols[:, j], side="right")
+        ids = [np.searchsorted(np.quantile(col, q), col, side="right") for col in cols.T]
+    label, size = np.zeros(n, dtype=np.int64), 1
+    for col_ids in ids:
+        card = int(col_ids.max()) + 1
+        if size * card > 2 ** 62:
+            _, label = np.unique(label, return_inverse=True)   # order-preserving re-rank
+            size = int(label.max()) + 1
+        label, size = label * card + col_ids, size * card
+    # Stable, so each cell keeps its rows in data order and its means their
+    # bits; labels of 16 bits or fewer sort by radix.
+    label = label.astype(np.min_scalar_type(size - 1))
+    order = np.argsort(label, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(label[order])) + 1])
+    cols, profit = cols[order], data.noisy_profit[order]
+    first = order[starts]
+    keys = [CellKey(tuple(row[:k]), tuple(row[k:]))
+            for row in zip(*(col_ids[first].tolist() for col_ids in ids))]
+    diams = (np.maximum.reduceat(cols, starts) - np.minimum.reduceat(cols, starts)).max(axis=1)
     cells: dict[CellKey, Cell] = {}
-    order = np.lexsort(ids.T[::-1])
-    ids, cols, profit = ids[order], cols[order], data.noisy_profit[order]
-    breaks = np.nonzero(np.any(np.diff(ids, axis=0) != 0, axis=1))[0] + 1
-    for a, b in zip([0, *breaks], [*breaks, n]):
-        row = ids[a]
-        key = CellKey(tuple(int(v) for v in row[:k]), tuple(int(v) for v in row[k:]))
+    for key, a, b, diam in zip(keys, starts, [*starts[1:], n], diams.tolist()):
         sub = cols[a:b]
-        diam = float(np.max(sub.max(axis=0) - sub.min(axis=0))) if sub.size else 0.0
         cells[key] = Cell(
             key=key,
             values=np.sort(profit[a:b]),

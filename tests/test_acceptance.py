@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from prodenv.bounds import ProfitData, brute_force_bounds, profit_bounds
+from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.estimation import (diewert_supply, diewert_value, duality_check,
                                 fit_diewert, infinite_hausdorff_demo,
                                 plugin_set)
@@ -18,6 +18,8 @@ from prodenv.identify import BucketingConfig, IdentifyConfig, identify_profits
 from prodenv.proxies import rank_matrix, recover_g_housing, recover_proxy_model
 from prodenv.simulate import (DiewertTech, MarketConfig, ProxyGood,
                               TechnologySpec, generate_dataset, profit_oracle)
+
+from oracles import brute_force_bounds
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float,

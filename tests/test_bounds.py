@@ -6,8 +6,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import prodenv.geometry
-from prodenv.bounds import (ProfitData, brute_force_bounds,
-                            profit_bounds, profit_bounds_fixed_quantity,
+from prodenv.bounds import (ProfitData, profit_bounds, profit_bounds_fixed_quantity,
                             project_rationalizable, quantity_bounds,
                             rationalizing_hull, sharpness_check, wapm_feasible)
 from prodenv.bounds import (_face_minima, _face_minima_lp, _faces, _sweep_2d,
@@ -19,6 +18,7 @@ from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, free_dispos
 from prodenv.simulate import DiewertTech
 
 from conftest import random_admissible_b, unit_rays_2d
+from oracles import brute_force_bounds
 from test_geometry import _unit, exact_support
 
 RT2 = np.sqrt(2.0)

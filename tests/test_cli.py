@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -555,9 +556,9 @@ class TestCsvProfitInput:
     @pytest.mark.parametrize("rows, message", [
         ("1.0,0.0,1.0,7\n0.0,1.0,1.0,7\n0.6,0.8,1.4,7\n",
          "bad.csv' rows have 4 fields, the header 3"),
-        ("1.0,0.0,1.0\n0.0,0.0,1.0\n", "bad.csv' data row 2 has a zero or non-finite ray"),
-        ("1.0,0.0,1.0\nnan,1.0,1.0\n", "bad.csv' data row 2 has a zero or non-finite ray"),
-        ("1.0,inf,1.0\n0.0,1.0,1.0\n", "bad.csv' data row 1 has a zero or non-finite ray"),
+        ("1.0,0.0,1.0\n0.0,0.0,1.0\n", "bad.csv' data row 2 has a zero, negative or non-finite ray"),
+        ("1.0,0.0,1.0\nnan,1.0,1.0\n", "bad.csv' data row 2 has a zero, negative or non-finite ray"),
+        ("1.0,inf,1.0\n0.0,1.0,1.0\n", "bad.csv' data row 1 has a zero, negative or non-finite ray"),
         ("1.0,0.0,1.0\n0.0,1.0,inf\n", "bad.csv' data row 2 has a non-finite value"),
     ])
     def test_malformed_pairs_rows_are_named(self, tmp_path, capsys, rows, message):
@@ -568,6 +569,20 @@ class TestCsvProfitInput:
         assert main(["bounds", "--profits", str(path), "--question", str(q),
                      "--out", str(tmp_path / "b.json")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_negative_ray_is_named(self, tmp_path, capsys, command):
+        path = tmp_path / "neg.csv"
+        path.write_text("ray_1,ray_2,value\n-1.0,0.5,1.0\n0.5,1.0,1.0\n")
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = profit\np_c = 1.0 1.0\n")
+        args = {"estimate": [], "bounds": ["--question", str(q)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--profits", str(path), *args,
+                         "--out", str(tmp_path / "out.json")]) == 2
+        assert ("neg.csv' data row 1 has a zero, negative or non-finite ray"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("type_e", ["1.5", "nan"])
     def test_non_integer_type_is_named(self, tmp_path, capsys, type_e):

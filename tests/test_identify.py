@@ -31,31 +31,60 @@ def draw_mixture(rng, atoms, weights, n, half_width):
     return np.asarray(atoms)[comp] + rng.uniform(-half_width, half_width, size=n)
 
 
+def _cell_columns(case, rng):
+    """(y_restricted, x) of one build_cells test design."""
+    if case == "eight_columns":
+        base = np.column_stack([rng.permutation(300) * 0.01 + j for j in range(8)])
+        cols = base[rng.permutation(np.repeat(np.arange(300), 10))]
+        return cols[:, :6], cols[:, 6:]
+    n, lattice = 2000, np.array([0.5, 1.0, 1.25, 2.0])
+    if case == "restricted":
+        # Lattice values jittered below the 1e-9 rounding, and a column of
+        # 151 distinct values.
+        y = np.column_stack([rng.choice(lattice, n) + rng.uniform(-1e-11, 1e-11, n),
+                             np.round(rng.uniform(0.5, 2.0, n), 2)])
+        return y, rng.choice(lattice, (n, 2))
+    return np.empty((n, 0)), np.column_stack([np.full(n, 1.5), rng.choice(lattice, n)])
+
+
 class TestBuildCells:
-    def test_cells_match_row_grouping(self):
-        # Cells, their order and their contents equal a per-row grouping of
-        # eight shuffled columns.
-        from prodenv.identify import build_cells
+    @pytest.mark.parametrize("mode", ["unique", "quantile"])
+    @pytest.mark.parametrize("case", ["eight_columns", "restricted", "single_valued_x"])
+    def test_cells_match_row_grouping(self, case, mode):
+        # Cells, their keys, order and contents equal a per-row grouping by
+        # each column's bucket ids.  In "eight_columns" every column has 300
+        # distinct values: the unique-mode label space of 300**8 passes 2**62,
+        # so build_cells must re-rank its label before the last column.
+        from prodenv.identify import CellKey, build_cells
         from prodenv.simulate import Dataset
         rng = np.random.default_rng(11)
-        base = np.column_stack([rng.permutation(300) * 0.01 + j for j in range(8)])
-        rows = rng.permutation(np.repeat(np.arange(300), 10))
-        cols = base[rows]
-        n = rows.size
-        data = Dataset(market_id=np.arange(n), y_restricted=cols[:, :6], x=cols[:, 6:],
-                       is_price=np.ones(2, bool), noisy_profit=rng.permutation(n) * 1.0,
+        y, x = _cell_columns(case, rng)
+        cols, k = np.hstack([y, x]), y.shape[1]
+        n = len(cols)
+        data = Dataset(market_id=np.arange(n), y_restricted=y, x=x,
+                       is_price=np.ones(x.shape[1], bool),
+                       noisy_profit=rng.permutation(n) * 1.0,
                        type_e=np.ones(n, int), noise_width=0.0, seed=0)
-        cells = build_cells(data, BucketingConfig(mode="unique"))
+        cells = build_cells(data, BucketingConfig(mode=mode))
+        q = np.linspace(0, 1, 11)[1:-1]
+        ids = np.column_stack([
+            np.unique(np.round(col, 9), return_inverse=True)[1] if mode == "unique"
+            else np.searchsorted(np.quantile(col, q), col, side="right") for col in cols.T])
         groups: dict = {}
-        for i, row in enumerate(np.round(cols, 9)):
+        for i, row in enumerate(ids.tolist()):
             groups.setdefault(tuple(row), []).append(i)
-        assert len(cells) == len(groups) == 300
+        if case == "eight_columns" and mode == "unique":
+            assert len(groups) == 300
+        assert len(cells) == len(groups)
         for cell, key in zip(cells.values(), sorted(groups)):
-            idx = groups[key]
+            idx, sub = groups[key], cols[groups[key]]
+            assert cell.key == CellKey(key[:k], key[k:])
             assert np.array_equal(cell.values, np.sort(data.noisy_profit[idx]))
-            assert np.array_equal(cell.y_center, cols[idx, :6].mean(axis=0))
-            assert np.array_equal(cell.x_center, cols[idx, 6:].mean(axis=0))
-            assert cell.diameter == 0.0
+            assert np.array_equal(cell.y_center, sub[:, :k].mean(axis=0))
+            assert np.array_equal(cell.x_center, sub[:, k:].mean(axis=0))
+            assert cell.diameter == np.max(sub.max(axis=0) - sub.min(axis=0))
+        if case == "restricted":
+            assert max(cell.diameter for cell in cells.values()) > 0.0
 
 
 class TestFindSeparatedCell:
