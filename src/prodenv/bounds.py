@@ -11,15 +11,17 @@ no cross-ray improvement possible (the weak axiom of profit maximization):
 Each y_p lives only on its own face F_p = {y : p . y = pi(p), p* . y <=
 pi(p*) for every p*}, so WAPM holds exactly when every face is nonempty, and
 the bundle y_c chosen at a counterfactual price p_c ranges over the envelope
-cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  The faces come
-from the envelope's face kernel (``geometry._kernel``): segments from one
-vectorized pass in d = 2; in d >= 3 face F_p is the hull of the envelope's
-vertices tight on p plus its recession generators orthogonal to p, all from
-one convex hull.  The kernel also gives the support at p_c, its maximizer or
-its +inf certificate, so WAPM, L, the upper bound and the projection take no
-LP.  Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible
-0 | 0; profit_bounds 0 | 0; quantity_bounds 2 | 2; sweep 0 | at most 2 per
-ray; project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
+cut by p_c . y_c >= L(p_c) = max_p min over F_p of p_c . y.  A
+``ProfitData`` keeps its envelope, and the envelope keeps its face kernel
+(``HalfspaceEnvelope.kernel``), so every question on the same data reads
+one kernel, built once: segments from one vectorized pass in d = 2; in
+d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
+recession generators orthogonal to p, all from one convex hull.  The kernel
+also gives the support at p_c, its maximizer or its +inf certificate, so
+WAPM, L, the upper bound and the projection take no LP.  Linear programs
+(HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 0; profit_bounds
+0 | 0; quantity_bounds 2 | 2; sweep 0 | at most 2 per ray;
+project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
 a Qhull failure) each face and each support value is an LP, and a +inf bound
 takes one more for its certificate.
 """
@@ -32,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _kernel,
-                       _Segments, _support, _vec, free_disposal_hull,
-                       recession_direction, solve_lp, support_values)
+from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _Segments,
+                       _supports, _vec, free_disposal_hull, recession_direction,
+                       solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
@@ -42,28 +44,24 @@ WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
 
 @dataclass(frozen=True, eq=False)
 class ProfitData:
-    """Observed (unit price ray, profit) pairs for one type."""
+    """Observed (unit price ray, profit) pairs for one type, kept in their
+    envelope, which checks them."""
 
     e: int
     rays: np.ndarray          # (k, d) unit rows, distinct
     values: np.ndarray        # (k,)
+    _envelope: HalfspaceEnvelope = field(init=False, repr=False)
 
     def __post_init__(self):
-        rays = np.atleast_2d(np.asarray(self.rays, dtype=float)).copy()
-        values = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+        rays, values = np.atleast_2d(self.rays), np.atleast_1d(self.values)
         if rays.shape[0] != values.size or rays.shape[0] == 0:
             raise ValueError("need one value per ray, at least one pair")
-        if not (np.all(np.isfinite(rays)) and np.all(np.isfinite(values))):
-            raise ValueError("price rays and values must be finite")
-        if not np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-9):
-            raise ValueError("price rays must be unit vectors")
-        keys = {tuple(np.round(r, 12)) for r in rays}
-        if len(keys) != rays.shape[0]:
+        env = HalfspaceEnvelope(rays, values)
+        if len({tuple(np.round(r, 12)) for r in env.normals}) != env.num_constraints:
             raise ValueError("price rays must be distinct")
-        rays.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rays", env.normals)
+        object.__setattr__(self, "values", env.offsets)
+        object.__setattr__(self, "_envelope", env)
 
     @classmethod
     def from_pairs(cls, e: int, pairs: Sequence[tuple]) -> "ProfitData":
@@ -80,7 +78,7 @@ class ProfitData:
         return self.rays.shape[1]
 
     def envelope(self) -> HalfspaceEnvelope:
-        return HalfspaceEnvelope(self.rays, self.values)
+        return self._envelope
 
     def with_pair(self, ray, value: float) -> "ProfitData":
         return ProfitData(self.e, np.vstack([self.rays, _vec(ray)]),
@@ -149,19 +147,19 @@ class BoundResult:
 def _faces(data: ProfitData):
     """The profit-attaining faces: the envelope's kernel (None without a
     hull).  An empty face is exactly a WAPM violation."""
-    faces = _kernel(data.envelope())
+    faces = data.envelope().kernel
     if faces is not None and not np.all(faces.nonempty):
         raise ValidationError(WAPM_VIOLATION)
     return faces
 
 
-def _face_minima(data: ProfitData, pc: np.ndarray, faces=None):
+def _face_minima(data: ProfitData, pc: np.ndarray):
     """Least p_c . y on each face (k,) and the attaining points (k, d),
     non-finite rows on -inf faces: closed form in d = 2, the hull's vertices
-    in d >= 3, one LP per face without a hull (faces cut here unless given)."""
+    in d >= 3, one LP per face without a hull."""
     if np.any(pc < 0):
         raise ValueError("the faces answer only componentwise nonnegative prices p_c")
-    faces = _faces(data) if faces is None else faces
+    faces = _faces(data)
     if faces is None:
         return _face_minima_lp(data, pc)
     lows, at = (m[0] for m in faces.minima(pc[None, :]))
@@ -211,7 +209,7 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     """
     pc, env = _vec(p_c), data.envelope()
     faces = _faces(data)
-    lows, ys = _face_minima(data, pc, faces)
+    lows, ys = _face_minima(data, pc)
     best = float(np.max(lows))
     ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
     i = int(ties[0])
@@ -220,11 +218,11 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
                   else {"ray": recession_direction(env, -pc, along=data.rays[i])
                         if faces is None else faces.descent(pc, i),
                         "note": "unbounded direction"})
-    sup = _support(env, faces, pc)
-    upper_cert = ({"y": sup.maximizer} if sup.finite
-                  else {"ray": sup.direction, "note": "unbounded direction"})
+    (upper,), (y,), (w,) = _supports(env, pc[None, :])
+    upper_cert = ({"y": y} if np.isfinite(upper)
+                  else {"ray": w, "note": "unbounded direction"})
     return BoundResult(
-        lower=best, upper=sup.value,
+        lower=best, upper=float(upper),
         lower_certificate=lower_cert, upper_certificate=upper_cert,
         argmax_rays=tuple(data.rays[i] for i in ties) if np.isfinite(best) else (),
     )
@@ -321,6 +319,8 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
     rays = [_vec(r) for r in ray_grid]
     if not rays:
         raise ValueError("ray grid must be nonempty")
+    if not 0 <= coord < data.dimension:
+        raise ValueError(f"coord {coord} is not in 0..{data.dimension - 1}")
     grid, faces = np.vstack(rays), _faces(data)
     floors = (np.max(faces.minima(grid)[0], axis=1) if faces is not None
               else np.array([np.max(_face_minima_lp(data, pc)[0]) for pc in grid]))

@@ -169,6 +169,9 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict) -> ProxyModel:
         pi_tilde, axes = table_evaluator(
             table, table.d_e if s.type_e is None else s.type_e)
     d = len(axes)
+    if s.observed_index is not None and s.observed_index > d:
+        raise ValidationError(f"[proxies] observed_index = {s.observed_index}, but "
+                              f"the lattice has {d} dimensions")
     obs = (d if s.observed_index is None else s.observed_index) - 1
     anchors = s.anchors
     if anchors is None:
@@ -245,11 +248,13 @@ def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
         rays = _parse_pbar(inputs["pbar"])
     else:
         rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
+    e = fit.d_e if s.type_e is None else s.type_e
+    if e > fit.d_e:
+        raise ValidationError(f"[duality] type_e = {e}, but the fit has {fit.d_e} types")
     price_set = RestrictedPriceSet(rays, convex_flag=True)
     return duality_check(
-        lambda p: float(diewert_value(s.b_true, p[None, :])[0]),
-        fit.evaluator(fit.d_e if s.type_e is None else s.type_e), price_set,
-        convex_flag=True, geometric_oracle=s.geometric_oracle).to_json_dict()
+        lambda p: float(diewert_value(s.b_true, p[None, :])[0]), fit.evaluator(e),
+        price_set, convex_flag=True, geometric_oracle=s.geometric_oracle).to_json_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ class SectionView:
     def get_int(self, key: str, default: Optional[int] = None, required: bool = False):
         return self._typed(key, int, "an integer", required, default)
 
+    def get_index(self, key: str, required: bool = False, top: Optional[int] = None):
+        """A 1-based index: an integer from 1 (to ``top`` when given)."""
+        v = self.get_int(key, required=required)
+        if v is not None and (v < 1 or top is not None and v > top):
+            upto = "" if top is None else f" to {top}"
+            raise ValidationError(f"[{self.name}] {key} must be an index from 1{upto}, got {v}")
+        return v
+
     def get_float(self, key: str, default: Optional[float] = None, required: bool = False):
         return self._typed(key, _parse_number, "a number", required, default)
 
@@ -275,8 +283,8 @@ def _proxies_settings(sec: SectionView, seed: int) -> SimpleNamespace:
         raise ValidationError(f"[proxies] unknown mode {s.mode!r}")
     s.profile_csv = sec.get_str("profile_csv")
     # None: the table's d_e, the lattice dimension d, and d - 1 anchors.
-    s.type_e = None if s.profile_csv else sec.get_int("type_e")
-    s.observed_index = sec.get_int("observed_index")
+    s.type_e = None if s.profile_csv else sec.get_index("type_e")
+    s.observed_index = sec.get_index("observed_index")
     s.anchors = sec.get_vector("anchors")
     s.n_anchors = sec.get_int("n_anchors") if s.anchors is None else None
     s.anchor_x = sec.get_vector("anchor_x", required=True)
@@ -301,7 +309,7 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
         return (f"u.y at p_c={pc.tolist()}, u={u.tolist()}",
                 lambda data: quantity_bounds(data, pc, u))
     if kind == "fixed_quantity":
-        coord = sec.get_int("coord", required=True) - 1
+        coord = sec.get_index("coord", required=True, top=2) - 1
         ybar = sec.get_float("ybar", required=True)
         grid = angle_rays(np.linspace(0.01, np.pi / 2 - 0.01, sec.get_int("n_grid_rays", 720)))
 
@@ -347,7 +355,7 @@ def _duality_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     return SimpleNamespace(
         input=sec.get_str("input"),
         b_true=b_true,
-        type_e=sec.get_int("type_e"),              # None: the fit's d_e
+        type_e=sec.get_index("type_e"),            # None: the fit's d_e
         n_rays=sec.get_int("n_rays", 90),
         angle_lo=sec.get_float("angle_lo", 0.15),
         angle_hi=sec.get_float("angle_hi", float(np.pi / 2 - 0.15)),

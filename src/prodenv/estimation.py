@@ -67,12 +67,18 @@ class DiewertFit(_Artifact):
     def dimension(self) -> int:
         return self.b_stack.shape[1]
 
+    def _b(self, e: int) -> np.ndarray:
+        """Type e's coefficient matrix, e in 1..d_e."""
+        if not 1 <= e <= self.d_e:
+            raise ValueError(f"type {e} is not in 1..{self.d_e}")
+        return self.b_stack[e - 1]
+
     def evaluator(self, e: int) -> Callable[[np.ndarray], float]:
-        b = self.b_stack[e - 1]
+        b = self._b(e)
         return lambda p: float(diewert_value(b, np.asarray(p, float)[None, :])[0])
 
     def supply(self, e: int, p) -> np.ndarray:
-        return diewert_supply(self.b_stack[e - 1], np.asarray(p, float))
+        return diewert_supply(self._b(e), np.asarray(p, float))
 
     def to_json_dict(self) -> dict:
         return {

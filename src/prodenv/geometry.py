@@ -4,16 +4,17 @@ A production set consistent with observed profit values is represented as an
 intersection of halfspaces, one per observed price ray: the envelope
 ``{y : ray . y <= value for every (ray, value)}``.  The profit function of a
 price-taking firm is the support function of its production set.  One face
-kernel per envelope (``_kernel``) answers every question about it: in d = 2
-the faces are segments from one vectorized pass (``_Segments``), which also
-give the exact Hausdorff distance; in d >= 3 one convex hull of the
-constraints lifted over the price simplex gives the vertices, recession
-generators and faces (``_Hull``).  The kernel's ``sup`` gives support
-values, maximizers and +inf certificates, with a linear program only for
-what no certificate covers; ``prodenv.bounds`` takes the WAPM test and the
-lower bounds from its faces.  Unbounded support values are legitimate
-outputs (a recession-cone violation of the envelope), so +inf is a
-first-class result state with a certificate direction, not an exception.
+kernel per envelope answers every question about it, built on first use and
+kept with the envelope (``HalfspaceEnvelope.kernel``): in d = 2 the faces
+are segments from one vectorized pass (``_Segments``), which also give the
+exact Hausdorff distance; in d >= 3 one convex hull of the constraints
+lifted over the price simplex gives the vertices, recession generators and
+faces (``_Hull``).  The kernel's ``sup`` gives support values, maximizers
+and +inf certificates, with a linear program only for what no certificate
+covers (``_supports``); ``prodenv.bounds`` takes the WAPM test and the lower
+bounds from its faces.  Unbounded support values are legitimate outputs (a
+recession-cone violation of the envelope), so +inf is a first-class result
+state with a certificate direction, not an exception.
 
 ``_check_schema`` and the atomic ``_write_json`` are the reading and writing
 halves of the artifact format; everything else is a pure function on
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,20 +40,6 @@ from .errors import NumericFailure, ValidationError
 FEAS_TOL = 1e-9
 UNIT_TOL = 1e-12
 PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
-
-
-def _as_unit_vector(v, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("ray must be a nonempty 1-d vector")
-    if dim is not None and arr.size != dim:
-        raise ValueError(f"ray has dimension {arr.size}, expected {dim}")
-    nrm = float(np.linalg.norm(arr))
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise ValueError("ray must be finite and nonzero")
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"ray must have unit Euclidean norm, got {nrm!r}")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +88,6 @@ def _vec(ray) -> np.ndarray:
     return ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
 
 
-def _ray_array(ray, dim: int | None = None) -> np.ndarray:
-    if isinstance(ray, PriceRay):
-        arr = ray.components
-        if dim is not None and arr.size != dim:
-            raise ValueError(f"ray has dimension {arr.size}, expected {dim}")
-        return arr
-    return _as_unit_vector(ray, dim)
-
-
 @dataclass(frozen=True, eq=False)
 class HalfspaceEnvelope:
     """H-representation ``{y : normals[i] . y <= offsets[i] for all i}``.
@@ -134,7 +113,7 @@ class HalfspaceEnvelope:
             raise ValueError("envelope normals must be componentwise nonnegative")
         nrm = np.linalg.norm(normals, axis=1)
         if np.any(np.abs(nrm - 1.0) > 1e-9):
-            raise ValueError("envelope normals must have unit norm")
+            raise ValueError("envelope normals must be unit vectors")
         normals.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "normals", normals)
@@ -146,7 +125,7 @@ class HalfspaceEnvelope:
         pairs = list(constraints)
         if not pairs:
             raise ValueError("need at least one constraint")
-        rays = np.vstack([_ray_array(r) for r, _ in pairs])
+        rays = np.vstack([_vec(r) for r, _ in pairs])
         vals = np.array([float(v) for _, v in pairs])
         return cls(rays, vals)
 
@@ -158,16 +137,21 @@ class HalfspaceEnvelope:
     def num_constraints(self) -> int:
         return self.normals.shape[0]
 
+    @cached_property
+    def kernel(self) -> _Segments | _Hull | None:
+        """The face kernel (``_kernel``), built once and read-only."""
+        kernel = _kernel(self)
+        for arr in kernel or ():
+            arr.flags.writeable = False
+        return kernel
+
     def contains(self, y, tol: float = FEAS_TOL) -> bool:
         y = np.asarray(y, dtype=float)
         return bool(np.all(self.normals @ y <= self.offsets + tol))
 
     def with_constraint(self, ray, value: float) -> "HalfspaceEnvelope":
-        arr = _ray_array(ray, self.dimension)
-        return HalfspaceEnvelope(
-            np.vstack([self.normals, arr]),
-            np.append(self.offsets, float(value)),
-        )
+        return HalfspaceEnvelope(np.vstack([self.normals, _vec(ray)]),
+                                 np.append(self.offsets, float(value)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -310,26 +294,40 @@ def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
 
     Returns the finite optimum with its maximizer, or the +inf state with an
     unbounded-ray certificate when ``u`` leaves the conic hull of the
-    constraint normals.  Both come from the face kernel (``_kernel``) when it
-    certifies them, and from a linear program otherwise.
+    constraint normals: row 0 of ``_supports``.
     """
-    uv = _ray_array(u, env.dimension) if isinstance(u, PriceRay) else np.asarray(u, float)
+    uv = _vec(u)
     if uv.shape != (env.dimension,):
         raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
     if np.any(uv < 0):
         raise ValueError("support_value takes a componentwise nonnegative direction")
-    return _support(env, _kernel(env), uv)
+    (value,), (y,), (w,) = _supports(env, uv[None, :])
+    if value == np.inf:
+        return SupportResult(value=np.inf, direction=w)
+    return SupportResult(value=float(value), maximizer=y)
 
 
-def _support(env: HalfspaceEnvelope, kernel, u: np.ndarray) -> SupportResult:
-    """``support_value`` from the kernel's certified answer, else from the
-    support LP (and a recession LP to certify +inf)."""
-    if kernel is not None:
-        (value,), (y,), (w,) = kernel.sup(u[None, :])
-        if value == np.inf:
-            return SupportResult(value=np.inf, direction=w)
-        if np.isfinite(value):
-            return SupportResult(value=float(value), maximizer=y)
+def _supports(env: HalfspaceEnvelope, U: np.ndarray):
+    """Support values at the rows of U with their maximizers and +inf
+    directions (NaN rows where they do not apply): the kernel's certified
+    rows, and ``_support_lp`` for each row it leaves NaN."""
+    kernel = env.kernel
+    if kernel is None:
+        values, (ys, dirs) = np.full(len(U), np.nan), np.full((2, *U.shape), np.nan)
+    else:
+        values, ys, dirs = kernel.sup(U)
+    for i in np.flatnonzero(np.isnan(values)):
+        res = _support_lp(env, U[i])
+        values[i] = res.value
+        if res.finite:
+            ys[i] = res.maximizer
+        else:
+            dirs[i] = res.direction
+    return values, ys, dirs
+
+
+def _support_lp(env: HalfspaceEnvelope, u: np.ndarray) -> SupportResult:
+    """The support LP at u, and a recession LP to certify +inf."""
     state, x, _ = solve_lp(-u, env.normals, env.offsets)
     if state == "optimal":
         return SupportResult(value=float(u @ x), maximizer=x)
@@ -447,20 +445,16 @@ def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
     """Support values of the envelope at the rows of U (price directions,
     componentwise nonnegative), +inf where unbounded; values only.
 
-    They come from the face kernel (``_kernel``): in d = 2 the largest
-    maximum of u . y over the nonempty faces, with no LP; in d >= 3 one
-    convex hull.  A row it cannot certify is a support LP.
+    They come from the face kernel: in d = 2 the largest maximum of u . y
+    over the nonempty faces, with no LP; in d >= 3 one convex hull.  A row
+    it cannot certify is a support LP (``_supports``).
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != env.dimension:
         raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
     if np.any(U < 0):
         raise ValueError("support_values takes componentwise nonnegative directions")
-    kernel = _kernel(env)
-    values = np.full(len(U), np.nan) if kernel is None else kernel.sup(U)[0]
-    for i in np.flatnonzero(np.isnan(values)):
-        values[i] = _support(env, None, U[i]).value
-    return values
+    return _supports(env, U)[0]
 
 
 class _Hull(NamedTuple):
@@ -533,10 +527,10 @@ class _Hull(NamedTuple):
 
 def _kernel(env: HalfspaceEnvelope) -> _Segments | _Hull | None:
     """The face kernel of an envelope, which answers every support and face
-    question about it: its segments in d = 2; in d >= 3 its vertices,
-    recession generators and faces from one convex hull.  None in d = 1,
-    when the normals have rank < d, when Qhull fails or when no vertex is
-    certified.
+    question about it (read it as ``env.kernel``, which builds it once): its
+    segments in d = 2; in d >= 3 its vertices, recession generators and
+    faces from one convex hull.  None in d = 1, when the normals have rank
+    < d, when Qhull fails or when no vertex is certified.
 
     Constraint j scaled by s_j = sum(normal_j) > 0 is the lifted point
     (x_j, z_j) = (normal_j[:-1], v_j) / s_j over the price simplex, and
@@ -598,7 +592,7 @@ def _carried(lam: np.ndarray, rel: np.ndarray) -> np.ndarray:
 
 def _directed_hausdorff_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -> float:
     """sup over y in A of dist(y, B); see ``hausdorff_oracle_2d``."""
-    fa = _Segments.cut(env_a.normals, env_a.offsets).nonempty_only()
+    fa = env_a.kernel.nonempty_only()
     t = np.concatenate([fa.lo, fa.hi])
     base, tau = np.tile(fa.bases, (2, 1)), np.tile(fa.taus, (2, 1))
     finite = np.isfinite(t)
@@ -606,7 +600,7 @@ def _directed_hausdorff_2d(env_a: HalfspaceEnvelope, env_b: HalfspaceEnvelope) -
     if np.any(end_rays @ env_b.normals.T > FEAS_TOL):
         return np.inf
     verts = base[finite] + t[finite, None] * tau[finite] if finite.any() else fa.bases
-    fb = _Segments.cut(env_b.normals, env_b.offsets).nonempty_only()
+    fb = env_b.kernel.nonempty_only()
     diff = verts[:, None, :] - fb.bases[None]                       # (n, m, 2)
     t_b = np.clip(np.sum(diff * fb.taus, axis=2), fb.lo, fb.hi)
     dist = np.min(np.linalg.norm(diff - t_b[:, :, None] * fb.taus, axis=2), axis=1)

@@ -304,8 +304,6 @@ class TestCriterion6DualityEquality:
             equal_ok += abs(rep.d_h - rep.eta) <= 1e-6
             if d == 2:
                 oracle_ok += abs(rep.oracle_d_h - rep.eta) <= 2e-3
-            else:
-                oracle_ok += 1
 
         bound_ok = 0
         for i in range(50):
@@ -334,9 +332,9 @@ class TestCriterion6DualityEquality:
             bound_ok += (rep.verdict == "bound-holds"
                          and rep.eta < rep.small_r)
 
-        ok = equal_ok == 50 and oracle_ok == 50 and bound_ok == 50
+        ok = equal_ok == 50 and oracle_ok == 25 and bound_ok == 50
         _report("criterion 6 (distance duality)", ok,
-                f"equality {equal_ok}/50, 2-d oracle agreement, "
+                f"equality {equal_ok}/50, 2-d oracle agreement {oracle_ok}/25, "
                 f"nonconvex bound {bound_ok}/50",
                 time.perf_counter() - t0, 60.0)
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ class TestProfitData:
         ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "must be finite"),
         ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], "must be finite"),
         ([[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "unit vectors"),
+        ([[-0.6, 0.8], [0.6, 0.8]], [1.0, 1.0], "componentwise nonnegative"),
     ])
     def test_rejects_non_finite_and_off_sphere_pairs(self, rays, values, message):
         with pytest.raises(ValueError, match=message):
@@ -243,6 +246,13 @@ class TestFixedQuantityBounds:
         res = profit_bounds_fixed_quantity(data, 0, 2.0, self.grid())
         assert res.feasible
         assert res.upper < 0
+
+    @pytest.mark.parametrize("coord", [-1, 2])
+    def test_coord_out_of_range_rejected(self, rng, coord):
+        # -1 would pin the last coordinate, as coord = 1 does.
+        data, _ = diewert_data(random_admissible_b(rng), np.linspace(0.35, 1.2, 3))
+        with pytest.raises(ValueError, match="coord"):
+            profit_bounds_fixed_quantity(data, coord, 0.4, self.grid())
 
     def test_grid_refinement_tightens_monotonically(self, rng):
         b = random_admissible_b(rng)
@@ -672,6 +682,81 @@ class TestThreeGoods:
         assert np.all(data.rays @ w <= 1e-9)
         assert abs(face @ w) <= 1e-9
         assert np.linalg.norm(w) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# One face kernel per envelope
+# ---------------------------------------------------------------------------
+
+
+class TestSharedKernel:
+    """An envelope builds its face kernel once, and no answer changes the
+    next one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # In every prodenv module that binds _kernel by name.
+        calls, real = [], prodenv.geometry._kernel
+        for mod in [m for name, m in sys.modules.items() if name.startswith("prodenv")]:
+            if getattr(mod, "_kernel", None) is real:
+                monkeypatch.setattr(mod, "_kernel", lambda env: calls.append(env) or real(env))
+        return calls
+
+    @staticmethod
+    def data(d, seed=0, k=12):
+        rng = np.random.default_rng(seed + d)
+        b = random_admissible_b(rng, d=d)
+        rays = _unit(rng.uniform(0.25, 1.0, size=(k, d)))
+        return ProfitData(1, rays, diewert_value(b, rays)), b, rng
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_question_reads_one_kernel(self, d, builds):
+        data, b, rng = self.data(d)
+        pc = _unit(data.rays.mean(axis=0))
+        assert wapm_feasible(data)[0]
+        profit_bounds(data, pc)
+        profit_bounds(data, _unit(np.eye(d)[0] + 0.05))
+        quantity_bounds(data, pc, np.eye(d)[0])
+        project_rationalizable(data)
+        grid = list(_unit(rng.uniform(0.25, 1.0, size=(10, d))))
+        profit_bounds_fixed_quantity(data, 0, float(diewert_supply(b, grid[3])[0]), grid)
+        assert len(builds) == 1 and builds[0] is data.envelope()
+
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_duality_oracle_reads_each_envelopes_kernel(self, convex, builds, monkeypatch):
+        cuts = []
+        real_cut = prodenv.geometry._Segments.cut
+        monkeypatch.setattr(prodenv.geometry._Segments, "cut", classmethod(
+            lambda cls, *args: cuts.append(args) or real_cut(*args)))
+        b = random_admissible_b(np.random.default_rng(5))
+        f = lambda p: float(diewert_value(b, np.asarray(p)[None, :])[0])
+        g = lambda p: f(p) * (1.01 + 0.005 * np.sin(9.0 * p[0]))
+        rays = unit_rays_2d(np.linspace(0.2, 1.3, 30))
+        rep = duality_check(f, g, RestrictedPriceSet(tuple(map(tuple, rays))),
+                            convex_flag=convex, geometric_oracle=True)
+        assert rep.oracle_d_h is not None
+        assert len(builds) == 2 and len(cuts) == 2
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (2, 12), (3, 3), (3, 12)])
+    def test_no_state_between_calls(self, d, k):
+        # Three rays leave a face unbounded below at the mean ray in d = 3.
+        data, _, _ = self.data(d, seed=10, k=k)
+        # In and out of the rays' cone: finite and +inf certificates.
+        pcs = (_unit(data.rays.mean(axis=0)), _unit(np.eye(d)[0] + 0.05))
+
+        def answers(data):
+            return ([profit_bounds(data, pc) for pc in pcs]
+                    + [quantity_bounds(data, pcs[0], np.eye(d)[0])])
+
+        # A caller that writes into what it was given.
+        for res in answers(data):
+            for cert in (res.lower_certificate, res.upper_certificate):
+                for v in (cert or {}).values():
+                    if isinstance(v, np.ndarray) and v.flags.writeable:
+                        v += 1.0
+        fresh = ProfitData(1, np.array(data.rays), np.array(data.values))
+        assert ([r.to_json_dict() for r in answers(data)]
+                == [r.to_json_dict() for r in answers(fresh)])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,19 @@ class TestPipeline:
          "[identify] fit_error_threshold must be positive"),
         (("noise_width = 0.0001\n", "noise_width = -0.5\n"),
          "[identify] noise_width must be nonnegative"),
+        # 1-based indices: 0 would read the last entry.
+        (("b_true = ", "type_e = 0\nb_true = "),
+         "[duality] type_e must be an index from 1, got 0"),
+        (("trim = 0\n", "trim = 0\nobserved_index = 0\n"),
+         "[proxies] observed_index must be an index from 1, got 0"),
+        (("trim = 0\n", "trim = 0\ntype_e = 0\n"),
+         "[proxies] type_e must be an index from 1, got 0"),
+        (("question = profit\np_c = 1.0 0.6\n",
+          "question = fixed_quantity\ncoord = 0\nybar = 0.4\n"),
+         "[bounds] coord must be an index from 1 to 2, got 0"),
+        (("question = profit\np_c = 1.0 0.6\n",
+          "question = fixed_quantity\ncoord = 3\nybar = 0.4\n"),
+         "[bounds] coord must be an index from 1 to 2, got 3"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -121,6 +134,20 @@ class TestPipeline:
         assert main(["run", "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.ini"]
+
+    @pytest.mark.parametrize("edit, named", [
+        (("b_true = ", "type_e = 4\nb_true = "),
+         "[duality] type_e = 4, but the fit has 3 types"),
+        (("trim = 0\n", "trim = 0\nobserved_index = 3\n"),
+         "[proxies] observed_index = 3, but the lattice has 2 dimensions"),
+    ])
+    def test_index_past_the_data_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                          edit, named):
+        # The upper end depends on the data, so the stage checks it.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "o").replace(*edit))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_stage_inputs_from_explicit_paths(self, demo_config, tmp_path):
         # [<stage>] input names the file a stage reads in place of an

@@ -92,6 +92,16 @@ class TestFitDiewert:
                 y_true = diewert_supply(b, p)
                 assert np.max(np.abs(y_fit - y_true)) <= 0.25
 
+    @pytest.mark.parametrize("e", [0, -1, 4])
+    def test_type_out_of_range_rejected(self, rng, e):
+        # Type 0 would read b_stack[-1], type d_e's matrix.
+        fit = DiewertFit(b_stack=nested_b_stack(rng, d=2, d_e=3), residual=0.0)
+        p = np.array([0.6, 0.8])
+        with pytest.raises(ValueError, match="not in 1..3"):
+            fit.evaluator(e)
+        with pytest.raises(ValueError, match="not in 1..3"):
+            fit.supply(e, p)
+
     def test_json_round_trip(self, rng):
         truth = nested_b_stack(rng)
         rays = random_rays(rng, 12, 3)

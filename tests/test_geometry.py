@@ -16,7 +16,7 @@ from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
-                              _support, euler_residual, free_disposal_hull,
+                              _support_lp, euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
                               recession_ok, solve_lp, support_value,
                               support_values)
@@ -376,7 +376,7 @@ class TestSupportValues:
                       + unit_rays_2d([0.05, 1.52]))
         got = support_values(env, U)
         for u, v in zip(U, got):
-            ref = _support(env, None, u)            # the support LP, not the faces
+            ref = _support_lp(env, u)               # the support LP, not the faces
             if not (ref.finite and np.isfinite(v)):
                 assert v == ref.value
                 if v == np.inf:
