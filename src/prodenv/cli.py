@@ -134,6 +134,16 @@ def table_evaluator(table: ProfitTable, e: int):
 # ---------------------------------------------------------------------------
 
 
+def _index(key: str, value, top: int, has: str) -> int:
+    """A 1-based index from the config, ``top`` when unset.  Past ``top``, the
+    end of the stage's input, it is an error naming ``key`` and what it ``has``."""
+    if value is None:
+        return top
+    if value > top:
+        raise ValidationError(f"{key} = {value}, but {has}")
+    return value
+
+
 def _input(stage: str, settings, inputs: dict, load):
     """What ``stage`` reads: its [<stage>] input, else its artifact in
     ``inputs`` (a value, or a path from a flag); a path is read with ``load``."""
@@ -166,13 +176,11 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict) -> ProxyModel:
                                               f"rows of profile {s.profile_csv!r}")
     else:
         table = _input("proxies", s, inputs, ProfitTable.load)
-        pi_tilde, axes = table_evaluator(
-            table, table.d_e if s.type_e is None else s.type_e)
+        pi_tilde, axes = table_evaluator(table, _index(
+            "[proxies] type_e", s.type_e, table.d_e, f"the table has {table.d_e} types"))
     d = len(axes)
-    if s.observed_index is not None and s.observed_index > d:
-        raise ValidationError(f"[proxies] observed_index = {s.observed_index}, but "
-                              f"the lattice has {d} dimensions")
-    obs = (d if s.observed_index is None else s.observed_index) - 1
+    obs = _index("[proxies] observed_index", s.observed_index, d,
+                 f"the lattice has {d} dimensions") - 1
     anchors = s.anchors
     if anchors is None:
         anchors = quantile_anchors(axes[obs], max(d - 1, s.n_anchors or 0))
@@ -203,6 +211,8 @@ def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
     table = _input(stage, s, inputs, load)
     if isinstance(table, dict):
         return table
+    if types:
+        _index(f"[{stage}] types", max(types), table.d_e, f"the table has {table.d_e} types")
     model = (inputs.get("proxy_model") if s.proxy_model is None
              else ProxyModel.load(s.proxy_model))
     return {e: profit_data_from_table(table, e, model)
@@ -248,9 +258,7 @@ def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
         rays = _parse_pbar(inputs["pbar"])
     else:
         rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
-    e = fit.d_e if s.type_e is None else s.type_e
-    if e > fit.d_e:
-        raise ValidationError(f"[duality] type_e = {e}, but the fit has {fit.d_e} types")
+    e = _index("[duality] type_e", s.type_e, fit.d_e, f"the fit has {fit.d_e} types")
     price_set = RestrictedPriceSet(rays, convex_flag=True)
     return duality_check(
         lambda p: float(diewert_value(s.b_true, p[None, :])[0]), fit.evaluator(e),

@@ -155,7 +155,7 @@ def parse_technology(sec: SectionView) -> TechnologySpec:
         exps = sec.get_vector("power_exponents", required=True)
         if scales.size != exps.size:
             raise ValidationError("[simulate] power_scales and power_exponents differ in length")
-        return TechnologySpec(kind="power", types=tuple(
+        return TechnologySpec(tuple(
             PowerTech(float(a), float(g)) for a, g in zip(scales, exps)))
     raise ValidationError(f"[simulate] unknown technology {kind!r}")
 
@@ -331,6 +331,9 @@ def _profit_input_settings(sec: SectionView) -> SimpleNamespace:
 def _bounds_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     s = _profit_input_settings(sec)
     types = sec.get_vector("types")
+    if types is not None and not np.all((types >= 1) & (types == np.round(types))):
+        raise ValidationError("[bounds] types must be indices from 1, got "
+                              + " ".join(f"{v:g}" for v in types))
     s.types = None if types is None else [int(v) for v in types]
     s.repair = sec.get_str("repair", "none")
     if s.repair not in ("none", "project"):

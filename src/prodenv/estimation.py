@@ -33,21 +33,12 @@ from .simulate import diewert_supply, diewert_value
 MIN_DIAG_INCREMENT = 1e-6     # strict monotonicity margin between adjacent types
 
 
-def _vech_indices(d: int) -> list[tuple[int, int]]:
-    return [(s, j) for s in range(d) for j in range(s, d)]
-
-
 def diewert_basis(prices: np.ndarray) -> np.ndarray:
-    """Design matrix of sqrt(p_s p_j) terms, offdiagonals doubled (symmetry
-    folds b_sj and b_js into one coefficient)."""
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
-    d = prices.shape[1]
-    sq = np.sqrt(prices)
-    cols = []
-    for s, j in _vech_indices(d):
-        w = 1.0 if s == j else 2.0
-        cols.append(w * sq[:, s] * sq[:, j])
-    return np.column_stack(cols)
+    """Design matrix of sqrt(p_s p_j) terms, s <= j in ``np.triu_indices`` order,
+    offdiagonals doubled (symmetry folds b_sj and b_js into one coefficient)."""
+    sq = np.sqrt(np.atleast_2d(np.asarray(prices, dtype=float)))
+    rows, cols = np.triu_indices(sq.shape[1])
+    return np.where(rows == cols, 1.0, 2.0) * sq[:, rows] * sq[:, cols]
 
 
 @dataclass
@@ -115,8 +106,9 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
     d_e = len(per_type)
     if d_e == 0:
         raise ValidationError("need at least one type")
-    pairs = _vech_indices(d_y)
-    n_coef = len(pairs)
+    rows, cols = np.triu_indices(d_y)
+    diag = rows == cols
+    n_coef = rows.size
 
     designs, targets = [], []
     for e, (prices, values) in enumerate(per_type, start=1):
@@ -142,7 +134,7 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
     eye = sparse.identity(n_obs, format="csr")
     A_eq = sparse.hstack([sparse.block_diag(designs), eye, -eye], format="csr")
     if convexity:
-        coef_bounds = [(0.0, None) if s == j else (None, 0.0) for s, j in pairs]
+        coef_bounds = [(0.0, None) if on else (None, 0.0) for on in diag]
     else:
         coef_bounds = [(None, None)] * n_coef
     bounds = coef_bounds * d_e + [(0.0, None)] * (2 * n_obs)
@@ -154,7 +146,6 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
         A_ub = sparse.hstack([sparse.kron(step, sparse.identity(n_coef)),
                               sparse.csr_matrix((n_coef * (d_e - 1), 2 * n_obs))],
                              format="csr")
-        diag = np.array([s == j for s, j in pairs])
         b_ub = np.tile(np.where(diag, -MIN_DIAG_INCREMENT, 0.0), d_e - 1)
 
     # The check loss is nonnegative, so the program is never unbounded.
@@ -165,7 +156,6 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
             "no coefficient matrices satisfy the shape constraints for these data")
 
     b_stack = np.zeros((d_e, d_y, d_y))
-    rows, cols = np.triu_indices(d_y)          # the order of _vech_indices
     coefs = x[:d_e * n_coef].reshape(d_e, n_coef)
     b_stack[:, rows, cols] = coefs
     b_stack[:, cols, rows] = coefs
@@ -236,44 +226,41 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
                   n_boundary: int = 10_000) -> DualityReport:
     """Verify the distance duality on an evaluation grid.
 
-    Convex estimator: the Hausdorff distance between the extended sets, the
-    sup-norm gap between their support functions on the grid, must equal the
-    sup-norm profit error to 1e-6; an estimate that is not convex on the grid
-    (its plug-in set's support falls below it somewhere) fails.  Nonconvex
+    The estimate's plug-in set is ``plugin_set(pi_hat, price_set)``.  Convex
+    estimator: the Hausdorff distance between the extended sets, the sup-norm
+    gap between their support functions on the grid, must equal the sup-norm
+    profit error to 1e-6; an estimate that is not convex on the grid (its
+    plug-in set's support falls below it somewhere) fails.  Nonconvex
     estimator: the distance uses the convexification of the estimate (its
-    plug-in set's support values) and must respect the
-    inflation bound eta (R/r) (1+eta/R) / (1-eta/r), applicable only while
-    eta < r and r > 0.  ``geometric_oracle`` adds the exact d = 2 distance of
+    plug-in set's support values) and must respect the inflation bound
+    eta (R/r) (1+eta/R) / (1-eta/r), applicable only while eta < r and
+    r > 0.  ``geometric_oracle`` adds the exact d = 2 distance of
     ``hausdorff_oracle_2d``; ``n_boundary`` is ignored, kept for callers.
     """
     rays = price_set.as_matrix()
     a = np.array([float(pi_true(r)) for r in rays])
-    h = np.array([float(pi_hat(r)) for r in rays])
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
+    if not np.all(np.isfinite(a)):
         raise NumericFailure("non-finite profit evaluation on the grid")
-    eta = float(np.max(np.abs(h - a)))
+    env_hat = plugin_set(pi_hat, price_set)
+    eta = float(np.max(np.abs(env_hat.offsets - a)))
     big_r, small_r = float(np.max(a)), float(np.min(a))
 
     env_true = HalfspaceEnvelope(rays, a)
-    env_hat = HalfspaceEnvelope(rays, h)
     oracle_val = None
     if geometric_oracle and price_set.dimension == 2:
         oracle_val = hausdorff_oracle_2d(env_true, env_hat)
 
+    # The convexification of pi_hat, finite: each ray is a normal of env_hat.
+    h_conv = support_values(env_hat, rays)
     bound = None
     if convex_flag:
-        d_h = hausdorff_extended(support_values(env_true, rays),
-                                 support_values(env_hat, rays), price_set)
+        d_h = hausdorff_extended(support_values(env_true, rays), h_conv, price_set)
         verdict = "equality" if abs(d_h - eta) <= 1e-6 else "equality-violated"
     else:
         if small_r <= 0:
             raise ValidationError(
                 "inflation bound needs inf pi/|p| > 0 on the grid (got r <= 0)")
-        # Support of the plug-in set at each ray: the convexification of pi_hat.
-        h_conv = support_values(env_hat, rays)
-        if not np.all(np.isfinite(h_conv)):
-            raise NumericFailure("plug-in set support is unbounded on its own grid")
-        d_h = float(np.max(np.abs(a - h_conv)))
+        d_h = hausdorff_extended(a, h_conv, price_set)
         if oracle_val is not None:
             d_h = max(d_h, float(oracle_val))
         if eta >= small_r:

@@ -296,15 +296,20 @@ def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
     unbounded-ray certificate when ``u`` leaves the conic hull of the
     constraint normals: row 0 of ``_supports``.
     """
-    uv = _vec(u)
-    if uv.shape != (env.dimension,):
-        raise ValueError(f"direction has shape {uv.shape}, expected ({env.dimension},)")
-    if np.any(uv < 0):
-        raise ValueError("support_value takes a componentwise nonnegative direction")
-    (value,), (y,), (w,) = _supports(env, uv[None, :])
+    (value,), (y,), (w,) = _supports(env, _directions(env, _vec(u)[None]))
     if value == np.inf:
         return SupportResult(value=np.inf, direction=w)
     return SupportResult(value=float(value), maximizer=y)
+
+
+def _directions(env: HalfspaceEnvelope, U) -> np.ndarray:
+    """U as an (n, d) float array of componentwise nonnegative directions."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != env.dimension:
+        raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
+    if np.any(U < 0):
+        raise ValueError("support directions must be componentwise nonnegative")
+    return U
 
 
 def _supports(env: HalfspaceEnvelope, U: np.ndarray):
@@ -449,12 +454,7 @@ def support_values(env: HalfspaceEnvelope, U) -> np.ndarray:
     over the nonempty faces, with no LP; in d >= 3 one convex hull.  A row
     it cannot certify is a support LP (``_supports``).
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[1] != env.dimension:
-        raise ValueError(f"directions have shape {U.shape}, expected (n, {env.dimension})")
-    if np.any(U < 0):
-        raise ValueError("support_values takes componentwise nonnegative directions")
-    return _supports(env, U)[0]
+    return _supports(env, _directions(env, U))[0]
 
 
 class _Hull(NamedTuple):
@@ -465,7 +465,6 @@ class _Hull(NamedTuple):
     to n_i."""
 
     Y: np.ndarray             # (m, d) certified feasible vertices y_F
-    tol: np.ndarray           # (m, 1) their feasibility and tightness tolerance
     weights: np.ndarray       # (m, d, d) u -> lam with u = N_F^T lam
     NF: np.ndarray            # (m, d, d) the rays of each vertex's facet
     W: np.ndarray             # (r, d) unit generators of the recession cone
@@ -579,7 +578,7 @@ def _kernel(env: HalfspaceEnvelope) -> _Segments | _Hull | None:
     tight = np.abs(Y @ N.T - v) <= tol                                 # (m, k)
     face, vertex = np.nonzero(tight.T)
     counts = np.sum(tight, axis=0)
-    return _Hull(Y, tol, weights, NF, W, vertex, face, np.cumsum(counts) - counts,
+    return _Hull(Y, weights, NF, W, vertex, face, np.cumsum(counts) - counts,
                  np.abs(N @ W.T) <= UNIT_TOL, counts > 0)
 
 

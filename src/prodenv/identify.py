@@ -368,7 +368,7 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
     results = {}
 
     def fit(k: int) -> float:
-        # Initialize atoms at the means of the k widest-gap clusters.
+        # Atoms start sorted, at the means of the k widest-gap clusters.
         cuts = np.sort(np.argsort(np.diff(sample))[n - k:]) + 1
         init = np.array([c.mean() for c in np.split(sample, cuts)])
         err, w = objective_for(init)
@@ -405,8 +405,7 @@ def deconvolve_atoms(sample: np.ndarray, noise: NoiseCdf, max_types: int,
             f"best mixture fit error {err:.4f} exceeds threshold {fit_error_threshold}")
     keep = weights > 1e-6
     atoms, weights = atoms[keep], weights[keep] / weights[keep].sum()
-    order = np.argsort(atoms)
-    atoms, weights = _merge_close_atoms(atoms[order], weights[order])
+    atoms, weights = _merge_close_atoms(atoms, weights)
     return AtomSet(atoms=atoms, weights=weights, fit_error=err,
                    mgf_ok=_mgf_diagnostic(sample, noise, atoms, weights))
 

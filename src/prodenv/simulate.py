@@ -212,7 +212,6 @@ class TechnologySpec:
     for strictly higher type at every probe ray).
     """
 
-    kind: str
     types: tuple
 
     def __post_init__(self):
@@ -232,7 +231,7 @@ class TechnologySpec:
     def nonmonotone_supply_triple(cls) -> "TechnologySpec":
         """Three nested single-output types whose optimal input/output levels
         are not monotone in the type index at output/input price ratio 0.12."""
-        return cls(kind="kinked-mix", types=(
+        return cls(types=(
             PowerTech(scale=1.0, exponent=0.4),
             PowerTech(scale=2.0, exponent=0.4),
             KinkedTech(a1=0.2, l1=0.01, slope=7.0, l2=0.03, a2_scale=2.0, a2_exp=0.4),
@@ -240,8 +239,7 @@ class TechnologySpec:
 
     @classmethod
     def diewert_family(cls, b_stack, restricted_scales: bool = False) -> "TechnologySpec":
-        return cls(kind="diewert",
-                   types=tuple(DiewertTech(b, restricted_scales) for b in b_stack))
+        return cls(tuple(DiewertTech(b, restricted_scales) for b in b_stack))
 
 
 def _positive_prices(p) -> np.ndarray:
@@ -445,7 +443,6 @@ class Dataset:
     noisy_profit: np.ndarray
     type_e: np.ndarray            # hidden column
     noise_width: float
-    seed: int
 
     def __len__(self):
         return self.market_id.size
@@ -511,7 +508,6 @@ class Dataset:
             type_e=(body[:, -1].astype(int) if debug
                     else np.zeros(body.shape[0], dtype=int)),
             noise_width=0.0,
-            seed=-1,
         )
 
 
@@ -646,7 +642,6 @@ def generate_dataset(tech: TechnologySpec, cfg: MarketConfig) -> Dataset:
         noisy_profit=profits[market_idx, type_idx] + eta,
         type_e=type_idx + 1,
         noise_width=cfg.noise_width,
-        seed=cfg.seed,
     )
 
 

@@ -71,3 +71,18 @@ print(json.dumps([m["nnls.calls"], m["nelder_mead.calls"]]))
     assert proc.returncode == 0, proc.stderr
     nnls_calls, nelder_mead_calls = json.loads(proc.stdout.splitlines()[-1])
     assert nnls_calls > 0 and nelder_mead_calls > 0
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # setup_s is mostly ``import prodenv``; scipy.stats and scipy.interpolate
+    # would add about 0.6 s and 0.05 s to it on a 2-core x86 host, so whatever
+    # needs them imports them where it is called.  A fresh interpreter sees
+    # the import set.
+    code = ("import sys, prodenv; print(' '.join(m for m in "
+            "('scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

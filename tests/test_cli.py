@@ -125,6 +125,10 @@ class TestPipeline:
         (("question = profit\np_c = 1.0 0.6\n",
           "question = fixed_quantity\ncoord = 3\nybar = 0.4\n"),
          "[bounds] coord must be an index from 1 to 2, got 3"),
+        (("repair = project\n", "repair = project\ntypes = 1.5\n"),
+         "[bounds] types must be indices from 1, got 1.5"),
+        (("repair = project\n", "repair = project\ntypes = 0\n"),
+         "[bounds] types must be indices from 1, got 0"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -140,6 +144,10 @@ class TestPipeline:
          "[duality] type_e = 4, but the fit has 3 types"),
         (("trim = 0\n", "trim = 0\nobserved_index = 3\n"),
          "[proxies] observed_index = 3, but the lattice has 2 dimensions"),
+        (("repair = project\n", "repair = project\ntypes = 4\n"),
+         "[bounds] types = 4, but the table has 3 types"),
+        (("trim = 0\n", "trim = 0\ntype_e = 4\n"),
+         "[proxies] type_e = 4, but the table has 3 types"),
     ])
     def test_index_past_the_data_exits_2_naming_the_key(self, tmp_path, capsys,
                                                           edit, named):
@@ -261,7 +269,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("technology, tech", [
         ("technology = power\npower_scales = 1 2 3\npower_exponents = 0.4 0.4 0.4",
-         TechnologySpec(kind="power", types=tuple(PowerTech(s, 0.4) for s in (1, 2, 3)))),
+         TechnologySpec(types=tuple(PowerTech(s, 0.4) for s in (1, 2, 3)))),
         ("technology = nonmonotone-triple", TechnologySpec.nonmonotone_supply_triple()),
     ], ids=["power", "nonmonotone-triple"])
     def test_single_output_simulate(self, tmp_path, technology, tech):

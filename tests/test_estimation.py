@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodenv.errors import ValidationError
+from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import (DiewertFit, diewert_supply, diewert_value,
                                 duality_check, fit_diewert,
                                 infinite_hausdorff_demo, plugin_set)
@@ -132,7 +132,7 @@ class TestPluginSet:
 
     def test_nonfinite_rejected(self, rng):
         ps = self.price_set(rng, 4)
-        with pytest.raises(Exception):
+        with pytest.raises(NumericFailure):
             plugin_set(lambda p: float("inf"), ps)
 
     def test_monotone_fits_nest(self, rng):
@@ -214,6 +214,16 @@ class TestDualityCheck:
         g = lambda p: f(p) + 10.0     # homogeneity broken, but only eta matters here
         rep = duality_check(f, g, ps, convex_flag=False)
         assert rep.verdict == "bound-inapplicable"
+
+    @pytest.mark.parametrize("convex_flag", [True, False])
+    @pytest.mark.parametrize("bad", ["pi_true", "pi_hat"])
+    def test_nonfinite_profit_rejected(self, rng, bad, convex_flag):
+        b = random_admissible_b(rng)
+        f = lambda p: float(diewert_value(b, p[None, :])[0])
+        g = lambda p: np.nan if p[0] < 0.5 else f(p)     # NaN on part of the grid
+        pi_true, pi_hat = (g, f) if bad == "pi_true" else (f, g)
+        with pytest.raises(NumericFailure):
+            duality_check(pi_true, pi_hat, self.price_set_2d(), convex_flag=convex_flag)
 
     def test_negative_r_rejected(self):
         ps = self.price_set_2d(10)

@@ -64,7 +64,7 @@ class TestBuildCells:
         data = Dataset(market_id=np.arange(n), y_restricted=y, x=x,
                        is_price=np.ones(x.shape[1], bool),
                        noisy_profit=rng.permutation(n) * 1.0,
-                       type_e=np.ones(n, int), noise_width=0.0, seed=0)
+                       type_e=np.ones(n, int), noise_width=0.0)
         cells = build_cells(data, BucketingConfig(mode=mode))
         q = np.linspace(0, 1, 11)[1:-1]
         ids = np.column_stack([

@@ -49,7 +49,7 @@ class TestProfitOracle:
 
     def test_hicks_neutral_grid_refinement(self):
         grid = np.linspace(0.0, 4.0, 200)
-        tech = TechnologySpec(kind="hicks", types=(
+        tech = TechnologySpec(types=(
             HicksNeutralTech(scale=1.0, grid_l=grid, grid_f=np.sqrt(grid)),
             HicksNeutralTech(scale=2.0, grid_l=grid, grid_f=np.sqrt(grid)),
         ))
@@ -62,8 +62,7 @@ class TestProfitOracle:
 
     def test_restricted_capacity_scaling(self):
         b = np.array([[1.0, -0.2], [-0.2, 0.9]])
-        tech = TechnologySpec(kind="diewert",
-                              types=(DiewertTech(b, restricted_scales=True),))
+        tech = TechnologySpec(types=(DiewertTech(b, restricted_scales=True),))
         p = np.array([1.0, 0.7])
         v1, s1 = profit_oracle(tech, 1, p, y_restricted=[1.0])
         v3, s3 = profit_oracle(tech, 1, p, y_restricted=[3.0])
@@ -85,12 +84,12 @@ class TestProfitOracle:
 
 def _hicks_pair(rng):
     grid = np.linspace(0.0, 4.0, 60)
-    return TechnologySpec(kind="hicks", types=tuple(
+    return TechnologySpec(types=tuple(
         HicksNeutralTech(scale=s, grid_l=grid, grid_f=np.sqrt(grid)) for s in (1.0, 2.0)))
 
 
 TECHNOLOGIES = {
-    "power": lambda rng: TechnologySpec(kind="power", types=(
+    "power": lambda rng: TechnologySpec(types=(
         PowerTech(1.0, 0.4), PowerTech(2.0, 0.4), PowerTech(3.5, 0.45))),
     "triple": lambda rng: TechnologySpec.nonmonotone_supply_triple(),
     "hicks": _hicks_pair,
@@ -138,7 +137,7 @@ class TestNestedCheck:
         assert nested_check(triple, probes)
 
     def test_identical_types_fail_strictness(self):
-        tech = TechnologySpec(kind="power", types=(
+        tech = TechnologySpec(types=(
             PowerTech(1.0, 0.4), PowerTech(1.0, 0.4)))
         assert not nested_check(tech, [PriceRay.from_direction([1, 2])])
 
@@ -334,7 +333,7 @@ class TestDatasetCsv:
         data = Dataset(market_id=np.arange(n)[perm] // 2, y_restricted=y[perm], x=x[perm],
                        is_price=np.array([True, False]),
                        noisy_profit=rng.uniform(-1.0, 1.0, n), type_e=np.tile([1, 2], n // 2),
-                       noise_width=0.0, seed=0)
+                       noise_width=0.0)
         assert [np.unique(c.view(np.int64)).size for c in (*x.T, y[:, 0])] == [5, 20, 21]
         buf = io.StringIO()
         data.to_csv(buf, debug=debug)
