@@ -18,9 +18,10 @@ one kernel, built once: segments from one vectorized pass in d = 2; in
 d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
 recession generators orthogonal to p, all from one convex hull.  The kernel
 also gives the support at p_c, its maximizer or its +inf certificate, so
-WAPM, L, the upper bound and the projection take no LP.  Linear programs
-(HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 0; profit_bounds
-0 | 0; quantity_bounds 2 | 2; sweep 0 | at most 2 per ray;
+WAPM, L, the upper bound and the projection take no LP.  In d = 2 the y_c
+set is itself a polygon, whose own segments give the quantity bounds.
+Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 0;
+profit_bounds 0 | 0; quantity_bounds 0 | 2; sweep 0 | at most 2 per ray;
 project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
 a Qhull failure) each face and each support value is an LP, and a +inf bound
 takes one more for its certificate.
@@ -198,6 +199,14 @@ def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
 # ---------------------------------------------------------------------------
 
 
+def _checked(data: ProfitData, x, name: str) -> np.ndarray:
+    """A price or direction as data.dimension finite numbers."""
+    x = _vec(x)
+    if x.shape != (data.dimension,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be {data.dimension} finite numbers, got {x.tolist()}")
+    return x
+
+
 def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     """Sharp bounds on profit at a counterfactual price.
 
@@ -205,9 +214,10 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     L(p_c), the best over observed rays p of the least value of p_c . y on
     the profit-attaining face {y : p . y = pi(p)} of the envelope (may be
     -inf).  Both scale with |p_c|.  Raises ValidationError when the data
-    violate WAPM.
+    violate WAPM, and ValueError when p_c is not ``data.dimension`` finite
+    numbers.
     """
-    pc, env = _vec(p_c), data.envelope()
+    pc, env = _checked(data, p_c, "p_c"), data.envelope()
     faces = _faces(data)
     lows, ys = _face_minima(data, pc)
     best = float(np.max(lows))
@@ -235,40 +245,59 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
 
 def _yc_range(data: ProfitData, pc: np.ndarray, c: np.ndarray, floor: float,
               fixed: Optional[tuple] = None):
-    """[(min, argmin), (max, argmax)] of c . y_c over the envelope with
-    p_c . y_c >= floor and, if ``fixed`` = (coord, ybar), y_c[coord] = ybar;
-    NaN optimizer on an unbounded side, None when infeasible."""
+    """[(min, argmin, ray), (max, argmax, ray)] of c . y_c over the envelope
+    with p_c . y_c >= floor and, if ``fixed`` = (coord, ybar), y_c[coord] =
+    ybar; NaN optimizer on an unbounded side, NaN rays, None when infeasible."""
     A_ub, b_ub = data.rays, data.values
     if np.isfinite(floor):
         A_ub, b_ub = np.vstack([A_ub, -pc]), np.append(b_ub, -floor)
     bounds = [(None, None)] * data.dimension
     if fixed is not None:
         bounds[fixed[0]] = (fixed[1], fixed[1])
-    out = []
+    out, nan = [], np.full(data.dimension, np.nan)
     for sign in (1.0, -1.0):
         state, y, value = solve_lp(sign * c, A_ub, b_ub, bounds=bounds)
         if state == "infeasible":
             return None
-        out.append((sign * value, y) if state == "optimal"
-                   else (-sign * np.inf, np.full(data.dimension, np.nan)))
+        out.append((sign * value, y, nan) if state == "optimal"
+                   else (-sign * np.inf, nan, nan))
     return out
+
+
+def _yc_cut(data: ProfitData, pc: np.ndarray, u: np.ndarray, floor: float):
+    """``_yc_range`` without an LP (d = 2): the y_c set is a polygon, whose
+    faces' supports at -u and u give both ends, their optimizers and the end
+    ray of an unbounded side; None when it is empty.  One ray and no floor
+    leave a half-plane, unbounded along -p where no face runs: the line
+    along p through the face's base joins the faces."""
+    P, v = data.rays, data.values
+    if np.isfinite(floor) and np.any(pc):
+        P, v = np.vstack([P, -pc]), np.append(v, -floor)
+    F, f = (P, v) if len(P) > 1 else (np.vstack([P, P[:, ::-1] * [-1.0, 1.0]]),
+                                      np.append(v, 0.0))
+    cut = _Segments.cut(P, v, F, f)
+    if not np.any(cut.nonempty):
+        return None
+    values, ys, rays = cut.sup(np.vstack([-u, u]))
+    return [(-values[0], ys[0], rays[0]), (values[1], ys[1], rays[1])]
 
 
 def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
     """Sharp bounds on u . y_c where y_c is the bundle chosen at the
     counterfactual price p_c (its profit is not pinned): y_c lies in the
-    envelope with p_c . y_c >= L(p_c)."""
-    pc = _vec(p_c)
+    envelope with p_c . y_c >= L(p_c).  An unbounded end is certified by a
+    ray in d = 2 and has no certificate in d >= 3.  Raises ValueError
+    unless p_c and u are ``data.dimension`` finite numbers each."""
+    pc, u = _checked(data, p_c, "p_c"), _checked(data, u, "u")
     floor = float(np.max(_face_minima(data, pc)[0]))
-    out = _yc_range(data, pc, np.asarray(u, dtype=float), floor)
-    if out is None:
+    ends = (_yc_cut(data, pc, u, floor) if data.dimension == 2
+            else _yc_range(data, pc, u, floor))
+    if ends is None:
         raise NumericFailure("counterfactual system infeasible despite WAPM holding")
-    (lo, x_lo), (hi, x_hi) = out
-    return BoundResult(
-        lower=lo, upper=hi,
-        lower_certificate={"y_c": x_lo} if np.isfinite(lo) else None,
-        upper_certificate={"y_c": x_hi} if np.isfinite(hi) else None,
-    )
+    certs = [{"y_c": y} if np.isfinite(v) else None if np.isnan(w).any()
+             else {"ray": w, "note": "unbounded direction"} for v, y, w in ends]
+    return BoundResult(lower=ends[0][0], upper=ends[1][0],
+                       lower_certificate=certs[0], upper_certificate=certs[1])
 
 
 def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
@@ -301,7 +330,7 @@ def _sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
         out = _yc_range(data, pc, pc, float(floor), fixed=(coord, ybar))
         if out is not None:
             ok[m] = True
-            (lo[m], y_lo[m]), (hi[m], y_hi[m]) = out
+            (lo[m], y_lo[m], _), (hi[m], y_hi[m], _) = out
     return ok, lo, hi, y_lo, y_hi
 
 

@@ -221,8 +221,14 @@ def _per_type_data(stage: str, s, inputs: dict, types=None) -> dict:
 
 def stage_bounds(cfg: PipelineConfig, inputs: dict) -> dict:
     s = cfg.settings["bounds"]
+    per_type = _per_type_data("bounds", s, inputs, s.types)
+    d = next(iter(per_type.values())).dimension
+    for key, vec in s.vectors.items():
+        if vec.size != d:
+            raise ValidationError(f"[bounds] {key} has {vec.size} entries, "
+                                  f"but the price rays have {d}")
     reports = []
-    for e, data in _per_type_data("bounds", s, inputs, s.types).items():
+    for e, data in per_type.items():
         if s.repair == "project":
             data, shift = project_rationalizable(data)
         doc = s.solve(data).to_json_dict(question=s.question, e=e)

@@ -294,9 +294,9 @@ def _proxies_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     return s
 
 
-def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
-    """The question's label and the bound it asks for, as a function of one
-    type's profit data."""
+def _bounds_question(sec: SectionView) -> tuple[str, Callable, dict]:
+    """The question's label, the bound it asks for, as a function of one
+    type's profit data, and its vectors by key, one entry per good each."""
     kind = sec.get_str("question", "profit")
     if kind in ("profit", "quantity"):
         pc = sec.get_vector("p_c", required=True)
@@ -304,10 +304,11 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
             raise ValidationError(f"[bounds] p_c must be nonnegative and nonzero: {pc.tolist()}")
         pc = pc / np.linalg.norm(pc)
         if kind == "profit":
-            return f"profit at p_c={pc.tolist()}", lambda data: profit_bounds(data, pc)
+            return (f"profit at p_c={pc.tolist()}", lambda data: profit_bounds(data, pc),
+                    {"p_c": pc})
         u = sec.get_vector("u", required=True)
         return (f"u.y at p_c={pc.tolist()}, u={u.tolist()}",
-                lambda data: quantity_bounds(data, pc, u))
+                lambda data: quantity_bounds(data, pc, u), {"p_c": pc, "u": u})
     if kind == "fixed_quantity":
         coord = sec.get_index("coord", required=True, top=2) - 1
         ybar = sec.get_float("ybar", required=True)
@@ -317,7 +318,7 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable]:
             if data.dimension != 2:
                 raise ValidationError("fixed_quantity grid is built for dimension 2")
             return profit_bounds_fixed_quantity(data, coord, ybar, grid)
-        return f"profit with y[{coord+1}]={ybar} fixed", solve
+        return f"profit with y[{coord+1}]={ybar} fixed", solve, {}
     raise ValidationError(f"[bounds] unknown question {kind!r}")
 
 
@@ -338,7 +339,7 @@ def _bounds_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     s.repair = sec.get_str("repair", "none")
     if s.repair not in ("none", "project"):
         raise ValidationError(f"[bounds] unknown repair mode {s.repair!r}")
-    s.question, s.solve = _bounds_question(sec)
+    s.question, s.solve, s.vectors = _bounds_question(sec)
     return s
 
 

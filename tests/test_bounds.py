@@ -12,7 +12,7 @@ from prodenv.bounds import (ProfitData, profit_bounds, profit_bounds_fixed_quant
                             project_rationalizable, quantity_bounds,
                             rationalizing_hull, sharpness_check, wapm_feasible)
 from prodenv.bounds import (_face_minima, _face_minima_lp, _faces, _sweep_2d,
-                            _sweep_lp)
+                            _sweep_lp, _yc_range)
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_supply, diewert_value, duality_check
 from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, free_disposal_hull,
@@ -208,6 +208,39 @@ class TestQuantityBounds:
         data = ProfitData(1, np.array([[1 / RT2, 1 / RT2]]), np.array([1.0]))
         res = quantity_bounds(data, data.rays[0], np.array([1.0, 0.0]))
         assert np.isposinf(res.upper) and np.isneginf(res.lower)
+
+    def test_single_pair_half_plane(self):
+        # Off its ray one pair leaves L = -inf, so y_c ranges over the
+        # half-plane p . y <= pi(p), which runs off along -p, where no face
+        # runs.
+        data = ProfitData(1, np.array([[1 / RT2, 1 / RT2]]), np.array([0.7]))
+        pc = np.array([1.0, 2.0]) / np.sqrt(5)
+        res = quantity_bounds(data, pc, -2.0 * data.rays[0])
+        assert res.lower == pytest.approx(-1.4, abs=1e-12) and res.upper == np.inf
+        np.testing.assert_allclose(res.upper_certificate["ray"], -data.rays[0], atol=1e-15)
+        res = quantity_bounds(data, pc, [1.0, 0.0])
+        assert res.lower == -np.inf and res.upper == np.inf
+        for sign, cert in ((-1, res.lower_certificate), (1, res.upper_certificate)):
+            _check_ray(data, pc, -np.inf, np.array([1.0, 0.0]), sign, cert["ray"])
+        # At p_c = 0 the floor L = 0 cuts nothing either.
+        res = quantity_bounds(data, [0.0, 0.0], -data.rays[0])
+        assert res.lower == pytest.approx(-0.7, abs=1e-12) and res.upper == np.inf
+
+    @pytest.mark.parametrize("p_c, u, name", [
+        ([np.nan, 0.6], [1.0, 0.0], "p_c"),
+        ([1.0, 0.6, 0.2], [1.0, 0.0], "p_c"),
+        ([1.0], [1.0, 0.0], "p_c"),
+        ([1.0, 0.6], [np.nan, 0.0], "u"),
+        ([1.0, 0.6], [-np.inf, 1.0], "u"),
+        ([1.0, 0.6], [1.0, 0.0, 0.0], "u"),
+    ])
+    def test_vector_not_finite_or_of_wrong_length(self, rng, p_c, u, name):
+        data, _ = diewert_data(random_admissible_b(rng), np.linspace(0.3, 1.2, 4))
+        with pytest.raises(ValueError, match=f"^{name} must be 2 finite numbers"):
+            quantity_bounds(data, p_c, u)
+        if name == "p_c":
+            with pytest.raises(ValueError, match="^p_c must be 2 finite numbers"):
+                profit_bounds(data, p_c)
 
     def test_true_optimizer_covered(self, rng):
         b = random_admissible_b(rng)
@@ -412,6 +445,14 @@ def _same_bound(a, b):
         assert a == pytest.approx(b, rel=0, abs=1e-7 * max(1.0, abs(b)))
 
 
+def _check_ray(data, pc, floor, u, sign, w):
+    """w certifies that u . y_c runs off to sign * inf: it stays in the
+    envelope and, when there is a floor, above it, and u . w has the sign."""
+    assert np.all(data.rays @ w <= 1e-12)
+    assert pc @ w >= -1e-12 or np.isneginf(floor)
+    assert sign * (u @ w) > 0
+
+
 class TestClosedFormMatchesLp:
     @given(st.sampled_from(CASES), st.integers(0, 10_000))
     @settings(max_examples=70, deadline=None)
@@ -432,6 +473,49 @@ class TestClosedFormMatchesLp:
             finite = np.isfinite(lows)
             err = float(np.max(np.abs(lows[finite] - lows_lp[finite]), initial=0.0))
             assert err <= (1e-7 if seed == 1 else 1e-3) * scale, (seed, err)
+
+    @given(st.sampled_from(CASES), st.booleans(), st.integers(0, 10_000))
+    @settings(max_examples=70, deadline=None)
+    def test_quantity_bounds(self, case, at_ray, seed):
+        # The y_c polygon's segments against its two LPs, at p_c between the
+        # observed rays or outside their cone, or at one of them, where the
+        # cut collapses to that ray's face.
+        rng = np.random.default_rng(seed)
+        data, pc, _ = _case_2d(case, rng)
+        i = int(rng.integers(data.k))
+        if at_ray:
+            pc = data.rays[i]
+        if case == "violating":
+            with pytest.raises(ValidationError):
+                quantity_bounds(data, pc, pc)
+            return
+        floor = float(np.max(_face_minima(data, pc)[0]))
+        scale = max(1.0, float(np.max(np.abs(data.values))))
+        for u in (np.eye(2)[0], np.eye(2)[1], pc, np.array([0.3, -1.0])):
+            res = quantity_bounds(data, pc, u)
+            with pytest.MonkeyPatch.context() as mp:
+                _reference_lp_tolerance(mp, data)
+                ends_lp = _yc_range(data, pc, u, floor)
+            refs = [value for value, _, _ in ends_lp]
+            if at_ray and case == "near_parallel":
+                # The y_c set is p_c's face, and the LP slides along it past
+                # a constraint 1e-6 rad away (up to 1.2e-4 off over 1000
+                # seeds): the face's exact vertices are the reference.
+                (neg, top), _ = exact_support(np.vstack([data.rays, -pc]),
+                                              np.append(data.values, -data.values[i]),
+                                              np.vstack([-u, u]))
+                refs[:] = -neg, top
+            for sign, value, cert, ref in ((-1, res.lower, res.lower_certificate, refs[0]),
+                                           (1, res.upper, res.upper_certificate, refs[1])):
+                if np.isinf(value) or np.isinf(ref):
+                    assert value == ref == sign * np.inf
+                    _check_ray(data, pc, floor, u, sign, cert["ray"])
+                    continue
+                y = cert["y_c"]
+                assert np.all(data.rays @ y <= data.values + 1e-9 * scale)
+                assert pc @ y >= floor - 1e-9 * scale
+                assert u @ y == pytest.approx(value, rel=0, abs=1e-12 * scale)
+                assert value == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     @staticmethod
     def _check(case, data, pc, ybar):
@@ -799,7 +883,7 @@ class TestLpBudget:
 
         del lp_calls[:]
         quantity_bounds(data, np.array([np.cos(0.8), np.sin(0.8)]), [1.0, 0.0])
-        assert len(lp_calls) <= 4
+        assert len(lp_calls) == 0
 
         del lp_calls[:]
         star = np.array([np.cos(0.8), np.sin(0.8)])

@@ -148,6 +148,10 @@ class TestPipeline:
          "[bounds] types = 4, but the table has 3 types"),
         (("trim = 0\n", "trim = 0\ntype_e = 4\n"),
          "[proxies] type_e = 4, but the table has 3 types"),
+        (("p_c = 1.0 0.6\n", "p_c = 1.0 0.6 0.2\n"),
+         "[bounds] p_c has 3 entries, but the price rays have 2"),
+        (("question = profit\n", "question = quantity\nu = 1 0 0\n"),
+         "[bounds] u has 3 entries, but the price rays have 2"),
     ])
     def test_index_past_the_data_exits_2_naming_the_key(self, tmp_path, capsys,
                                                           edit, named):
@@ -156,6 +160,33 @@ class TestPipeline:
         cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "o").replace(*edit))
         assert main(["run", "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_c, unbounded", [((1.0, 0.6), False), ((1.0, 0.2), True)])
+    def test_quantity_question_certifies_each_end(self, tmp_path, p_c, unbounded):
+        # Inside the rays' cone the envelope's vertex at p_c is the only
+        # bundle above L(p_c); below the flattest ray, y_1 grows without end
+        # along that ray's face, which stays above L(p_c).
+        cfg = tmp_path / "q.ini"
+        cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "q").replace(
+            "question = profit\np_c = 1.0 0.6\n",
+            "question = quantity\np_c = %g %g\nu = 1 0\n" % p_c))
+        assert main(["run", "--config", str(cfg)]) == 0
+        from prodenv.identify import ProfitTable
+        from prodenv.proxies import ProxyModel
+        table = ProfitTable.load(str(tmp_path / "q" / "profit_table.json"))
+        model = ProxyModel.load(str(tmp_path / "q" / "proxy_model.json"))
+        report = json.loads((tmp_path / "q" / "bounds_report.json").read_text())
+        pc, u = np.array(p_c) / np.hypot(*p_c), np.array([1.0, 0.0])
+        assert [r["type"] for r in report["per_type"]] == [1, 2, 3]
+        for r in report["per_type"]:
+            assert (r["upper"] == "+inf") == unbounded
+            for end in ("lower", "upper")[:2 - unbounded]:
+                assert isinstance(r[end], float)
+                assert u @ r[end + "_certificate"]["y_c"] == pytest.approx(r[end], abs=1e-12)
+            if unbounded:
+                w = np.array(r["upper_certificate"]["ray"])
+                rays = profit_data_from_table(table, r["type"], model).rays
+                assert np.all(rays @ w <= 1e-12) and pc @ w >= 0 and u @ w > 0
 
     def test_stage_inputs_from_explicit_paths(self, demo_config, tmp_path):
         # [<stage>] input names the file a stage reads in place of an
