@@ -19,7 +19,7 @@ from .errors import (DeconvolutionFailure, IdentificationFailure,
 from .estimation import (DiewertFit, DualityReport, diewert_supply,
                          diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo, plugin_set)
-from .geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
+from .geometry import (HalfspaceEnvelope, RestrictedPriceSet,
                        SupportResult, euler_residual, free_disposal_hull,
                        hausdorff_extended, hausdorff_oracle_2d, recession_ok,
                        support_value, support_values)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import NumericFailure, ValidationError
 from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _Segments,
-                       _supports, _vec, free_disposal_hull, recession_direction,
-                       solve_lp, support_values)
+                       _supports, first_duplicate, free_disposal_hull,
+                       recession_direction, solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
@@ -54,11 +54,8 @@ class ProfitData:
     _envelope: HalfspaceEnvelope = field(init=False, repr=False)
 
     def __post_init__(self):
-        rays, values = np.atleast_2d(self.rays), np.atleast_1d(self.values)
-        if rays.shape[0] != values.size or rays.shape[0] == 0:
-            raise ValueError("need one value per ray, at least one pair")
-        env = HalfspaceEnvelope(rays, values)
-        if len({tuple(np.round(r, 12)) for r in env.normals}) != env.num_constraints:
+        env = HalfspaceEnvelope(self.rays, self.values)
+        if first_duplicate(env.normals) is not None:
             raise ValueError("price rays must be distinct")
         object.__setattr__(self, "rays", env.normals)
         object.__setattr__(self, "values", env.offsets)
@@ -66,9 +63,7 @@ class ProfitData:
 
     @classmethod
     def from_pairs(cls, e: int, pairs: Sequence[tuple]) -> "ProfitData":
-        rays = np.vstack([_vec(p) for p, _ in pairs])
-        vals = np.array([float(v) for _, v in pairs])
-        return cls(e=e, rays=rays, values=vals)
+        return cls(e, np.vstack([p for p, _ in pairs]), [float(v) for _, v in pairs])
 
     @property
     def k(self) -> int:
@@ -82,11 +77,11 @@ class ProfitData:
         return self._envelope
 
     def with_pair(self, ray, value: float) -> "ProfitData":
-        return ProfitData(self.e, np.vstack([self.rays, _vec(ray)]),
+        return ProfitData(self.e, np.vstack([self.rays, ray]),
                           np.append(self.values, float(value)))
 
     def index_of(self, ray) -> Optional[int]:
-        close = np.all(np.abs(self.rays - _vec(ray)) < 1e-12, axis=1)
+        close = np.all(np.abs(self.rays - np.asarray(ray, float)) < 1e-12, axis=1)
         hits = np.nonzero(close)[0]
         return int(hits[0]) if hits.size else None
 
@@ -201,7 +196,7 @@ def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
 
 def _checked(data: ProfitData, x, name: str) -> np.ndarray:
     """A price or direction as data.dimension finite numbers."""
-    x = _vec(x)
+    x = np.asarray(x, float)
     if x.shape != (data.dimension,) or not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be {data.dimension} finite numbers, got {x.tolist()}")
     return x
@@ -345,16 +340,16 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
     free-price program.  An empty feasible set at every grid ray is a
     legitimate (infeasible) outcome.
     """
-    rays = [_vec(r) for r in ray_grid]
-    if not rays:
+    rays = np.asarray(ray_grid, float)
+    if not rays.size:
         raise ValueError("ray grid must be nonempty")
     if not 0 <= coord < data.dimension:
         raise ValueError(f"coord {coord} is not in 0..{data.dimension - 1}")
-    grid, faces = np.vstack(rays), _faces(data)
-    floors = (np.max(faces.minima(grid)[0], axis=1) if faces is not None
-              else np.array([np.max(_face_minima_lp(data, pc)[0]) for pc in grid]))
+    faces = _faces(data)
+    floors = (np.max(faces.minima(rays)[0], axis=1) if faces is not None
+              else np.array([np.max(_face_minima_lp(data, pc)[0]) for pc in rays]))
     sweep = _sweep_2d if data.dimension == 2 else _sweep_lp
-    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, grid, floors)
+    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, rays, floors)
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,
             "n_feasible": int(np.sum(ok))}
     if not np.any(ok):
@@ -393,8 +388,8 @@ def sharpness_check(data: ProfitData, p_c, upper: float) -> bool:
     hull generates the bound); at an observed ray, when upper is its value."""
     if not np.isfinite(upper):
         return True
-    scale = float(np.linalg.norm(_vec(p_c)))
-    pc, upper = _vec(p_c) / scale, upper / scale
+    scale = float(np.linalg.norm(p_c))
+    pc, upper = np.asarray(p_c, float) / scale, upper / scale
     i = data.index_of(pc)
     if i is not None:
         same = abs(upper - data.values[i]) <= VALUE_TIE_TOL * max(1.0, abs(upper))

@@ -25,7 +25,7 @@ from .config import STAGES, PipelineConfig, artifact_file
 from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
-from .geometry import PriceRay, RestrictedPriceSet, _write_json, angle_rays
+from .geometry import RestrictedPriceSet, _write_json, angle_rays, first_duplicate
 from .identify import ProfitTable, identify_profits, lattice_ids
 from .proxies import (ProxyModel, quantile_anchors, recover_g_housing,
                       recover_proxy_model)
@@ -69,9 +69,9 @@ def profit_data_from_table(table: ProfitTable, e: int,
 def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header exactly ray_1..ray_d,
     value[, type_e].  Rays may be unnormalized prices; values are rescaled onto
-    the unit sphere by homogeneity.  A row with the wrong field count, a zero,
-    negative or non-finite ray, a non-finite value or a non-integer type_e is
-    a ValidationError naming the file.  Returns {type: ProfitData}."""
+    the unit sphere by homogeneity.  A wrong field count, a zero, negative or
+    non-finite ray, a non-finite value, a non-integer type_e or two rows of one
+    type on one ray is a ValidationError naming the file.  Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for h in header if h.startswith("ray_"))
@@ -91,10 +91,14 @@ def profit_data_from_csv(path: str) -> dict:
     types = types.astype(int)
     out = {}
     for e in np.unique(types):
-        sub = body[types == e]
-        norms = np.linalg.norm(sub[:, :d], axis=1)
-        out[int(e)] = ProfitData(int(e), sub[:, :d] / norms[:, None],
-                                 sub[:, d] / norms)
+        rows = np.flatnonzero(types == e)
+        norms = np.linalg.norm(body[rows, :d], axis=1)
+        rays = body[rows, :d] / norms[:, None]
+        dup = first_duplicate(rays)
+        if dup is not None:
+            i, j = rows[list(dup)] + 1
+            raise ValidationError(f"{path!r} data rows {i} and {j} lie on one price ray")
+        out[int(e)] = ProfitData(int(e), rays, body[rows, d] / norms)
     return out
 
 
@@ -248,11 +252,16 @@ def stage_estimate(cfg: PipelineConfig, inputs: dict) -> DiewertFit:
 
 
 def _parse_pbar(spec: str) -> list:
-    """Evaluation-grid spec: 'lo:hi:n' angles in d=2, or a CSV of ray rows."""
+    """Evaluation-grid spec: 'lo:hi:n' angles in d=2, or a CSV of positive price rows."""
     if ":" in spec and not os.path.exists(spec):
         lo, hi, n = spec.split(":")
         return angle_rays(np.linspace(float(lo), float(hi), int(n)))
-    return [PriceRay.from_direction(r) for r in csv_rows(spec, spec)]
+    rows = csv_rows(spec, spec)
+    bad = ~np.all(np.isfinite(rows) & (rows > 0), axis=1)
+    if np.any(bad):
+        raise ValidationError(f"--pbar {spec!r} row {int(np.argmax(bad)) + 1} "
+                              "has a zero, negative or non-finite entry")
+    return [r / np.linalg.norm(r) for r in rows]
 
 
 def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
@@ -266,6 +275,9 @@ def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
         rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
     e = _index("[duality] type_e", s.type_e, fit.d_e, f"the fit has {fit.d_e} types")
     price_set = RestrictedPriceSet(rays, convex_flag=True)
+    if price_set.dimension != fit.dimension:       # only a --pbar CSV can differ
+        raise ValidationError(f"--pbar rays have {price_set.dimension} entries, "
+                              f"but the fit prices {fit.dimension} goods")
     return duality_check(
         lambda p: float(diewert_value(s.b_true, p[None, :])[0]), fit.evaluator(e),
         price_set, convex_flag=True, geometric_oracle=s.geometric_oracle).to_json_dict()

@@ -31,6 +31,9 @@ from .geometry import (HalfspaceEnvelope, RestrictedPriceSet, _check_schema,
 from .simulate import diewert_supply, diewert_value
 
 MIN_DIAG_INCREMENT = 1e-6     # strict monotonicity margin between adjacent types
+DEMO_WINDOW_EXPONENTS = (2, 4, 6)   # the demo's y2 windows 10^k
+DEMO_RATIO_BAND = (0.1, 10.0)       # its band of price ratios p2/p1, with
+DEMO_N_GRID = 400                   # this many rays
 
 
 def diewert_basis(prices: np.ndarray) -> np.ndarray:
@@ -178,17 +181,14 @@ def fit_diewert(per_type: Sequence[tuple], d_y: int,
 # ---------------------------------------------------------------------------
 
 
-def plugin_set(pi_hat: Callable, price_set: RestrictedPriceSet,
-               e: Optional[int] = None) -> HalfspaceEnvelope:
+def plugin_set(pi_hat: Callable, price_set: RestrictedPriceSet) -> HalfspaceEnvelope:
     """One halfspace per evaluation ray, offset by the estimated profit."""
-    cons = []
-    for ray in price_set.rays:
-        args = (ray.components,) if e is None else (ray.components, e)
-        v = float(pi_hat(*args))
-        if not np.isfinite(v):
-            raise NumericFailure(f"estimator returned non-finite value at {ray}")
-        cons.append((ray, v))
-    return HalfspaceEnvelope.from_constraints(cons)
+    values = np.array([float(pi_hat(r)) for r in price_set.rays])
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise NumericFailure("estimator returned a non-finite value at ray "
+                             f"{price_set.rays[np.argmax(bad)].tolist()}")
+    return HalfspaceEnvelope(price_set.rays, values)
 
 
 @dataclass
@@ -237,7 +237,7 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
     r > 0.  ``geometric_oracle`` adds the exact d = 2 distance of
     ``hausdorff_oracle_2d``; ``n_boundary`` is ignored, kept for callers.
     """
-    rays = price_set.as_matrix()
+    rays = price_set.rays
     a = np.array([float(pi_true(r)) for r in rays])
     if not np.all(np.isfinite(a)):
         raise NumericFailure("non-finite profit evaluation on the grid")
@@ -278,10 +278,7 @@ def duality_check(pi_true: Callable, pi_hat: Callable,
 # ---------------------------------------------------------------------------
 
 
-def infinite_hausdorff_demo(m: int = 10,
-                            window_exponents: Sequence[int] = (2, 4, 6),
-                            ratio_band: tuple = (0.1, 10.0),
-                            n_grid: int = 400) -> dict:
+def infinite_hausdorff_demo(m: int = 10) -> dict:
     """Why extended sets are needed: a square-root frontier and its
     (1 - 1/m) contraction are Hausdorff-infinitely far apart, yet their
     extensions over a compact positive price band are close.
@@ -310,13 +307,12 @@ def infinite_hausdorff_demo(m: int = 10,
         return float(np.sqrt(np.max(np.min(dist2, axis=1))))
 
     table = [{"window": 10.0 ** k, "directed_distance": directed_distance(10.0 ** k)}
-             for k in window_exponents]
+             for k in DEMO_WINDOW_EXPONENTS]
 
-    lo, hi = ratio_band
-    t = np.geomspace(lo, hi, n_grid)          # p2/p1 ratios
+    t = np.geomspace(*DEMO_RATIO_BAND, DEMO_N_GRID)   # p2/p1 ratios
     rays = np.column_stack([np.ones_like(t), t])
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    price_set = RestrictedPriceSet(tuple(map(tuple, rays)), convex_flag=True)
+    price_set = RestrictedPriceSet(rays, convex_flag=True)
 
     def pi_true(p):
         return p[0] ** 2 / (4.0 * p[1])

@@ -43,52 +43,6 @@ PARALLEL_TOL = 1e-14       # |slope| at or below this counts as exactly parallel
 
 
 @dataclass(frozen=True, eq=False)
-class PriceRay:
-    """A strictly positive price direction on the unit sphere.
-
-    Counterfactual and grid prices are normalized to norm one; profits at a
-    scaled price follow from degree-1 homogeneity.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.components, dtype=float).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("PriceRay needs a nonempty 1-d vector")
-        if not np.all(arr > 0):
-            raise ValueError("PriceRay components must be strictly positive")
-        if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
-            raise ValueError("PriceRay must have unit Euclidean norm")
-        arr.flags.writeable = False
-        object.__setattr__(self, "components", arr)
-
-    @classmethod
-    def from_direction(cls, v) -> "PriceRay":
-        """Normalize a strictly positive vector onto the unit sphere."""
-        arr = np.asarray(v, dtype=float)
-        nrm = np.linalg.norm(arr)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(arr / nrm)
-
-    @property
-    def dimension(self) -> int:
-        return self.components.size
-
-    def key(self, ndigits: int = 12) -> tuple:
-        """Rounded tuple usable for dedup / dict keys."""
-        return tuple(round(float(c), ndigits) for c in self.components)
-
-    def __repr__(self):
-        return f"PriceRay({np.array2string(self.components, precision=6)})"
-
-
-def _vec(ray) -> np.ndarray:
-    return ray.components if isinstance(ray, PriceRay) else np.asarray(ray, float)
-
-
-@dataclass(frozen=True, eq=False)
 class HalfspaceEnvelope:
     """H-representation ``{y : normals[i] . y <= offsets[i] for all i}``.
 
@@ -125,9 +79,7 @@ class HalfspaceEnvelope:
         pairs = list(constraints)
         if not pairs:
             raise ValueError("need at least one constraint")
-        rays = np.vstack([_vec(r) for r, _ in pairs])
-        vals = np.array([float(v) for _, v in pairs])
-        return cls(rays, vals)
+        return cls(np.vstack([r for r, _ in pairs]), [float(v) for _, v in pairs])
 
     @property
     def dimension(self) -> int:
@@ -150,7 +102,7 @@ class HalfspaceEnvelope:
         return bool(np.all(self.normals @ y <= self.offsets + tol))
 
     def with_constraint(self, ray, value: float) -> "HalfspaceEnvelope":
-        return HalfspaceEnvelope(np.vstack([self.normals, _vec(ray)]),
+        return HalfspaceEnvelope(np.vstack([self.normals, ray]),
                                  np.append(self.offsets, float(value)))
 
     def to_json_dict(self) -> dict:
@@ -210,9 +162,20 @@ def angle_rays(angles) -> list[np.ndarray]:
     return [np.array([np.cos(a), np.sin(a)]) for a in angles]
 
 
+def first_duplicate(rays: np.ndarray) -> tuple[int, int] | None:
+    """Rows (i, j), i < j, where a ray first repeats at 12 digits, or None."""
+    seen = {}
+    for j, key in enumerate(map(tuple, np.round(rays, 12))):
+        if seen.setdefault(key, j) != j:
+            return seen[key], j
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class RestrictedPriceSet:
-    """Finite evaluation grid of price rays.
+    """Finite evaluation grid of price rays: ``rays`` is a read-only (n, d)
+    array of distinct, strictly positive unit rows (profits at a scaled price
+    follow from degree-1 homogeneity).
 
     ``convex_flag`` records the caller's assertion that the grid discretizes
     a compact convex subset of the strictly positive orthant; it is stored,
@@ -220,33 +183,28 @@ class RestrictedPriceSet:
     checked from finitely many points.
     """
 
-    rays: tuple
+    rays: np.ndarray
     convex_flag: bool = False
 
     def __post_init__(self):
-        rays = tuple(
-            r if isinstance(r, PriceRay) else PriceRay(np.asarray(r, dtype=float))
-            for r in self.rays
-        )
-        if not rays:
-            raise ValueError("RestrictedPriceSet needs at least one ray")
-        dims = {r.dimension for r in rays}
-        if len(dims) != 1:
-            raise ValueError("all rays must share one dimension")
-        keys = {r.key() for r in rays}
-        if len(keys) != len(rays):
+        rays = np.array(self.rays, dtype=float)      # ragged rows raise ValueError
+        if rays.ndim != 2 or rays.size == 0:
+            raise ValueError(f"need a nonempty (n, d) array of rays, got shape {rays.shape}")
+        if not np.all(rays > 0):
+            raise ValueError("price rays must be strictly positive")
+        if np.any(np.abs(np.linalg.norm(rays, axis=1) - 1.0) > UNIT_TOL):
+            raise ValueError("price rays must have unit Euclidean norm")
+        if first_duplicate(rays) is not None:
             raise ValueError("rays must be distinct")
+        rays.flags.writeable = False
         object.__setattr__(self, "rays", rays)
 
     @property
     def dimension(self) -> int:
-        return self.rays[0].dimension
+        return self.rays.shape[1]
 
     def __len__(self):
         return len(self.rays)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.vstack([r.components for r in self.rays])
 
 
 @dataclass(frozen=True)
@@ -296,7 +254,7 @@ def support_value(env: HalfspaceEnvelope, u) -> SupportResult:
     unbounded-ray certificate when ``u`` leaves the conic hull of the
     constraint normals: row 0 of ``_supports``.
     """
-    (value,), (y,), (w,) = _supports(env, _directions(env, _vec(u)[None]))
+    (value,), (y,), (w,) = _supports(env, _directions(env, np.asarray(u, float)[None]))
     if value == np.inf:
         return SupportResult(value=np.inf, direction=w)
     return SupportResult(value=float(value), maximizer=y)
@@ -362,8 +320,7 @@ def recession_ok(env: HalfspaceEnvelope, probe_rays: Sequence) -> bool:
     the recession-cone property; a full certificate over all positive prices
     is not decidable from finitely many probes.
     """
-    U = [_vec(r) for r in probe_rays]
-    return not U or bool(np.all(np.isfinite(support_values(env, U))))
+    return not len(probe_rays) or bool(np.all(np.isfinite(support_values(env, probe_rays))))
 
 
 def hausdorff_extended(a, b, price_set: RestrictedPriceSet) -> float:

@@ -36,6 +36,7 @@ from .simulate import Dataset
 ATOM_MERGE_TOL = 1e-8
 ROUND_DECIMALS = 9            # "unique" bucketing rounds values to this many decimals
 MGF_T = np.delete(np.linspace(-3.0, 3.0, 13), 6)   # the MGF diagnostic's t: +-0.5 .. +-3
+MGF_REL_TOL = 0.05            # the MGF diagnostic's relative tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +308,14 @@ def _cannot_fit(t_grid: np.ndarray, f_emp: np.ndarray, width: float, k: int,
 
 
 def _mgf_diagnostic(sample: np.ndarray, noise: NoiseCdf, atoms: np.ndarray,
-                    weights: np.ndarray, rel_tol: float = 0.05) -> bool:
+                    weights: np.ndarray) -> bool:
     """Ratio of empirical MGFs against the fitted mixture's MGF on [-3, 3]."""
     center = float(np.mean(sample))
     for t, m_eta in zip(MGF_T, noise.mgf):
         m_obs = float(np.mean(np.exp(t * (sample - center))))
         m_fit = float(weights @ np.exp(t * (atoms - center)))
         if (m_eta <= 0 or not np.isfinite(m_obs)
-                or abs(m_obs / m_eta - m_fit) > rel_tol * max(abs(m_fit), 1e-12)):
+                or abs(m_obs / m_eta - m_fit) > MGF_REL_TOL * max(abs(m_fit), 1e-12)):
             return False
     return True
 

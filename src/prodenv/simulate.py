@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnboundedProblem, ValidationError
-from .geometry import _vec
 
 # ---------------------------------------------------------------------------
 # Technologies
@@ -297,9 +296,9 @@ def nested_check(tech: TechnologySpec, probe_rays: Sequence) -> bool:
     """True iff profit is strictly increasing in the type index at every
     probe ray (the profit-side equivalent of nested production sets), in
     ``profit_oracle_batch``'s numbers, the ones datasets are drawn from."""
-    if not probe_rays:
+    if not len(probe_rays):
         raise ValueError("need at least one probe ray")
-    profits = profit_oracle_batch(tech, np.vstack([_vec(ray) for ray in probe_rays]))
+    profits = profit_oracle_batch(tech, np.asarray(probe_rays, float))
     return bool(np.all(np.diff(profits, axis=1) > 0))
 
 
@@ -552,7 +551,7 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
         return prices, x
     law = cfg.price_law
     if law[0] == "grid":
-        rays = np.vstack([_vec(r) for r in law[1]])
+        rays = np.asarray(law[1], float)
         weights = np.asarray(law[2], float) if len(law) > 2 else None
         idx = rng.choice(rays.shape[0], size=m, p=weights)
         prices = rays[idx]

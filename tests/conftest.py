@@ -21,6 +21,12 @@ def nested_diewert(rng, d=2, d_e=3):
     return TechnologySpec.diewert_family(mats)
 
 
+def unit(v):
+    """v scaled onto the unit sphere."""
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
 def unit_rays_2d(angles):
     return [np.array([np.cos(a), np.sin(a)]) for a in np.atleast_1d(angles)]
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from prodenv.bounds import BoundResult, ProfitData
 from prodenv.errors import ValidationError
-from prodenv.geometry import _vec
 
 
 def _face_intervals(data: ProfitData) -> Optional[list[tuple[float, float]]]:
@@ -64,7 +63,7 @@ def brute_force_bounds(data: ProfitData, p_c, resolution: int = 50) -> BoundResu
         raise ValueError("brute_force_bounds supports at most 4 rays")
     if resolution < 2:
         raise ValidationError("resolution too coarse for the enumeration oracle")
-    pc = _vec(p_c)
+    pc = np.asarray(p_c, float)
 
     intervals = _face_intervals(data)
     if intervals is None:

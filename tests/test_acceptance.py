@@ -13,7 +13,7 @@ from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.estimation import (diewert_supply, diewert_value, duality_check,
                                 fit_diewert, infinite_hausdorff_demo,
                                 plugin_set)
-from prodenv.geometry import (PriceRay, RestrictedPriceSet, support_value)
+from prodenv.geometry import RestrictedPriceSet, support_value
 from prodenv.identify import BucketingConfig, IdentifyConfig, identify_profits
 from prodenv.proxies import rank_matrix, recover_g_housing, recover_proxy_model
 from prodenv.simulate import (DiewertTech, MarketConfig, ProxyGood,
@@ -374,8 +374,7 @@ class TestCriterion8DiewertFit:
         coef_err = float(np.max(np.abs(fit.b_stack - truth)))
         exact_ok = coef_err <= 1e-8
 
-        ps = RestrictedPriceSet(tuple(PriceRay(r) for r in rays),
-                                convex_flag=True)
+        ps = RestrictedPriceSet(rays, convex_flag=True)
         envs = [plugin_set(fit.evaluator(e), ps) for e in (1, 2, 3)]
         nested_ok = True
         for ray in ps.rays:

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from prodenv.cli import (golden_table, main, profit_data_from_table,
+from prodenv.cli import (_parse_pbar, golden_table, main, profit_data_from_table,
                          render_artifact, run_pipeline, table_evaluator)
+from prodenv.estimation import diewert_value
 from prodenv.errors import ValidationError
 from prodenv.config import PipelineConfig
 from prodenv.simulate import (Dataset, PowerTech, TechnologySpec,
@@ -188,6 +189,25 @@ class TestPipeline:
                 rays = profit_data_from_table(table, r["type"], model).rays
                 assert np.all(rays @ w <= 1e-12) and pc @ w >= 0 and u @ w > 0
 
+    def test_fixed_quantity_question_certifies_each_end(self, tmp_path):
+        # Each end is attained by a bundle with y_1 pinned at ybar, priced at
+        # the grid ray that attains it.
+        cfg = tmp_path / "f.ini"
+        cfg.write_text(DEMO_CONFIG.format(out=tmp_path / "f").replace(
+            "question = profit\np_c = 1.0 0.6\n",
+            "question = fixed_quantity\ncoord = 1\nybar = 0.4\n"))
+        assert main(["run", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "f" / "bounds_report.json").read_text())
+        assert [r["type"] for r in report["per_type"]] == [1, 2, 3]
+        for r in report["per_type"]:
+            assert r["feasible"] and "repair_shift" in r
+            for end in ("lower", "upper"):
+                assert isinstance(r[end], float) and np.isfinite(r[end])
+                cert = r[end + "_certificate"]
+                y_c, p_c = np.array(cert["y_c"]), np.array(cert["p_c"])
+                assert y_c[0] == 0.4
+                assert p_c @ y_c == pytest.approx(r[end], rel=1e-12, abs=1e-12)
+
     def test_stage_inputs_from_explicit_paths(self, demo_config, tmp_path):
         # [<stage>] input names the file a stage reads in place of an
         # earlier stage's value; the results are those of the full run.  The
@@ -320,14 +340,28 @@ class TestCommandLine:
     def test_report_command(self, demo_config, capsys):
         cfg_path, out = demo_config
         manifest = run_pipeline(cfg_path)
-        rc = main(["report", manifest["artifacts"]["profit_table"],
-                   manifest["artifacts"]["bounds_report"],
-                   manifest["artifacts"]["duality_report"]])
+        rc = main(["report", *(manifest["artifacts"][a] for a in (
+            "profit_table", "bounds_report", "duality_report", "proxy_model",
+            "diewert_fit"))])
         assert rc == 0
         text = capsys.readouterr().out
         assert "profit table" in text
         assert "bounds" in text
         assert "verdict" in text
+        assert "proxy model:\n  good 1: recovered map" in text
+        assert "good 2: observed price" in text
+        assert "generalized-Leontief fit: 3 types" in text
+        assert len(re.findall(r"(?m)^  type \d: \[ *-?[\d.]+ +-?[\d.]+; ", text)) == 3
+
+    def test_report_without_artifacts_prints_the_golden_table(self, capsys):
+        assert main(["report"]) == 0
+        assert capsys.readouterr().out == golden_table() + "\n"
+
+    def test_demo_command(self, capsys):
+        assert main(["demo", "--m", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["m"] == 5
+        assert [r["m"] for r in doc["eta_vanishes"]] == [5, 50, 500]
 
     def test_identification_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -626,6 +660,7 @@ class TestCsvProfitInput:
         ("1.0,0.0,1.0\nnan,1.0,1.0\n", "bad.csv' data row 2 has a zero, negative or non-finite ray"),
         ("1.0,inf,1.0\n0.0,1.0,1.0\n", "bad.csv' data row 1 has a zero, negative or non-finite ray"),
         ("1.0,0.0,1.0\n0.0,1.0,inf\n", "bad.csv' data row 2 has a non-finite value"),
+        ("0.5,1.0,1.0\n1,1,1.0\n2,2,2.0\n", "bad.csv' data rows 2 and 3 lie on one price ray"),
     ])
     def test_malformed_pairs_rows_are_named(self, tmp_path, capsys, rows, message):
         path = tmp_path / "bad.csv"
@@ -659,14 +694,55 @@ class TestCsvProfitInput:
         assert ("typed.csv' data row 2 has a type_e that is not an integer"
                 in capsys.readouterr().err)
 
-    def test_empty_pbar_csv_is_reported(self, tmp_path, capsys):
+    def _duality_on_pbar(self, tmp_path, rows):
+        """The exit code of ``duality`` over a --pbar CSV of ``rows``, for a
+        fit of the pairs CSV against its type 1, and the report's path."""
         csv_path, _ = self._write_pairs_csv(tmp_path)
         fit = str(tmp_path / "f.json")
         assert main(["estimate", "--profits", csv_path, "--out", fit]) == 0
         truth = tmp_path / "t.ini"
         truth.write_text("[duality]\nb_true = 1.2 -0.3 ; -0.3 0.9\n")
-        pbar = tmp_path / "pbar.csv"
-        pbar.write_text("")
-        assert main(["duality", "--truth", str(truth), "--fit", fit, "--pbar", str(pbar),
-                     "--out", str(tmp_path / "d.json")]) == 2
+        pbar, out = tmp_path / "pbar.csv", tmp_path / "d.json"
+        pbar.write_text(rows)
+        return main(["duality", "--truth", str(truth), "--fit", fit, "--pbar", str(pbar),
+                     "--out", str(out)]), out
+
+    def test_empty_pbar_csv_is_reported(self, tmp_path, capsys):
+        assert self._duality_on_pbar(tmp_path, "")[0] == 2
         assert "pbar.csv' has no data rows" in capsys.readouterr().err
+        assert main(["duality", "--truth", str(tmp_path / "t.ini"), "--fit",
+                     str(tmp_path / "f.json"), "--pbar", "0.2:1.3:0",
+                     "--out", str(tmp_path / "d.json")]) == 2
+        assert "need a nonempty (n, d) array of rays" in capsys.readouterr().err
+
+    def test_pbar_csv_rows_are_normalized(self, tmp_path):
+        rc, out = self._duality_on_pbar(tmp_path, "3.0,4.0\n0.2,1.3\n")
+        rays = _parse_pbar(str(tmp_path / "pbar.csv"))
+        assert np.allclose(rays[0], [0.6, 0.8], rtol=0, atol=1e-15)
+        assert all(abs(np.linalg.norm(r) - 1.0) <= 1e-12 for r in rays)
+        doc = json.loads(out.read_text())
+        b = np.array([[1.2, -0.3], [-0.3, 0.9]])
+        assert rc == 0 and doc["n_rays"] == 2
+        assert doc["R"] == pytest.approx(max(diewert_value(b, np.array(rays))), rel=1e-12)
+
+    @pytest.mark.parametrize("rows, row", [
+        ("1,1\n0,0\n", 2), ("1,1\n1,0\n", 2), ("1,-1\n", 1), ("1,2\n1,nan\n", 2),
+        ("inf,1\n", 1)])
+    def test_bad_pbar_rows_are_named(self, tmp_path, capsys, rows, row):
+        assert self._duality_on_pbar(tmp_path, rows)[0] == 2
+        assert (f"--pbar '{tmp_path / 'pbar.csv'}' row {row} has a zero, negative or "
+                "non-finite entry") in capsys.readouterr().err
+
+    def test_pbar_width_must_match_the_fit(self, tmp_path, capsys):
+        assert self._duality_on_pbar(tmp_path, "1,1,1\n1,2,1\n")[0] == 2
+        assert ("--pbar rays have 3 entries, but the fit prices 2 goods"
+                in capsys.readouterr().err)
+
+    def test_fixed_quantity_needs_two_goods(self, tmp_path, capsys):
+        path = tmp_path / "d3.csv"
+        path.write_text("ray_1,ray_2,ray_3,value\n1,0,0,1\n0,1,0,1\n0,0,1,1\n")
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = fixed_quantity\ncoord = 1\nybar = 0.4\n")
+        assert main(["bounds", "--profits", str(path), "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert "fixed_quantity grid is built for dimension 2" in capsys.readouterr().err

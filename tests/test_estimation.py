@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import (DiewertFit, diewert_supply, diewert_value,
                                 duality_check, fit_diewert,
                                 infinite_hausdorff_demo, plugin_set)
-from prodenv.geometry import (PriceRay, RestrictedPriceSet, support_value)
+from prodenv.geometry import RestrictedPriceSet, support_value
 
-from conftest import random_admissible_b
+from conftest import random_admissible_b, unit, unit_rays_2d
 
 
 def random_rays(rng, n, d):
@@ -112,8 +114,7 @@ class TestFitDiewert:
 
 class TestPluginSet:
     def price_set(self, rng, n=20):
-        return RestrictedPriceSet(tuple(
-            PriceRay(r) for r in random_rays(rng, n, 2)), convex_flag=True)
+        return RestrictedPriceSet(random_rays(rng, n, 2), convex_flag=True)
 
     def test_exact_profit_gives_tight_envelope(self, rng):
         b = random_admissible_b(rng)
@@ -121,18 +122,19 @@ class TestPluginSet:
         env = plugin_set(lambda p: float(diewert_value(b, p[None, :])[0]), ps)
         for ray in ps.rays:
             sv = support_value(env, ray)
-            truth = float(diewert_value(b, ray.components[None, :])[0])
+            truth = float(diewert_value(b, ray[None, :])[0])
             assert sv.value == pytest.approx(truth, abs=1e-8)
 
     def test_single_ray_single_halfspace(self, rng):
-        ps = RestrictedPriceSet((PriceRay.from_direction([1, 1]),))
+        ps = RestrictedPriceSet([unit([1, 1])])
         env = plugin_set(lambda p: 0.0, ps)
         assert env.num_constraints == 1
-        assert not support_value(env, PriceRay.from_direction([1, 2])).finite
+        assert not support_value(env, unit([1, 2])).finite
 
     def test_nonfinite_rejected(self, rng):
         ps = self.price_set(rng, 4)
-        with pytest.raises(NumericFailure):
+        with pytest.raises(NumericFailure, match="non-finite value at ray "
+                           + re.escape(str(ps.rays[0].tolist()))):
             plugin_set(lambda p: float("inf"), ps)
 
     def test_monotone_fits_nest(self, rng):
@@ -149,9 +151,7 @@ class TestPluginSet:
 class TestDualityCheck:
     def price_set_2d(self, n=60):
         angles = np.linspace(0.2, 1.37, n)
-        return RestrictedPriceSet(tuple(
-            PriceRay(np.array([np.cos(a), np.sin(a)])) for a in angles),
-            convex_flag=True)
+        return RestrictedPriceSet(unit_rays_2d(angles), convex_flag=True)
 
     def test_exact_estimator_zero_distance(self, rng):
         b = random_admissible_b(rng)
@@ -166,7 +166,7 @@ class TestDualityCheck:
         g = lambda p: 1.01 * f(p)
         ps = self.price_set_2d()
         rep = duality_check(f, g, ps, convex_flag=True, geometric_oracle=True)
-        expected_eta = 0.01 * max(f(r.components) for r in ps.rays)
+        expected_eta = 0.01 * max(f(r) for r in ps.rays)
         assert rep.eta == pytest.approx(expected_eta, rel=1e-9)
         assert abs(rep.d_h - rep.eta) <= 1e-6
         assert rep.oracle_d_h == pytest.approx(rep.eta, abs=2e-3)
@@ -178,7 +178,7 @@ class TestDualityCheck:
         # eta = the bump.  Passed as convex, the verdict says so.
         b = random_admissible_b(rng, d=d)
         if d == 2:
-            rays = self.price_set_2d().as_matrix()
+            rays = self.price_set_2d().rays
         else:
             rays = rng.uniform(0.25, 1.0, size=(40, 3))
             rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -195,7 +195,7 @@ class TestDualityCheck:
         b = random_admissible_b(rng)
         f = lambda p: float(diewert_value(b, p[None, :])[0])
         ps = self.price_set_2d()
-        r_val = min(f(r.components) for r in ps.rays)
+        r_val = min(f(r) for r in ps.rays)
         amp = 0.01 * r_val
 
         def g(p):

@@ -15,13 +15,13 @@ import prodenv.geometry
 from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_value
-from prodenv.geometry import (HalfspaceEnvelope, PriceRay, RestrictedPriceSet,
+from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet,
                               _support_lp, euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
                               recession_ok, solve_lp, support_value,
                               support_values)
 
-from conftest import random_admissible_b, unit_rays_2d
+from conftest import random_admissible_b, unit, unit_rays_2d
 
 RT2 = np.sqrt(2.0)
 
@@ -30,33 +30,44 @@ def diag_env(value=0.0):
     return HalfspaceEnvelope.from_constraints([(np.array([1, 1]) / RT2, value)])
 
 
-class TestPriceRay:
-    def test_normalization_and_invariants(self):
-        r = PriceRay.from_direction([3.0, 4.0])
-        assert np.allclose(r.components, [0.6, 0.8])
-        assert abs(np.linalg.norm(r.components) - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, -1.0], [0.0, 0.0]])
-    def test_rejects_nonpositive(self, bad):
+class TestRestrictedPriceSet:
+    def test_rays_are_one_read_only_matrix(self):
+        rays = np.array([unit([1, t]) for t in (0.5, 1.0, 2.0)])
+        ps = RestrictedPriceSet(tuple(map(tuple, rays)), convex_flag=True)
+        assert ps.rays.shape == (3, 2) and ps.rays.dtype == np.float64
+        assert np.array_equal(ps.rays, rays) and len(ps) == 3 and ps.dimension == 2
+        assert not ps.rays.flags.writeable
         with pytest.raises(ValueError):
-            PriceRay.from_direction(bad)
+            ps.rays[0, 0] = 1.0
+        rays[0, 0] = 1.0             # the set holds its own copy
+        assert ps.rays[0, 0] != 1.0
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], unit([1.0, -1.0]), [0.0, 0.0]])
+    def test_rejects_nonpositive(self, bad):
+        with pytest.raises(ValueError, match="strictly positive"):
+            RestrictedPriceSet([unit([1, 1]), bad])
 
     def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="unit Euclidean norm"):
+            RestrictedPriceSet([unit([1, 2]), [1.0, 1.0]])
+
+    @pytest.mark.parametrize("rays", [(), [[]], [unit([1, 1]), unit([1, 1, 1])]])
+    def test_rejects_empty_or_ragged(self, rays):
         with pytest.raises(ValueError):
-            PriceRay(np.array([1.0, 1.0]))
+            RestrictedPriceSet(rays)
 
 
 class TestSupportValue:
     def test_single_halfspace_on_ray(self):
         # One observed ray with zero profit: support on that ray is zero.
-        res = support_value(diag_env(), PriceRay.from_direction([1, 1]))
+        res = support_value(diag_env(), unit([1, 1]))
         assert res.finite
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert res.maximizer is not None
 
     def test_single_halfspace_off_ray_unbounded(self):
         # Any other positive direction escapes to infinite profit.
-        res = support_value(diag_env(), PriceRay.from_direction([1, 2]))
+        res = support_value(diag_env(), unit([1, 2]))
         assert not res.finite
         w = res.direction
         assert np.array([1, 1]) / RT2 @ w <= 1e-9          # feasible direction
@@ -82,7 +93,7 @@ class TestSupportValue:
         angles = np.linspace(0.3, 1.2, 5)
         rays = [np.array([np.cos(a), np.sin(a)]) for a in angles]
         env = HalfspaceEnvelope.from_constraints([(rays[0], 1.0), (rays[-1], 1.0)])
-        q = PriceRay.from_direction([1.0, 1.1])
+        q = unit([1.0, 1.1])
         before = support_value(env, q).value
         env2 = env.with_constraint(rays[2], 0.8)
         assert support_value(env2, q).value <= before + 1e-9
@@ -147,37 +158,35 @@ class TestSolveLp:
 
 class TestRecession:
     def test_violating_envelope(self):
-        assert not recession_ok(diag_env(), [PriceRay.from_direction([1, 2])])
+        assert not recession_ok(diag_env(), [unit([1, 2])])
 
     def test_free_disposal_hull_passes(self, rng):
         pts = rng.normal(size=(6, 2))
         env = free_disposal_hull(pts)
-        probes = [PriceRay.from_direction(rng.uniform(0.05, 1, 2)) for _ in range(25)]
+        probes = [unit(rng.uniform(0.05, 1, 2)) for _ in range(25)]
         assert recession_ok(env, probes)
 
     def test_spanning_constraints(self):
         env = HalfspaceEnvelope.from_constraints(
             [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)])
-        assert recession_ok(env, [PriceRay.from_direction([1, 1]),
-                                  PriceRay.from_direction([2, 1])])
+        assert recession_ok(env, [unit([1, 1]),
+                                  unit([2, 1])])
 
 
 class TestHausdorffExtended:
     def test_identical_sets(self):
-        P = RestrictedPriceSet(tuple(
-            PriceRay.from_direction([1, t]) for t in (0.5, 1.0, 2.0)))
+        P = RestrictedPriceSet([unit([1, t]) for t in (0.5, 1.0, 2.0)])
         a = np.array([1.0, 2.0, 3.0])
         assert hausdorff_extended(a, a, P) == 0.0
 
     def test_ball_addition(self):
         # Adding c to a support function on the sphere = Minkowski ball of radius c.
-        P = RestrictedPriceSet(tuple(
-            PriceRay.from_direction([1, t]) for t in (0.5, 1.0, 2.0)))
+        P = RestrictedPriceSet([unit([1, t]) for t in (0.5, 1.0, 2.0)])
         a = np.array([1.0, 2.0, 3.0])
         assert hausdorff_extended(a, a + 0.37, P) == pytest.approx(0.37)
 
     def test_length_mismatch(self):
-        P = RestrictedPriceSet((PriceRay.from_direction([1, 1]),))
+        P = RestrictedPriceSet([unit([1, 1])])
         with pytest.raises(ValueError):
             hausdorff_extended([1.0, 2.0], [1.0], P)
 
@@ -186,8 +195,7 @@ class TestHausdorffExtended:
            st.lists(st.floats(-5, 5), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, a, b, c):
-        P = RestrictedPriceSet(tuple(
-            PriceRay.from_direction([1, t]) for t in (0.4, 0.8, 1.4, 2.5)))
+        P = RestrictedPriceSet([unit([1, t]) for t in (0.4, 0.8, 1.4, 2.5)])
         a, b, c = map(np.array, (a, b, c))
         dab = hausdorff_extended(a, b, P)
         assert dab == pytest.approx(hausdorff_extended(b, a, P))
@@ -583,7 +591,7 @@ class TestHausdorffOracle2D:
 class TestFreeDisposalHull:
     def test_single_origin_point(self):
         env = free_disposal_hull([[0.0, 0.0]])
-        res = support_value(env, PriceRay.from_direction([1, 1]))
+        res = support_value(env, unit([1, 1]))
         assert res.value == pytest.approx(0.0, abs=1e-12)
         # The set is exactly the negative orthant.
         assert env.contains([-1.0, -0.5])
@@ -591,7 +599,7 @@ class TestFreeDisposalHull:
 
     def test_two_points_cross_ray(self):
         env = free_disposal_hull([[1.0, 0.0], [0.0, 1.0]])
-        res = support_value(env, PriceRay.from_direction([1, 1]))
+        res = support_value(env, unit([1, 1]))
         assert res.value == pytest.approx(1 / RT2, abs=1e-12)
 
     def test_matches_enumeration_random_d3(self, rng):
@@ -653,6 +661,5 @@ class TestSerialization:
             HalfspaceEnvelope.from_json_dict(doc)
 
     def test_distinct_rays_required(self):
-        r = PriceRay.from_direction([1, 1])
-        with pytest.raises(ValueError):
-            RestrictedPriceSet((r, PriceRay.from_direction([2, 2])))
+        with pytest.raises(ValueError, match="distinct"):
+            RestrictedPriceSet((unit([1, 1]), unit([2, 2])))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prodenv.errors import ValidationError
-from prodenv.geometry import PriceRay
 from prodenv.simulate import (Dataset, DemandGood, DiewertTech,
                               HicksNeutralTech, KinkedTech, MarketConfig,
                               PowerTech, ProxyGood, TechnologySpec,
@@ -14,7 +13,7 @@ from prodenv.simulate import (Dataset, DemandGood, DiewertTech,
                               invert_demand, nested_check, profit_oracle,
                               profit_oracle_batch)
 
-from conftest import nested_diewert, unit_rays_2d
+from conftest import nested_diewert, unit, unit_rays_2d
 
 P_RATIO = np.array([0.12, 1.0])
 
@@ -133,17 +132,17 @@ class TestOneProfitFormula:
 
 class TestNestedCheck:
     def test_triple_is_nested(self, triple):
-        probes = [PriceRay.from_direction(P_RATIO), PriceRay.from_direction([1, 1])]
+        probes = [unit(P_RATIO), unit([1, 1])]
         assert nested_check(triple, probes)
 
     def test_identical_types_fail_strictness(self):
         tech = TechnologySpec(types=(
             PowerTech(1.0, 0.4), PowerTech(1.0, 0.4)))
-        assert not nested_check(tech, [PriceRay.from_direction([1, 2])])
+        assert not nested_check(tech, [unit([1, 2])])
 
     def test_diagonal_increment_nests(self, rng):
         tech = nested_diewert(rng)
-        probes = [PriceRay.from_direction(rng.uniform(0.1, 1, 2)) for _ in range(8)]
+        probes = [unit(rng.uniform(0.1, 1, 2)) for _ in range(8)]
         assert nested_check(tech, probes)
 
     def test_needs_probes(self, triple):
