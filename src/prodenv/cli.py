@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .bounds import ProfitData, project_rationalizable
-from .config import STAGES, PipelineConfig, artifact_file
+from .config import STAGES, PipelineConfig, artifact_file, parse_grid
 from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
-from .geometry import RestrictedPriceSet, _write_json, angle_rays, first_duplicate
+from .geometry import _write_json, first_duplicate
 from .identify import ProfitTable, identify_profits, lattice_ids
 from .proxies import (ProxyModel, quantile_anchors, recover_g_housing,
                       recover_proxy_model)
@@ -227,9 +227,10 @@ def stage_bounds(cfg: PipelineConfig, inputs: dict) -> dict:
     s = cfg.settings["bounds"]
     per_type = _per_type_data("bounds", s, inputs, s.types)
     d = next(iter(per_type.values())).dimension
+    _index("[bounds] coord", s.coord, d, f"the price rays have {d}")
     for key, vec in s.vectors.items():
-        if vec.size != d:
-            raise ValidationError(f"[bounds] {key} has {vec.size} entries, "
+        if vec.shape[-1] != d:
+            raise ValidationError(f"[bounds] {key} has {vec.shape[-1]} entries, "
                                   f"but the price rays have {d}")
     reports = []
     for e, data in per_type.items():
@@ -251,33 +252,17 @@ def stage_estimate(cfg: PipelineConfig, inputs: dict) -> DiewertFit:
                        monotone=s.monotone, tau=s.tau)
 
 
-def _parse_pbar(spec: str) -> list:
-    """Evaluation-grid spec: 'lo:hi:n' angles in d=2, or a CSV of positive price rows."""
-    if ":" in spec and not os.path.exists(spec):
-        lo, hi, n = spec.split(":")
-        return angle_rays(np.linspace(float(lo), float(hi), int(n)))
-    rows = csv_rows(spec, spec)
-    bad = ~np.all(np.isfinite(rows) & (rows > 0), axis=1)
-    if np.any(bad):
-        raise ValidationError(f"--pbar {spec!r} row {int(np.argmax(bad)) + 1} "
-                              "has a zero, negative or non-finite entry")
-    return [r / np.linalg.norm(r) for r in rows]
-
-
 def stage_duality(cfg: PipelineConfig, inputs: dict) -> dict:
     s = cfg.settings["duality"]
     fit = _input("duality", s, inputs, DiewertFit.load)
-    if fit.dimension != 2:
-        raise ValidationError("[duality] the built-in grid is 2-dimensional")
-    if inputs.get("pbar"):
-        rays = _parse_pbar(inputs["pbar"])
-    else:
-        rays = angle_rays(np.linspace(s.angle_lo, s.angle_hi, s.n_rays))
     e = _index("[duality] type_e", s.type_e, fit.d_e, f"the fit has {fit.d_e} types")
-    price_set = RestrictedPriceSet(rays, convex_flag=True)
-    if price_set.dimension != fit.dimension:       # only a --pbar CSV can differ
-        raise ValidationError(f"--pbar rays have {price_set.dimension} entries, "
-                              f"but the fit prices {fit.dimension} goods")
+    pbar = inputs.get("pbar")
+    price_set = parse_grid(pbar, "--pbar") if pbar else s.grid
+    grid = "--pbar rays have" if pbar else "[duality] grid has"
+    for what, n in ((f"{grid} {price_set.dimension} entries", price_set.dimension),
+                    (f"[duality] b_true is {len(s.b_true)} x {len(s.b_true)}", len(s.b_true))):
+        if n != fit.dimension:
+            raise ValidationError(f"{what}, but the fit prices {fit.dimension} goods")
     return duality_check(
         lambda p: float(diewert_value(s.b_true, p[None, :])[0]), fit.evaluator(e),
         price_set, convex_flag=True, geometric_oracle=s.geometric_oracle).to_json_dict()
@@ -463,8 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", dest="config", required=True,
                    help="config file with a [duality] section (b_true)")
     p.add_argument("--fit", dest="diewert_fit", required=True)
-    p.add_argument("--pbar",
-                   help="evaluation grid, 'lo:hi:n' angles or a CSV of rays")
+    p.add_argument("--pbar", help="evaluation grid, in place of [duality] grid: "
+                   "'lo:hi:n' angles or a CSV of rays")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="render artifacts as text")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -19,10 +20,10 @@ import numpy as np
 
 from .bounds import profit_bounds, profit_bounds_fixed_quantity, quantity_bounds
 from .errors import ValidationError
-from .geometry import angle_rays
+from .geometry import RestrictedPriceSet, angle_rays, first_duplicate
 from .identify import BucketingConfig, IdentifyConfig
 from .simulate import (MarketConfig, PowerTech, ProxyGood, TechnologySpec,
-                       check_entry_weights)
+                       check_entry_weights, csv_rows)
 
 
 def artifact_file(artifact: str) -> str:
@@ -49,6 +50,30 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def parse_grid(spec: str, name: str) -> RestrictedPriceSet:
+    """The grid of unit price rays ``spec`` names: 'lo:hi:n' angles in d = 2,
+    else a headerless CSV of positive price rows.  Errors name ``name``, the
+    key or flag that gave ``spec``, and a bad row by its 1-based number."""
+    try:
+        if ":" in spec and not os.path.exists(spec):
+            lo, hi, n = spec.split(":")
+            rays = angle_rays(np.linspace(_parse_number(lo), _parse_number(hi), int(n)))
+        else:
+            rows = csv_rows(spec, spec)
+            bad = ~np.all(np.isfinite(rows) & (rows > 0), axis=1)
+            if np.any(bad):
+                raise ValidationError(f"{name} {spec!r} row {int(np.argmax(bad)) + 1} "
+                                      "has a zero, negative or non-finite entry")
+            rays = [r / np.linalg.norm(r) for r in rows]
+        dup = first_duplicate(np.array(rays))
+        if dup is not None:
+            raise ValidationError(f"{name} {spec!r} rows {dup[0] + 1} and {dup[1] + 1} "
+                                  "lie on one price ray")
+        return RestrictedPriceSet(rays)
+    except (ValueError, OSError) as exc:
+        raise ValidationError(f"{name} {spec!r}: {exc}") from None
+
+
 class SectionView:
     """Typed accessors over one config section with unknown-key detection."""
 
@@ -66,8 +91,7 @@ class SectionView:
         return default
 
     def get_str(self, key: str, default: Optional[str] = None, required: bool = False):
-        v = self._raw(key, required, default)
-        return v if v is None else str(v)
+        return self._raw(key, required, default)
 
     def parse(self, key: str, text: str, parse, what: str):
         """``parse(text)`` for ``key``; its error names the key."""
@@ -85,12 +109,11 @@ class SectionView:
     def get_int(self, key: str, default: Optional[int] = None, required: bool = False):
         return self._typed(key, int, "an integer", required, default)
 
-    def get_index(self, key: str, required: bool = False, top: Optional[int] = None):
-        """A 1-based index: an integer from 1 (to ``top`` when given)."""
+    def get_index(self, key: str, required: bool = False):
+        """A 1-based index: an integer from 1."""
         v = self.get_int(key, required=required)
-        if v is not None and (v < 1 or top is not None and v > top):
-            upto = "" if top is None else f" to {top}"
-            raise ValidationError(f"[{self.name}] {key} must be an index from 1{upto}, got {v}")
+        if v is not None and v < 1:
+            raise ValidationError(f"[{self.name}] {key} must be an index from 1, got {v}")
         return v
 
     def get_float(self, key: str, default: Optional[float] = None, required: bool = False):
@@ -185,27 +208,23 @@ def _parse_proxy_goods(sec: SectionView) -> Optional[tuple]:
 def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketConfig:
     law_kind = sec.get_str("price_law", "box")
     if law_kind == "grid":
-        angles = sec.get_vector("grid_angles")
-        if angles is not None:
-            if dimension != 2:
-                raise ValidationError("[simulate] grid_angles needs dimension 2")
-            rays = angle_rays(angles)
-        else:
-            mat = sec.get_matrix("grid_rays", required=True)
-            rays = [r / np.linalg.norm(r) for r in mat]
-        price_law = ("grid", rays)
+        grid = parse_grid(sec.get_str("grid", required=True), "[simulate] grid")
+        if grid.dimension != dimension:
+            raise ValidationError(f"[simulate] grid has {grid.dimension} entries, but the "
+                                  f"technology prices {dimension} goods")
+        price_law = ("grid", grid.rays)
     elif law_kind == "box":
         price_law = ("box", sec.get_float("box_lo", 0.2), sec.get_float("box_hi", 1.0))
+        if not 0 < price_law[1] <= price_law[2]:
+            raise ValidationError(f"[simulate] need 0 < box_lo <= box_hi, got {price_law[1:]}")
     elif law_kind == "endowment":
         price_law = ("endowment", sec.get_float("endowment_sigma", 0.5))
     else:
         raise ValidationError(f"[simulate] unknown price_law {law_kind!r}")
 
     entry_kind = sec.get_str("entry", "all")
-    if entry_kind == "all":
-        entry: tuple = ("all",)
-    elif entry_kind == "nonneg_profit":
-        entry = ("nonneg_profit",)
+    if entry_kind in ("all", "nonneg_profit"):
+        entry: tuple = (entry_kind,)
     elif entry_kind.startswith("threshold:"):
         entry = ("threshold_by_type",
                  sec.parse("entry", entry_kind[len("threshold:"):],
@@ -226,17 +245,16 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
     else:
         raise ValidationError(f"[simulate] unknown restricted_law {rq!r}")
 
-    return MarketConfig(
-        num_markets=sec.get_int("markets", required=True),
-        dimension=dimension,
-        price_law=price_law,
-        proxy_goods=_parse_proxy_goods(sec),
-        entry_rule=entry,
-        restricted_quantity_law=restricted,
-        noise=(sec.get_float("noise_half_width", 0.0),
-               sec.get_str("noise_shape", "uniform")),
-        seed=sec.get_int("seed", seed),
-    )
+    keys = dict(num_markets=sec.get_int("markets", required=True),
+                proxy_goods=_parse_proxy_goods(sec),
+                noise=(sec.get_float("noise_half_width", 0.0),
+                       sec.get_str("noise_shape", "uniform")),
+                seed=sec.get_int("seed", seed))
+    try:
+        return MarketConfig(dimension=dimension, price_law=price_law, entry_rule=entry,
+                            restricted_quantity_law=restricted, **keys)
+    except ValidationError as exc:        # a MarketConfig check: name the section
+        raise ValidationError(f"[{sec.name}] {exc}") from None
 
 
 def parse_identify_config(sec: SectionView) -> IdentifyConfig:
@@ -294,9 +312,10 @@ def _proxies_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     return s
 
 
-def _bounds_question(sec: SectionView) -> tuple[str, Callable, dict]:
+def _bounds_question(sec: SectionView) -> tuple[str, Callable, dict, Optional[int]]:
     """The question's label, the bound it asks for, as a function of one
-    type's profit data, and its vectors by key, one entry per good each."""
+    type's profit data, its arrays by key, one entry per good in each row,
+    and the 1-based good it pins (None: none)."""
     kind = sec.get_str("question", "profit")
     if kind in ("profit", "quantity"):
         pc = sec.get_vector("p_c", required=True)
@@ -305,20 +324,18 @@ def _bounds_question(sec: SectionView) -> tuple[str, Callable, dict]:
         pc = pc / np.linalg.norm(pc)
         if kind == "profit":
             return (f"profit at p_c={pc.tolist()}", lambda data: profit_bounds(data, pc),
-                    {"p_c": pc})
+                    {"p_c": pc}, None)
         u = sec.get_vector("u", required=True)
         return (f"u.y at p_c={pc.tolist()}, u={u.tolist()}",
-                lambda data: quantity_bounds(data, pc, u), {"p_c": pc, "u": u})
+                lambda data: quantity_bounds(data, pc, u), {"p_c": pc, "u": u}, None)
     if kind == "fixed_quantity":
-        coord = sec.get_index("coord", required=True, top=2) - 1
+        coord = sec.get_index("coord", required=True)
         ybar = sec.get_float("ybar", required=True)
-        grid = angle_rays(np.linspace(0.01, np.pi / 2 - 0.01, sec.get_int("n_grid_rays", 720)))
-
-        def solve(data):
-            if data.dimension != 2:
-                raise ValidationError("fixed_quantity grid is built for dimension 2")
-            return profit_bounds_fixed_quantity(data, coord, ybar, grid)
-        return f"profit with y[{coord+1}]={ybar} fixed", solve, {}
+        grid = parse_grid(sec.get_str("grid", f"0.01:{math.pi / 2 - 0.01!r}:720"),
+                          "[bounds] grid").rays
+        return (f"profit with y[{coord}]={ybar} fixed",
+                lambda data: profit_bounds_fixed_quantity(data, coord - 1, ybar, grid),
+                {"grid": grid}, coord)
     raise ValidationError(f"[bounds] unknown question {kind!r}")
 
 
@@ -339,7 +356,7 @@ def _bounds_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     s.repair = sec.get_str("repair", "none")
     if s.repair not in ("none", "project"):
         raise ValidationError(f"[bounds] unknown repair mode {s.repair!r}")
-    s.question, s.solve, s.vectors = _bounds_question(sec)
+    s.question, s.solve, s.vectors, s.coord = _bounds_question(sec)
     return s
 
 
@@ -353,16 +370,14 @@ def _estimate_settings(sec: SectionView, seed: int) -> SimpleNamespace:
 
 def _duality_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     b_true = sec.get_matrix("b_true", required=True)
-    if b_true.shape != (2, 2):
-        raise ValidationError("[duality] b_true must be 2 x 2: the built-in grid "
-                              "is 2-dimensional")
+    if b_true.shape != (len(b_true), len(b_true)):
+        raise ValidationError(f"[duality] b_true must be square, got shape {b_true.shape}")
     return SimpleNamespace(
         input=sec.get_str("input"),
         b_true=b_true,
         type_e=sec.get_index("type_e"),            # None: the fit's d_e
-        n_rays=sec.get_int("n_rays", 90),
-        angle_lo=sec.get_float("angle_lo", 0.15),
-        angle_hi=sec.get_float("angle_hi", float(np.pi / 2 - 0.15)),
+        grid=parse_grid(sec.get_str("grid", f"0.15:{math.pi / 2 - 0.15!r}:90"),
+                        "[duality] grid"),                    # --pbar replaces it
         geometric_oracle=sec.get_bool("geometric_oracle", True))
 
 

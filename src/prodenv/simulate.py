@@ -397,11 +397,11 @@ class MarketConfig:
 
     def __post_init__(self):
         if self.num_markets <= 0:
-            raise ValidationError("need a positive number of markets")
+            raise ValidationError(f"markets must be positive, got {self.num_markets}")
         if self.noise[0] < 0:
-            raise ValidationError("noise half-width must be nonnegative")
+            raise ValidationError(f"noise_half_width must be nonnegative, got {self.noise[0]:g}")
         if self.noise[1] not in ("uniform", "truncated-normal"):
-            raise ValidationError(f"unknown noise shape {self.noise[1]!r}")
+            raise ValidationError(f"unknown noise_shape {self.noise[1]!r}")
         if self.entry_rule[0] not in ("all", "nonneg_profit", "threshold_by_type"):
             raise ValidationError(f"unknown entry rule {self.entry_rule[0]!r}")
         if self.entry_rule[0] == "threshold_by_type":

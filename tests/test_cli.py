@@ -7,20 +7,34 @@ import warnings
 import numpy as np
 import pytest
 
-from prodenv.cli import (_parse_pbar, golden_table, main, profit_data_from_table,
+from prodenv.cli import (golden_table, main, profit_data_from_table,
                          render_artifact, run_pipeline, table_evaluator)
-from prodenv.estimation import diewert_value
+from prodenv.estimation import diewert_supply, diewert_value
 from prodenv.errors import ValidationError
-from prodenv.config import PipelineConfig
-from prodenv.simulate import (Dataset, PowerTech, TechnologySpec,
-                              profit_oracle_batch)
+from prodenv.config import PipelineConfig, parse_grid
+from prodenv.simulate import (Dataset, MarketConfig, PowerTech, TechnologySpec,
+                              generate_dataset, profit_oracle_batch)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PROXY_KEYS = ("; p1 = x1^2 + 1, lattice draw\nproxy_1 = square_plus:1.0:0.6,1.4:3\n"
+              "; observed price\nproxy_2 = identity:0.9,2.1:4\n")
 
 # The README's pipeline config, so the printed example is the tested one.
 DEMO_CONFIG = re.sub(
     r"(?m)^out_dir = .*$", "out_dir = {out}",
     re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1))
+
+
+def test_every_readme_config_loads(tmp_path, monkeypatch):
+    # Loading checks every key of every listed stage, and runs no stage.
+    monkeypatch.chdir(tmp_path)          # where a relative out_dir would go
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 3
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.ini"
+        path.write_text(block)
+        PipelineConfig.from_file(str(path))
+    assert sorted(os.listdir(tmp_path)) == [f"readme_{i}.ini" for i in range(len(blocks))]
 
 
 @pytest.fixture
@@ -81,8 +95,8 @@ class TestPipeline:
         (("\n[estimate]\n", "\n[estimate]\ntua = 0.3\n"), "[estimate] unknown keys: tua"),
         (("p_c = 1.0 0.6\n", "p_c = 1.0 six\n"), "[bounds] p_c must be a list of numbers"),
         (("trim = 0\n", "trim = 0\nmode = eulr\n"), "[proxies] unknown mode 'eulr'"),
-        (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0 ; 0 0 1"),
-         "[duality] b_true must be 2 x 2"),
+        (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0"),
+         "[duality] b_true must be square, got shape (2, 3)"),
         (("p_c = 1.0 0.6\n", "p_c = -1.0 0.6\n"), "[bounds] p_c must be nonnegative"),
         (("p_c = 1.0 0.6\n", "p_c = 0 0\n"), "[bounds] p_c must be nonnegative and nonzero"),
         (("p_c = 1.0 0.6\n", "p_c = nan 0.6\n"),
@@ -122,14 +136,40 @@ class TestPipeline:
          "[proxies] type_e must be an index from 1, got 0"),
         (("question = profit\np_c = 1.0 0.6\n",
           "question = fixed_quantity\ncoord = 0\nybar = 0.4\n"),
-         "[bounds] coord must be an index from 1 to 2, got 0"),
+         "[bounds] coord must be an index from 1, got 0"),
         (("question = profit\np_c = 1.0 0.6\n",
-          "question = fixed_quantity\ncoord = 3\nybar = 0.4\n"),
-         "[bounds] coord must be an index from 1 to 2, got 3"),
+          "question = fixed_quantity\ncoord = 1.5\nybar = 0.4\n"),
+         "[bounds] coord must be an integer"),
         (("repair = project\n", "repair = project\ntypes = 1.5\n"),
          "[bounds] types must be indices from 1, got 1.5"),
         (("repair = project\n", "repair = project\ntypes = 0\n"),
          "[bounds] types must be indices from 1, got 0"),
+        # Checked in MarketConfig, named here.
+        (("markets = 200\n", "markets = 0\n"), "[simulate] markets must be positive, got 0"),
+        (("noise_half_width = 0\n", "noise_half_width = -1\n"),
+         "[simulate] noise_half_width must be nonnegative, got -1"),
+        (("noise_half_width = 0\n", "noise_half_width = 0\nnoise_shape = bogus\n"),
+         "[simulate] unknown noise_shape 'bogus'"),
+        # Without proxies the box law draws the prices; a bad box once
+        # failed mid-simulate, after the output directory was made.
+        ((PROXY_KEYS, "box_lo = -1\n"), "[simulate] need 0 < box_lo <= box_hi, got (-1.0, 1.0)"),
+        ((PROXY_KEYS, "box_lo = 0.5\nbox_hi = 0.4\n"),
+         "[simulate] need 0 < box_lo <= box_hi, got (0.5, 0.4)"),
+        (("question = profit\np_c = 1.0 0.6\n",
+          "question = fixed_quantity\ncoord = 1\nybar = 0.4\ngrid = 0.5:0.5:2\n"),
+         "[bounds] grid '0.5:0.5:2' rows 1 and 2 lie on one price ray"),
+        (("b_true = ", "grid = 0.2:1.3\nb_true = "), "[duality] grid '0.2:1.3': not enough values"),
+        (("b_true = ", "grid = 0.2:nan:9\nb_true = "), "[duality] grid '0.2:nan:9': 'nan' is not"),
+        (("b_true = ", "grid = 0.2:1.7:9\nb_true = "),
+         "[duality] grid '0.2:1.7:9': price rays must be strictly positive"),
+        (("b_true = ", "grid = rays.csv\nb_true = "),
+         "[duality] grid 'rays.csv': rays.csv not found"),
+        (("entry = all\n", "entry = all\nprice_law = grid\n"),
+         "[simulate] missing required key 'grid'"),
+        (("entry = all\n", "entry = all\nprice_law = grid\ngrid = 0.2:1.3:0\n"),
+         "[simulate] grid '0.2:1.3:0': need a nonempty (n, d) array of rays"),
+        (("\n[estimate]\n", "\n[estimate]\nconvexity = maybe\n"),
+         "[estimate] convexity must be a boolean"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -153,6 +193,11 @@ class TestPipeline:
          "[bounds] p_c has 3 entries, but the price rays have 2"),
         (("question = profit\n", "question = quantity\nu = 1 0 0\n"),
          "[bounds] u has 3 entries, but the price rays have 2"),
+        (("question = profit\np_c = 1.0 0.6\n",
+          "question = fixed_quantity\ncoord = 3\nybar = 0.4\n"),
+         "[bounds] coord = 3, but the price rays have 2"),
+        (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0 ; 0 0 1"),
+         "[duality] b_true is 3 x 3, but the fit prices 2 goods"),
     ])
     def test_index_past_the_data_exits_2_naming_the_key(self, tmp_path, capsys,
                                                           edit, named):
@@ -337,6 +382,31 @@ class TestCommandLine:
         assert np.array_equal(back.noisy_profit,
                               truth[np.arange(len(back)), back.type_e - 1])
 
+    @pytest.mark.parametrize("keys, law", [
+        ("restricted_law = fixed:0.5 1.0\n",
+         dict(restricted_quantity_law=("fixed", np.array([0.5, 1.0])))),
+        ("price_law = endowment\nendowment_sigma = 0.8\nentry = nonneg_profit\n",
+         dict(price_law=("endowment", 0.8), entry_rule=("nonneg_profit",))),
+    ], ids=["restricted-fixed", "endowment-nonneg-profit"])
+    def test_simulate_keys_reach_the_draw(self, tmp_path, keys, law):
+        # The config's dataset is the library's for the same MarketConfig.
+        b = np.array([[1.0, -0.8], [-0.8, 0.5]])        # negative where p2/p1 is near 1
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[pipeline]\nstages = simulate\nseed = 5\n\n[simulate]\n"
+                       "technology = diewert\nb_1 = 1.0 -0.8 ; -0.8 0.5\nmarkets = 300\n"
+                       + keys)
+        data = str(tmp_path / "d.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", data]) == 0
+        back = Dataset.from_csv(data)
+        want = generate_dataset(TechnologySpec.diewert_family([b]),
+                                MarketConfig(num_markets=300, dimension=2, seed=5, **law))
+        for column in ("x", "y_restricted", "noisy_profit"):
+            assert np.array_equal(getattr(back, column), getattr(want, column))
+        if "entry_rule" in law:
+            assert np.all(back.noisy_profit >= 0) and 0 < len(back) < 300
+        else:
+            assert set(back.y_restricted[:, 0]) == {0.5, 1.0}
+
     def test_report_command(self, demo_config, capsys):
         cfg_path, out = demo_config
         manifest = run_pipeline(cfg_path)
@@ -377,7 +447,7 @@ technology = diewert
 b_1 = 1.0 -0.2 ; -0.2 0.8
 b_2 = 1.05 -0.2 ; -0.2 0.84
 markets = 4000
-grid_angles = 0.6 0.9
+grid = 0.6:0.9:2
 price_law = grid
 entry = all
 noise_half_width = 0.5
@@ -545,6 +615,24 @@ anchor_p = 2.0 1.2
         err = capsys.readouterr().err
         assert "twice.csv" in err and "1 given more than once" in err
 
+    def test_housing_mode_recovers_the_price_map(self, tmp_path):
+        # p_l = v^2/2 makes g'/g = p_l'/v = 1, so g(v) = 1.5 exp(v - 2) from
+        # the anchor (2, 1.5).  np.gradient is exact on a quadratic inside
+        # the grid and one-sided, so off, at its two end nodes.
+        v = np.linspace(1.0, 3.0, 21)
+        csv_path = tmp_path / "housing.csv"
+        csv_path.write_text("vbar,p_l\n" + "".join(f"{a!r},{a * a / 2!r}\n" for a in v.tolist()))
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(f"[proxies]\nmode = housing\nprofile_csv = {csv_path}\n"
+                       "anchor_v = 2\nanchor_p = 1.5\n")
+        out = tmp_path / "proxy.json"
+        assert main(["proxies", "--profits", "unused.json", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        (good,) = json.loads(out.read_text())["goods"]
+        assert good["grid"] == v.tolist() and not good["observed"]
+        g, truth = np.array(good["g_values"]), 1.5 * np.exp(v - 2.0)
+        assert np.all(np.abs(g - truth)[1:-1] <= 1e-12 * truth[1:-1])
+
     @pytest.mark.parametrize("rows", ["", "1.0,2.0\n"])
     def test_short_housing_profile_is_reported(self, tmp_path, capsys, rows):
         csv_path = tmp_path / "housing.csv"
@@ -624,6 +712,30 @@ class TestCsvProfitInput:
         doc = json.loads(pathlib.Path(out).read_text())
         assert np.allclose(np.asarray(doc["b"][0]), b1, atol=1e-7)
         assert np.allclose(np.asarray(doc["b"][1]), b2, atol=1e-7)
+
+    @pytest.mark.parametrize("on, off", [("true", "false"), ("yes", "no"), ("1", "off")])
+    def test_boolean_keys_reach_their_stages(self, tmp_path, on, off):
+        # Convexity holds the cross term at or below 0, so only the fit
+        # without it recovers a positive one.  The geometric oracle's
+        # distance is in the duality report only when it is on.
+        b = np.array([[1.0, 0.2], [0.2, 0.8]])
+        rays = np.array([[np.cos(a), np.sin(a)] for a in np.linspace(0.3, 1.25, 8)])
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("ray_1,ray_2,value\n" + "".join(
+            f"{r[0]!r},{r[1]!r},{v!r}\n"
+            for r, v in zip(rays.tolist(), diewert_value(b, rays).tolist())))
+        cfg, fit, rep = tmp_path / "c.ini", tmp_path / "f.json", tmp_path / "d.json"
+        cross = {}
+        for flag in (on, off):
+            cfg.write_text(f"[estimate]\nconvexity = {flag}\nmonotone = {off}\n\n[duality]\n"
+                           f"b_true = 1.0 0.2 ; 0.2 0.8\ngeometric_oracle = {flag}\n")
+            assert main(["estimate", "--profits", str(pairs), "--config", str(cfg),
+                         "--out", str(fit)]) == 0
+            cross[flag] = json.loads(fit.read_text())["b"][0][0][1]
+            assert main(["duality", "--truth", str(cfg), "--fit", str(fit),
+                         "--out", str(rep)]) == 0
+            assert (json.loads(rep.read_text())["oracle_d_h"] is None) == (flag == off)
+        assert cross[on] <= 0 and cross[off] == pytest.approx(0.2, abs=1e-8)
 
     def test_pairs_csv_without_value_column_is_reported(self, tmp_path, capsys):
         path = tmp_path / "rays.csv"
@@ -717,7 +829,7 @@ class TestCsvProfitInput:
 
     def test_pbar_csv_rows_are_normalized(self, tmp_path):
         rc, out = self._duality_on_pbar(tmp_path, "3.0,4.0\n0.2,1.3\n")
-        rays = _parse_pbar(str(tmp_path / "pbar.csv"))
+        rays = parse_grid(str(tmp_path / "pbar.csv"), "--pbar").rays
         assert np.allclose(rays[0], [0.6, 0.8], rtol=0, atol=1e-15)
         assert all(abs(np.linalg.norm(r) - 1.0) <= 1e-12 for r in rays)
         doc = json.loads(out.read_text())
@@ -727,22 +839,98 @@ class TestCsvProfitInput:
 
     @pytest.mark.parametrize("rows, row", [
         ("1,1\n0,0\n", 2), ("1,1\n1,0\n", 2), ("1,-1\n", 1), ("1,2\n1,nan\n", 2),
-        ("inf,1\n", 1)])
+        ("inf,1\n", 1), ("1,1\n2,2\n1,2\n", (1, 2))])
     def test_bad_pbar_rows_are_named(self, tmp_path, capsys, rows, row):
+        # A pair of rows is two rows on one ray.
         assert self._duality_on_pbar(tmp_path, rows)[0] == 2
-        assert (f"--pbar '{tmp_path / 'pbar.csv'}' row {row} has a zero, negative or "
-                "non-finite entry") in capsys.readouterr().err
+        what = (f"rows {row[0]} and {row[1]} lie on one price ray" if isinstance(row, tuple)
+                else f"row {row} has a zero, negative or non-finite entry")
+        assert f"--pbar '{tmp_path / 'pbar.csv'}' {what}" in capsys.readouterr().err
+
+    def _fixed_quantity_bounds(self, tmp_path, grid, ybar):
+        """The exit code of ``bounds`` on the pairs CSV for y_1 = ``ybar``
+        over the sweep grid ``grid``, and the report's path."""
+        csv_path, _ = self._write_pairs_csv(tmp_path)
+        q, out = tmp_path / "q.ini", tmp_path / "b.json"
+        q.write_text(f"[bounds]\nquestion = fixed_quantity\ncoord = 1\nybar = {ybar}\n"
+                     f"grid = {grid}\n")
+        return main(["bounds", "--profits", csv_path, "--question", str(q),
+                     "--out", str(out)]), out
+
+    def test_bounds_grid_rows_on_one_ray_are_named(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0.5,1\n1,1\n1,2\n")
+        assert self._fixed_quantity_bounds(tmp_path, grid, 0.4)[0] == 2
+        assert (f"[bounds] grid '{grid}' rows 1 and 3 lie on one price ray"
+                in capsys.readouterr().err)
+
+    def test_sweep_with_no_feasible_ray_reports_it(self, tmp_path, capsys):
+        # Inside the rays' cone the bundles above L(p) lie near one vertex,
+        # far from y_1 = 50, at every ray of the grid.
+        rc, out = self._fixed_quantity_bounds(tmp_path, "0.5:1.0:5", 50)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert [r["feasible"] for r in report["per_type"]] == [False, False]
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  type 1: infeasible restriction set", "  type 2: infeasible restriction set"]
 
     def test_pbar_width_must_match_the_fit(self, tmp_path, capsys):
         assert self._duality_on_pbar(tmp_path, "1,1,1\n1,2,1\n")[0] == 2
         assert ("--pbar rays have 3 entries, but the fit prices 2 goods"
                 in capsys.readouterr().err)
 
-    def test_fixed_quantity_needs_two_goods(self, tmp_path, capsys):
+    def test_fixed_quantity_grid_must_match_the_goods(self, tmp_path, capsys):
+        # The built-in sweep grid is the d = 2 angle grid; d = 3 data needs
+        # a [bounds] grid of its own.
         path = tmp_path / "d3.csv"
         path.write_text("ray_1,ray_2,ray_3,value\n1,0,0,1\n0,1,0,1\n0,0,1,1\n")
         q = tmp_path / "q.ini"
         q.write_text("[bounds]\nquestion = fixed_quantity\ncoord = 1\nybar = 0.4\n")
         assert main(["bounds", "--profits", str(path), "--question", str(q),
                      "--out", str(tmp_path / "b.json")]) == 2
-        assert "fixed_quantity grid is built for dimension 2" in capsys.readouterr().err
+        assert ("[bounds] grid has 2 entries, but the price rays have 3"
+                in capsys.readouterr().err)
+
+    def test_three_goods_bounds_estimate_and_duality(self, tmp_path):
+        # Exact profits of three nested Diewert types on 30 rays in d = 3,
+        # with a 3-column CSV grid for the sweep and the duality check.
+        b1 = np.array([[1.1, -0.2, -0.1], [-0.2, 0.9, -0.1], [-0.1, -0.1, 1.0]])
+        bs = [b1, b1 + np.diag([0.8, 0.7, 0.7]), b1 + np.diag([1.7, 1.3, 1.5])]
+        rng = np.random.default_rng(0)
+        rays = rng.uniform(0.25, 1, (30, 3))
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        grid = rng.uniform(0.3, 1, (60, 3))
+        rows = ["ray_1,ray_2,ray_3,value,type_e"]
+        for e, b in enumerate(bs, start=1):
+            rows += [",".join(map(repr, [*map(float, r), float(v), e]))
+                     for r, v in zip(rays, diewert_value(b, rays))]
+        pairs, grid_csv = tmp_path / "pairs.csv", tmp_path / "grid.csv"
+        pairs.write_text("\n".join(rows))
+        grid_csv.write_text("\n".join(",".join(map(repr, map(float, g))) for g in grid))
+        p7 = grid[6] / np.linalg.norm(grid[6])
+
+        q, out = tmp_path / "q.ini", tmp_path / "b.json"
+        for e, b in enumerate(bs, start=1):
+            ybar = float(diewert_supply(b, p7)[0])
+            q.write_text(f"[bounds]\nquestion = fixed_quantity\ncoord = 1\nybar = {ybar!r}\n"
+                         f"grid = {grid_csv}\ntypes = {e}\n")
+            assert main(["bounds", "--profits", str(pairs), "--question", str(q),
+                         "--out", str(out)]) == 0
+            (r,) = json.loads(out.read_text())["per_type"]
+            assert r["type"] == e and r["feasible"]
+            assert r["lower"] <= diewert_value(b, p7[None])[0] <= r["upper"]
+            for end in ("lower", "upper"):
+                assert r[end + "_certificate"]["y_c"][0] == ybar
+
+        fit = tmp_path / "f.json"
+        assert main(["estimate", "--profits", str(pairs), "--out", str(fit)]) == 0
+        for b, b_hat in zip(bs, json.loads(fit.read_text())["b"]):
+            assert np.allclose(b_hat, b, rtol=0, atol=1e-6)
+        truth = tmp_path / "t.ini"
+        truth.write_text("[duality]\nb_true = " + " ; ".join(" ".join(map(str, r)) for r in bs[2])
+                         + f"\ngrid = {grid_csv}\n")
+        assert main(["duality", "--truth", str(truth), "--fit", str(fit),
+                     "--out", str(tmp_path / "d.json")]) == 0
+        doc = json.loads((tmp_path / "d.json").read_text())
+        assert doc["n_rays"] == 60 and doc["verdict"] == "equality"

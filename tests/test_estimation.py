@@ -42,6 +42,18 @@ class TestFitDiewert:
         assert np.allclose(np.diag(fit.b_stack[0]), [1.2, 0.7], atol=1e-8)
         assert abs(fit.b_stack[0][0, 1]) <= 1e-8
 
+    def test_convexity_off_fits_a_positive_cross_term(self, rng):
+        # Convexity bounds the off-diagonal at 0, so only the fit without it
+        # can recover a positive cross term.
+        b = np.array([[1.0, 0.2], [0.2, 0.8]])
+        rays = random_rays(rng, 12, 2)
+        per_type = [(rays, diewert_value(b, rays))]
+        free = fit_diewert(per_type, d_y=2, convexity=False)
+        assert np.max(np.abs(free.b_stack[0] - b)) <= 1e-8
+        assert free.residual == pytest.approx(0.0, abs=1e-7)
+        convex = fit_diewert(per_type, d_y=2)
+        assert convex.b_stack[0][0, 1] <= 1e-12 and convex.residual > 1e-3
+
     def test_lad_residual_bounded_by_noise(self, rng):
         truth = nested_b_stack(rng, d=2, d_e=2)
         rays = random_rays(rng, 200, 2)
