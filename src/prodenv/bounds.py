@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import NumericFailure, ValidationError
 from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _Segments,
-                       _supports, first_duplicate, free_disposal_hull,
-                       recession_direction, solve_lp, support_values)
+                       _supports, first_duplicate, recession_direction,
+                       solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
 WAPM_VIOLATION = "profit data violate WAPM; bounds are undefined"
@@ -395,9 +395,3 @@ def sharpness_check(data: ProfitData, p_c, upper: float) -> bool:
         same = abs(upper - data.values[i]) <= VALUE_TIE_TOL * max(1.0, abs(upper))
         return same and wapm_feasible(data)[0]
     return wapm_feasible(data.with_pair(pc, upper))[0]
-
-
-def rationalizing_hull(certificate: dict) -> HalfspaceEnvelope:
-    """Free-disposal hull of a WAPM certificate's quantity vectors."""
-    pts = np.vstack([np.asarray(v) for v in certificate.values()])
-    return free_disposal_hull(pts)

@@ -206,6 +206,11 @@ def _parse_proxy_goods(sec: SectionView) -> Optional[tuple]:
 
 
 def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketConfig:
+    proxy_goods = _parse_proxy_goods(sec)
+    for key in ("price_law", "grid", "box_lo", "box_hi", "endowment_sigma"):
+        if proxy_goods is not None and sec.get_str(key) is not None:
+            raise ValidationError(f"[simulate] {key} does nothing when proxy_* keys are "
+                                  "set: the proxies draw the prices")
     law_kind = sec.get_str("price_law", "box")
     if law_kind == "grid":
         grid = parse_grid(sec.get_str("grid", required=True), "[simulate] grid")
@@ -246,7 +251,7 @@ def parse_market_config(sec: SectionView, seed: int, dimension: int) -> MarketCo
         raise ValidationError(f"[simulate] unknown restricted_law {rq!r}")
 
     keys = dict(num_markets=sec.get_int("markets", required=True),
-                proxy_goods=_parse_proxy_goods(sec),
+                proxy_goods=proxy_goods,
                 noise=(sec.get_float("noise_half_width", 0.0),
                        sec.get_str("noise_shape", "uniform")),
                 seed=sec.get_int("seed", seed))

@@ -101,10 +101,6 @@ class HalfspaceEnvelope:
         y = np.asarray(y, dtype=float)
         return bool(np.all(self.normals @ y <= self.offsets + tol))
 
-    def with_constraint(self, ray, value: float) -> "HalfspaceEnvelope":
-        return HalfspaceEnvelope(np.vstack([self.normals, ray]),
-                                 np.append(self.offsets, float(value)))
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "prodenv.envelope/1",

@@ -439,9 +439,6 @@ class ProfitTable(_Artifact):
     noise_cdf: NoiseCdf
     cells: list = field(default_factory=list)
 
-    def cell_map(self) -> dict:
-        return {c.key: c for c in self.cells}
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "prodenv.profit-table/1",

@@ -426,6 +426,10 @@ def check_entry_weights(weights) -> np.ndarray:
     return w
 
 
+# Rows of the dataset CSV built and written at once: about 3 MB of text.
+_CSV_BLOCK_ROWS = 8192
+
+
 @dataclass
 class Dataset:
     """Column-oriented container for generated observations.
@@ -448,9 +452,14 @@ class Dataset:
 
     def to_csv(self, path_or_buf, debug: bool = False) -> None:
         """Writes a header line and one CRLF-ended line per row, built a
-        column at a time.  Floats are written as their ``repr``, so
-        ``from_csv`` reads back the same bits.  A column at most half distinct
-        formats each distinct bit pattern once (so -0.0 apart from 0.0)."""
+        column at a time and written a block of ``_CSV_BLOCK_ROWS`` rows at a
+        time, so memory does not grow with the row count.  Floats are written
+        as their ``repr``, so ``from_csv`` reads back the same bits.  A block's
+        column at most half distinct formats each distinct bit pattern once
+        (so -0.0 apart from 0.0)."""
+        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+            with open(path_or_buf, "w", newline="") as fh:
+                return self.to_csv(fh, debug)
         k, d = self.y_restricted.shape[1], self.x.shape[1]
         header = (["market_id"]
                   + [f"y_restricted_{j+1}" for j in range(k)]
@@ -466,19 +475,16 @@ class Dataset:
                 return map(repr, col.tolist())
             return np.array(list(map(repr, bits.view(col.dtype).tolist())), object)[inv]
 
-        cols = ([text(self.market_id, int)]
-                + [text(c) for c in self.y_restricted.T]
-                + [text(c) for c in self.x.T]
-                + [itertools.repeat(str(int(v)), len(self)) for v in self.is_price]
-                + [text(self.noisy_profit)]
-                + ([text(self.type_e, int)] if debug else []))
-        lines = [",".join(header), *map(",".join, zip(*cols))]
-        body = "\r\n".join(lines) + "\r\n"
-        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-            with open(path_or_buf, "w", newline="") as fh:
-                fh.write(body)
-        else:
-            path_or_buf.write(body)
+        path_or_buf.write(",".join(header) + "\r\n")
+        for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            cols = ([text(self.market_id[rows], int)]
+                    + [text(c) for c in self.y_restricted[rows].T]
+                    + [text(c) for c in self.x[rows].T]
+                    + [itertools.repeat(str(int(v))) for v in self.is_price]
+                    + [text(self.noisy_profit[rows])]
+                    + ([text(self.type_e[rows], int)] if debug else []))
+            path_or_buf.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "Dataset":

@@ -164,12 +164,14 @@ class TestPipeline:
          "[duality] grid '0.2:1.7:9': price rays must be strictly positive"),
         (("b_true = ", "grid = rays.csv\nb_true = "),
          "[duality] grid 'rays.csv': rays.csv not found"),
-        (("entry = all\n", "entry = all\nprice_law = grid\n"),
-         "[simulate] missing required key 'grid'"),
-        (("entry = all\n", "entry = all\nprice_law = grid\ngrid = 0.2:1.3:0\n"),
+        ((PROXY_KEYS, "price_law = grid\n"), "[simulate] missing required key 'grid'"),
+        ((PROXY_KEYS, "price_law = grid\ngrid = 0.2:1.3:0\n"),
          "[simulate] grid '0.2:1.3:0': need a nonempty (n, d) array of rays"),
         (("\n[estimate]\n", "\n[estimate]\nconvexity = maybe\n"),
          "[estimate] convexity must be a boolean"),
+        # With proxies the proxies draw the prices: a law's keys would do nothing.
+        (("entry = all\n", "entry = all\nprice_law = grid\ngrid = 0.2:1.3:5\n"),
+         "[simulate] price_law does nothing when proxy_* keys are set"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):

@@ -95,7 +95,7 @@ class TestSupportValue:
         env = HalfspaceEnvelope.from_constraints([(rays[0], 1.0), (rays[-1], 1.0)])
         q = unit([1.0, 1.1])
         before = support_value(env, q).value
-        env2 = env.with_constraint(rays[2], 0.8)
+        env2 = HalfspaceEnvelope(np.vstack([env.normals, rays[2]]), np.append(env.offsets, 0.8))
         assert support_value(env2, q).value <= before + 1e-9
 
     def test_homogeneity_in_direction(self):

@@ -455,7 +455,7 @@ class TestEndToEnd:
         back = ProfitTable.from_json_dict(doc)
         assert back.d_e == table.d_e
         assert len(back.cells) == len(table.cells)
-        m_old = table.cell_map()
+        m_old = {c.key: c for c in table.cells}
         for cell in back.cells:
             assert cell.values == pytest.approx(m_old[cell.key].values)
 

@@ -1,11 +1,13 @@
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from prodenv.errors import ValidationError
+from prodenv.simulate import _CSV_BLOCK_ROWS as B
 from prodenv.simulate import (Dataset, DemandGood, DiewertTech,
                               HicksNeutralTech, KinkedTech, MarketConfig,
                               PowerTech, ProxyGood, TechnologySpec,
@@ -337,6 +339,58 @@ class TestDatasetCsv:
         buf = io.StringIO()
         data.to_csv(buf, debug=debug)
         assert buf.getvalue() == _reference_csv(data, debug)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_block_boundaries_are_invisible(self, tmp_path, n, k):
+        # x_1 is a lattice with -0.0 and 0.0 in the first block (at most half
+        # distinct there) and distinct values after it (over half).
+        rng = np.random.default_rng(n + k)
+        lattice = np.array([-0.0, 0.0, 5e-324, 1e16, 0.25, 0.5, 0.75, 1.0, 1.25])
+        first = np.arange(n) < B
+        x = np.column_stack([np.where(first, rng.choice(lattice, n), rng.uniform(0.5, 1.5, n)),
+                             rng.uniform(0.5, 1.5, n)])
+        data = Dataset(market_id=np.arange(n) // 3, y_restricted=rng.uniform(0.5, 2.0, (n, k)),
+                       x=x, is_price=np.array([False, True]),
+                       noisy_profit=rng.uniform(-1.0, 1.0, n), type_e=np.arange(n) % 3 + 1,
+                       noise_width=0.0)
+        if n > B:
+            for block, at_most_half in ((x[:B, 0], True), (x[B:2 * B, 0], False)):
+                assert (2 * np.unique(block.view(np.int64)).size <= block.size) == at_most_half
+        for debug in (False, True):
+            ref = _reference_csv(data, debug)
+            assert ref.count("\r\n") == n + 1
+            buf = io.StringIO()
+            data.to_csv(buf, debug=debug)
+            assert buf.getvalue() == ref
+            path = tmp_path / f"data{debug}.csv"
+            data.to_csv(path, debug=debug)
+            assert path.read_bytes() == ref.encode()
+
+    def test_memory_does_not_grow_with_rows(self):
+        # The text is built a block of rows at a time, so writing 4n rows
+        # peaks no higher than writing n (building all n rows' text first
+        # gives a peak about 4 times higher).
+        class Discard:
+            def write(self, text):
+                pass
+
+        def peak(n):
+            rng = np.random.default_rng(n)
+            data = Dataset(market_id=np.arange(n) // 3, y_restricted=np.zeros((n, 0)),
+                           x=rng.choice(np.linspace(0.6, 1.4, 9), (n, 2)),
+                           is_price=np.array([False, True]),
+                           noisy_profit=rng.uniform(-1.0, 1.0, n), type_e=np.ones(n, int),
+                           noise_width=0.0)
+            tracemalloc.start()
+            try:
+                data.to_csv(Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 24_000
+        assert peak(4 * n) < 1.5 * peak(n)
 
     def test_path_like(self, data, tmp_path):
         path = tmp_path / "data.csv"
