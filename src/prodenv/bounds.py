@@ -19,9 +19,10 @@ d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
 recession generators orthogonal to p, all from one convex hull.  The kernel
 also gives the support at p_c, its maximizer or its +inf certificate, so
 WAPM, L, the upper bound and the projection take no LP.  In d = 2 the y_c
-set is itself a polygon, whose own segments give the quantity bounds.
+set is itself a polygon, whose own segments give the quantity bounds; the
+sweep pins one coordinate and reads the support of that slice in every d.
 Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 0;
-profit_bounds 0 | 0; quantity_bounds 0 | 2; sweep 0 | at most 2 per ray;
+profit_bounds 0 | 0; quantity_bounds 0 | 2; sweep 0 | 0;
 project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
 a Qhull failure) each face and each support value is an LP, and a +inf bound
 takes one more for its certificate.
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, HalfspaceEnvelope, _Hull, _Segments,
+from .geometry import (FEAS_TOL, PARALLEL_TOL, HalfspaceEnvelope, _Hull, _Segments,
                        _supports, first_duplicate, recession_direction,
                        solve_lp, support_values)
 
@@ -149,32 +150,32 @@ def _faces(data: ProfitData):
     return faces
 
 
-def _face_minima(data: ProfitData, pc: np.ndarray):
-    """Least p_c . y on each face (k,) and the attaining points (k, d),
-    non-finite rows on -inf faces: closed form in d = 2, the hull's vertices
-    in d >= 3, one LP per face without a hull."""
-    if np.any(pc < 0):
-        raise ValueError("the faces answer only componentwise nonnegative prices p_c")
+def _face_minima(data: ProfitData, pcs: np.ndarray, name: str = "p_c"):
+    """Least p_c . y on each face (n, k), and where (n, k, d), at each row of
+    pcs (n, d), non-finite on -inf faces: closed form in d = 2, the hull's
+    vertices in d >= 3, one LP per face and row without a hull."""
+    if np.any(pcs < 0):
+        raise ValueError(f"{name} must be componentwise nonnegative")
     faces = _faces(data)
     if faces is None:
-        return _face_minima_lp(data, pc)
-    lows, at = (m[0] for m in faces.minima(pc[None, :]))
+        return _face_minima_lp(data, pcs)
+    lows, at = faces.minima(pcs)
     if isinstance(faces, _Hull):
-        return lows, np.where(np.isfinite(lows)[:, None], faces.Y[at], np.nan)
+        return lows, np.where(np.isfinite(lows)[..., None], faces.Y[at], np.nan)
     with np.errstate(invalid="ignore"):
-        return lows, faces.bases + at[:, None] * faces.taus
+        return lows, faces.bases + at[..., None] * faces.taus
 
 
-def _face_minima_lp(data: ProfitData, pc: np.ndarray):
-    """``_face_minima`` for any d: one LP per face."""
-    lows, ys = np.full(data.k, -np.inf), np.full((data.k, data.dimension), np.nan)
-    for i in range(data.k):
-        state, y, _ = solve_lp(pc, data.rays, data.values,
-                               data.rays[i][None, :], [data.values[i]])
+def _face_minima_lp(data: ProfitData, pcs: np.ndarray):
+    """``_face_minima`` for any d: one LP per face and row."""
+    lows = np.full((len(pcs), data.k), -np.inf)
+    ys = np.full((*lows.shape, data.dimension), np.nan)
+    for m, i in np.ndindex(lows.shape):
+        state, y, _ = solve_lp(pcs[m], data.rays, data.values, data.rays[i][None], [data.values[i]])
         if state == "infeasible":
             raise ValidationError(WAPM_VIOLATION)
         if state == "optimal":
-            ys[i], lows[i] = y, float(pc @ y)
+            ys[m, i], lows[m, i] = y, float(pcs[m] @ y)
     return lows, ys
 
 
@@ -183,7 +184,7 @@ def wapm_feasible(data: ProfitData) -> tuple[bool, Optional[dict]]:
     and, when feasible, a certificate assignment {ray index: y_p}: a point
     of each face (a tight vertex in d >= 3)."""
     try:
-        ys = _face_minima(data, np.zeros(data.dimension))[1]
+        ys = _face_minima(data, np.zeros((1, data.dimension)))[1][0]
     except ValidationError:
         return False, None
     return True, dict(enumerate(ys))
@@ -214,7 +215,7 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
     """
     pc, env = _checked(data, p_c, "p_c"), data.envelope()
     faces = _faces(data)
-    lows, ys = _face_minima(data, pc)
+    lows, ys = (m[0] for m in _face_minima(data, pc[None]))
     best = float(np.max(lows))
     ties = np.nonzero(lows >= best - VALUE_TIE_TOL)[0]
     i = int(ties[0])
@@ -238,20 +239,16 @@ def profit_bounds(data: ProfitData, p_c) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _yc_range(data: ProfitData, pc: np.ndarray, c: np.ndarray, floor: float,
-              fixed: Optional[tuple] = None):
+def _yc_range(data: ProfitData, pc: np.ndarray, c: np.ndarray, floor: float):
     """[(min, argmin, ray), (max, argmax, ray)] of c . y_c over the envelope
-    with p_c . y_c >= floor and, if ``fixed`` = (coord, ybar), y_c[coord] =
-    ybar; NaN optimizer on an unbounded side, NaN rays, None when infeasible."""
+    with p_c . y_c >= floor; NaN optimizer on an unbounded side, NaN rays,
+    None when infeasible."""
     A_ub, b_ub = data.rays, data.values
     if np.isfinite(floor):
         A_ub, b_ub = np.vstack([A_ub, -pc]), np.append(b_ub, -floor)
-    bounds = [(None, None)] * data.dimension
-    if fixed is not None:
-        bounds[fixed[0]] = (fixed[1], fixed[1])
     out, nan = [], np.full(data.dimension, np.nan)
     for sign in (1.0, -1.0):
-        state, y, value = solve_lp(sign * c, A_ub, b_ub, bounds=bounds)
+        state, y, value = solve_lp(sign * c, A_ub, b_ub)
         if state == "infeasible":
             return None
         out.append((sign * value, y, nan) if state == "optimal"
@@ -284,7 +281,7 @@ def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
     ray in d = 2 and has no certificate in d >= 3.  Raises ValueError
     unless p_c and u are ``data.dimension`` finite numbers each."""
     pc, u = _checked(data, p_c, "p_c"), _checked(data, u, "u")
-    floor = float(np.max(_face_minima(data, pc)[0]))
+    floor = float(np.max(_face_minima(data, pc[None])[0]))
     ends = (_yc_cut(data, pc, u, floor) if data.dimension == 2
             else _yc_range(data, pc, u, floor))
     if ends is None:
@@ -295,61 +292,63 @@ def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
                        lower_certificate=certs[0], upper_certificate=certs[1])
 
 
-def _sweep_2d(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
-              floors: np.ndarray):
-    """The fixed-quantity program at every grid row in closed form (d = 2):
-    per ray, feasibility, min and max of p_c . y_c, and their optimizers.
-    The line y[coord] = ybar meets the envelope in a segment; over it p_c . y
-    ranges over [v_lo, v_hi], and the floor L(p_c) (floors, one per row)
-    cuts that to [max(v_lo, L), v_hi]."""
-    line = _Segments.cut(data.rays, data.values, np.eye(2)[[coord]], np.array([ybar]))
-    base, tau = line.bases[0], line.taus[0]
-    (v_lo, t_lo), (v_hi, t_hi) = line.minima(grid), line.minima(-grid)
-    v_lo, t_lo, v_hi, t_hi = v_lo[:, 0], t_lo[:, 0], -v_hi[:, 0], t_hi[:, 0]
+def _sweep(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
+           floors: np.ndarray):
+    """Feasibility, min and max of p . y and their points at each grid row p,
+    over the envelope with y[coord] = ybar and p . y >= L(p) (floors).  The
+    max is p[coord] ybar plus the support at p[free] of the slice Q z <= w,
+    Q = P[:, free], w = v - P[:, coord] ybar (Rockafellar 1970, sec. 13);
+    rows with Q_j = 0 only ask w_j >= 0.  Q >= 0 leaves p . y unbounded below
+    on the slice unless p[free] = 0: the min is L(p) capped by the max."""
+    d = grid.shape[1]
+    free = np.arange(d) != coord
+    Q, G = np.maximum(data.rays[:, free], 0.0), grid[:, free]   # -1e-9 is a rounded 0
+    w, pinned = data.values - data.rays[:, coord] * ybar, grid[:, coord] * ybar
+    cut = (norm := np.linalg.norm(Q, axis=1)) > PARALLEL_TOL
+    if not np.any(cut):            # the slice is all of R^(d-1)
+        h, zs, dirs, z1 = np.where(G.any(axis=1), np.inf, 0.0), np.zeros_like(G), G, np.zeros(d - 1)
+    elif d == 2:                   # a half-line z <= top: h is finite, dirs and z1 unread
+        top = np.min(w[cut] / Q[cut, 0])
+        h, zs, dirs, z1 = np.where(G[:, 0] > 0, G[:, 0] * top, 0.0), np.full_like(G, top), G, G[0]
+    else:
+        piece = HalfspaceEnvelope(Q[cut] / norm[cut, None], w[cut] / norm[cut])
+        # A last row inside the normals' cone gives a finite slice point z1.
+        h, zs, dirs = _supports(piece, np.vstack([G, piece.normals.sum(axis=0)]))
+        h, zs, dirs, z1 = h[:-1], zs[:-1], dirs[:-1], zs[-1]
     tol = FEAS_TOL * max(1.0, float(np.max(np.abs(data.values))))
+    hi = pinned + h
+    lo = np.where(G.any(axis=1), np.minimum(floors, hi), hi)
+    ok = np.all(w[~cut] >= -tol) & (hi >= floors - tol)
+    J = np.arange(d - 1) == np.argmax(G, axis=1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = np.where(v_lo >= floors - tol, t_lo, (floors - grid @ base) / (grid @ tau))
-        y_lo, y_hi = base + t_lo[:, None] * tau, base + t_hi[:, None] * tau
-    ok = line.nonempty[0] & (v_hi >= floors - tol)
-    return ok, np.minimum(np.maximum(v_lo, floors), v_hi), v_hi, y_lo, y_hi
-
-
-def _sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
-              floors: np.ndarray):
-    """General-d twin of ``_sweep_2d``: per ray, the y_c program with
-    y_c[coord] = ybar above the floor L(p_c)."""
-    n, d = grid.shape
-    ok, lo, hi = np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan)
-    y_lo, y_hi = np.full((n, d), np.nan), np.full((n, d), np.nan)
-    for m, (pc, floor) in enumerate(zip(grid, floors)):
-        out = _yc_range(data, pc, pc, float(floor), fixed=(coord, ybar))
-        if out is not None:
-            ok[m] = True
-            (lo[m], y_lo[m], _), (hi[m], y_hi[m], _) = out
-    return ok, lo, hi, y_lo, y_hi
+        # From a slice point above L(p), lower one free coordinate to reach it.
+        s = np.maximum(0.0, (floors - pinned - G @ z1) / np.sum(G * dirs, axis=1))
+        z0 = np.where(np.isfinite(h)[:, None], zs, z1 + s[:, None] * dirs)
+        rest = np.sum(np.where(J, 0.0, G * z0), axis=1)
+        z_lo = np.where(J, ((floors - pinned - rest) / G[J])[:, None], z0)
+    z_lo = np.where((lo < hi)[:, None], z_lo, zs)
+    return ok, lo, hi, np.insert(z_lo, coord, ybar, axis=1), np.insert(zs, coord, ybar, axis=1)
 
 
 def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
                                  ray_grid: Sequence) -> BoundResult:
     """Bounds on profit when one bundle coordinate is pinned at ybar and the
-    counterfactual price is free on a ray grid.
+    counterfactual price is free on a ray grid, an (n, d) array of finite,
+    componentwise nonnegative rows (else ValueError).
 
     At each grid ray the y_c program gains y_c[coord] = ybar; the reported
     interval is the sup of the per-ray maxima and the inf of the per-ray
     minima, a conservative-from-below discretization of the quadratic
     free-price program.  An empty feasible set at every grid ray is a
-    legitimate (infeasible) outcome.
-    """
+    legitimate (infeasible) outcome."""
     rays = np.asarray(ray_grid, float)
-    if not rays.size:
-        raise ValueError("ray grid must be nonempty")
+    if rays.shape[1:] != (data.dimension,) or not rays.size or not np.isfinite(rays).all():
+        raise ValueError(f"ray_grid must be a nonempty (n, {data.dimension}) finite array, "
+                         f"got shape {rays.shape}")
     if not 0 <= coord < data.dimension:
         raise ValueError(f"coord {coord} is not in 0..{data.dimension - 1}")
-    faces = _faces(data)
-    floors = (np.max(faces.minima(rays)[0], axis=1) if faces is not None
-              else np.array([np.max(_face_minima_lp(data, pc)[0]) for pc in rays]))
-    sweep = _sweep_2d if data.dimension == 2 else _sweep_lp
-    ok, lo, hi, y_lo, y_hi = sweep(data, coord, ybar, rays, floors)
+    floors = np.max(_face_minima(data, rays, "ray_grid")[0], axis=1)
+    ok, lo, hi, y_lo, y_hi = _sweep(data, coord, ybar, rays, floors)
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,
             "n_feasible": int(np.sum(ok))}
     if not np.any(ok):

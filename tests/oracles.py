@@ -2,7 +2,10 @@
 
 ``brute_force_bounds`` enumerates WAPM assignments on a dense grid in d = 2;
 it shares no algorithm with ``prodenv.bounds.profit_bounds``, which it checks
-in ``test_bounds.py`` and acceptance criterion 5.
+in ``test_bounds.py`` and acceptance criterion 5.  ``sweep_lp`` solves the
+fixed-quantity program at each grid ray as two linear programs with the
+coordinate pinned by its bounds; the library answers it from the support of
+one slice of the envelope.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 
 from prodenv.bounds import BoundResult, ProfitData
 from prodenv.errors import ValidationError
+from prodenv.geometry import solve_lp
 
 
 def _face_intervals(data: ProfitData) -> Optional[list[tuple[float, float]]]:
@@ -133,3 +137,28 @@ def brute_force_bounds(data: ProfitData, p_c, resolution: int = 50) -> BoundResu
         grid_metadata={"resolution": resolution,
                        "grid_sizes": [len(g) for g in grids]},
     )
+
+
+def sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
+             floors: np.ndarray):
+    """Reference for ``prodenv.bounds._sweep``: at each grid row p, min and
+    max of p . y over the envelope with y[coord] = ybar and p . y >= floor,
+    one LP each.  Returns feasibility, the minima and the maxima (+/-inf on
+    an unbounded side, NaN on an infeasible row)."""
+    n, d = grid.shape
+    ok, lo, hi = np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan)
+    bounds = [(None, None)] * d
+    bounds[coord] = (ybar, ybar)
+    for m, (pc, floor) in enumerate(zip(grid, floors)):
+        A_ub, b_ub = data.rays, data.values
+        if np.isfinite(floor):
+            A_ub, b_ub = np.vstack([A_ub, -pc]), np.append(b_ub, -floor)
+        ends = []
+        for sign in (1.0, -1.0):
+            state, _, value = solve_lp(sign * pc, A_ub, b_ub, bounds=bounds)
+            if state == "infeasible":
+                break
+            ends.append(sign * value if state == "optimal" else -sign * np.inf)
+        else:
+            ok[m], (lo[m], hi[m]) = True, ends
+    return ok, lo, hi
