@@ -31,10 +31,9 @@ from .proxies import (ProxyGoodModel, ProxyModel, RankDiagnostic,
                       euler_system_residual, integrate_g, quantile_anchors,
                       rank_matrix, recover_g_housing, recover_proxy_model,
                       solve_t)
-from .simulate import (Dataset, DemandGood, DiewertTech, HicksNeutralTech,
-                       KinkedTech, MarketConfig, PowerTech, ProxyGood,
-                       TechnologySpec, gen_demand_proxy, generate_dataset,
-                       invert_demand, nested_check, profit_oracle,
+from .simulate import (Dataset, DiewertTech, HicksNeutralTech, KinkedTech,
+                       MarketConfig, PowerTech, ProxyGood, TechnologySpec,
+                       generate_dataset, nested_check, profit_oracle,
                        profit_oracle_batch)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -334,7 +334,8 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
                                  ray_grid: Sequence) -> BoundResult:
     """Bounds on profit when one bundle coordinate is pinned at ybar and the
     counterfactual price is free on a ray grid, an (n, d) array of finite,
-    componentwise nonnegative rows (else ValueError).
+    componentwise nonnegative rows; coord is an integer in 0..d-1 and ybar
+    is finite (else ValueError).
 
     At each grid ray the y_c program gains y_c[coord] = ybar; the reported
     interval is the sup of the per-ray maxima and the inf of the per-ray
@@ -345,8 +346,10 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
     if rays.shape[1:] != (data.dimension,) or not rays.size or not np.isfinite(rays).all():
         raise ValueError(f"ray_grid must be a nonempty (n, {data.dimension}) finite array, "
                          f"got shape {rays.shape}")
-    if not 0 <= coord < data.dimension:
-        raise ValueError(f"coord {coord} is not in 0..{data.dimension - 1}")
+    if not hasattr(coord, "__index__") or not 0 <= coord < data.dimension:
+        raise ValueError(f"coord must be an integer in 0..{data.dimension - 1}, got {coord!r}")
+    if not np.isfinite(ybar):
+        raise ValueError(f"ybar must be finite, got {ybar!r}")
     floors = np.max(_face_minima(data, rays, "ray_grid")[0], axis=1)
     ok, lo, hi, y_lo, y_hi = _sweep(data, coord, ybar, rays, floors)
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,

@@ -25,7 +25,7 @@ from .config import STAGES, PipelineConfig, artifact_file, parse_grid
 from .errors import ProdenvError, ValidationError
 from .estimation import (DiewertFit, diewert_value, duality_check, fit_diewert,
                          infinite_hausdorff_demo)
-from .geometry import _write_json, first_duplicate
+from .geometry import _check_schema, _write_json, first_duplicate
 from .identify import ProfitTable, identify_profits, lattice_ids
 from .proxies import (ProxyModel, quantile_anchors, recover_g_housing,
                       recover_proxy_model)
@@ -310,7 +310,12 @@ def _fmt_bound_text(v, cert) -> str:
 
 def render_artifact(doc: dict) -> str:
     schema = doc.get("schema", "")
-    if schema.startswith("prodenv.profit-table/"):
+    name = schema.partition("/")[0]
+    if name not in ("prodenv.profit-table", "prodenv.bounds-report", "prodenv.proxy-model",
+                    "prodenv.duality-report", "prodenv.diewert-fit"):
+        raise ValidationError(f"unknown artifact schema {schema!r}")
+    _check_schema(doc, name, 1)
+    if name == "prodenv.profit-table":
         lines = [f"profit table: {doc['d_e']} types, {len(doc['cells'])} cells",
                  f"anchor value {doc['anchor']['value']:.6f} "
                  f"(top-down offset {doc['anchor']['e_star_offset']})"]
@@ -321,7 +326,7 @@ def render_artifact(doc: dict) -> str:
                 parts.append(f"e<={c['unidentified_below']}: unidentified (low type)")
             lines.append(f"  cell ({cell}) n={c['count']}: " + "; ".join(parts))
         return "\n".join(lines)
-    if schema.startswith("prodenv.bounds-report/"):
+    if name == "prodenv.bounds-report":
         lines = [f"bounds: {doc.get('question', '')}"]
         for r in doc.get("per_type", [doc] if "lower" in doc else []):
             if not r.get("feasible", True):
@@ -331,24 +336,22 @@ def render_artifact(doc: dict) -> str:
             hi = _fmt_bound_text(r["upper"], r.get("upper_certificate"))
             lines.append(f"  type {r.get('type')}: [{lo}, {hi}]")
         return "\n".join(lines)
-    if schema.startswith("prodenv.duality-report/"):
+    if name == "prodenv.duality-report":
         return ("duality: eta={eta:.6g} d_H={d_h:.6g} R={R:.6g} r={r:.6g} "
                 "verdict={verdict}".format(**doc))
-    if schema.startswith("prodenv.proxy-model/"):
+    if name == "prodenv.proxy-model":
         lines = ["proxy model:"]
         for j, g in enumerate(doc["goods"], start=1):
             tag = "observed price" if g["observed"] else "recovered map"
             lines.append(f"  good {j}: {tag}, grid [{g['grid'][0]:.4g}, "
                          f"{g['grid'][-1]:.4g}] ({len(g['grid'])} points)")
         return "\n".join(lines)
-    if schema.startswith("prodenv.diewert-fit/"):
-        lines = [f"generalized-Leontief fit: {doc['d_e']} types, "
-                 f"residual {doc['residual']:.6g}"]
-        for e, mat in enumerate(doc["b"], start=1):
-            rows = "; ".join(" ".join(f"{v:8.4f}" for v in row) for row in mat)
-            lines.append(f"  type {e}: [{rows}]")
-        return "\n".join(lines)
-    raise ValidationError(f"unknown artifact schema {schema!r}")
+    lines = [f"generalized-Leontief fit: {doc['d_e']} types, "
+             f"residual {doc['residual']:.6g}"]
+    for e, mat in enumerate(doc["b"], start=1):
+        rows = "; ".join(" ".join(f"{v:8.4f}" for v in row) for row in mat)
+        lines.append(f"  type {e}: [{rows}]")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -73,14 +73,6 @@ class HalfspaceEnvelope:
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
 
-    @classmethod
-    def from_constraints(cls, constraints: Iterable[tuple]) -> "HalfspaceEnvelope":
-        """Build from an iterable of (ray, value) pairs."""
-        pairs = list(constraints)
-        if not pairs:
-            raise ValueError("need at least one constraint")
-        return cls(np.vstack([r for r, _ in pairs]), [float(v) for _, v in pairs])
-
     @property
     def dimension(self) -> int:
         return self.normals.shape[1]
@@ -100,25 +92,6 @@ class HalfspaceEnvelope:
     def contains(self, y, tol: float = FEAS_TOL) -> bool:
         y = np.asarray(y, dtype=float)
         return bool(np.all(self.normals @ y <= self.offsets + tol))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "prodenv.envelope/1",
-            "dimension": self.dimension,
-            "constraints": [
-                {"ray": list(map(float, n)), "value": float(v)}
-                for n, v in zip(self.normals, self.offsets)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "HalfspaceEnvelope":
-        _check_schema(doc, "prodenv.envelope", 1)
-        cons = [(c["ray"], c["value"]) for c in doc["constraints"]]
-        env = cls.from_constraints(cons)
-        if env.dimension != doc["dimension"]:
-            raise ValidationError("envelope dimension does not match constraints")
-        return env
 
 
 def _check_schema(doc: dict, name: str, major: int) -> None:

@@ -1,6 +1,5 @@
 """Synthetic economies: technologies nested in productivity, market price
-variation, entry rules, price proxies, a separable demand side, and noisy
-observation generation.
+variation, entry rules, price proxies and noisy observation generation.
 
 A firm type is a ``Technology`` whose profit maximization has an exact
 solution: power, kinked-power and generalized-Leontief in closed form, a
@@ -347,31 +346,11 @@ class ProxyGood:
 
 
 @dataclass(frozen=True)
-class DemandGood:
-    """Per-good aggregate demand; must be strictly decreasing in price."""
-
-    form: str                 # "isoelastic": a*p**-b ; "linear": a - b*p
-    params: tuple
-
-    def __post_init__(self):
-        if self.form not in ("isoelastic", "linear"):
-            raise ValidationError(f"unknown demand form {self.form!r}")
-        if self.params[1] <= 0:
-            raise ValidationError("demand must be strictly decreasing (need b > 0)")
-
-    def quantity(self, p):
-        p = np.asarray(p, dtype=float)
-        a, b = self.params
-        return a * p ** (-b) if self.form == "isoelastic" else a - b * p
-
-
-@dataclass(frozen=True)
 class MarketConfig:
     """Everything that varies across markets plus the observation noise law.
 
     price_law:
       ("grid", rays)            equal-probability draw from a finite ray set
-      ("grid", rays, weights)   weighted draw
       ("box", lo, hi)           componentwise uniform direction, normalized
       ("endowment", sigma)      ray proportional to 1/omega with lognormal
                                 endowments omega
@@ -392,7 +371,6 @@ class MarketConfig:
     entry_rule: tuple = ("all",)
     restricted_quantity_law: Optional[tuple] = None
     noise: tuple = (0.0, "uniform")
-    demand_side: Optional[tuple] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -557,10 +535,8 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
         return prices, x
     law = cfg.price_law
     if law[0] == "grid":
-        rays = np.asarray(law[1], float)
-        weights = np.asarray(law[2], float) if len(law) > 2 else None
-        idx = rng.choice(rays.shape[0], size=m, p=weights)
-        prices = rays[idx]
+        _, rays = law
+        prices = np.asarray(rays, float)[rng.choice(len(rays), size=m)]
     elif law[0] == "box":
         lo, hi = law[1], law[2]
         prices = rng.uniform(lo, hi, size=(m, d))
@@ -649,39 +625,3 @@ def generate_dataset(tech: TechnologySpec, cfg: MarketConfig) -> Dataset:
         noise_width=cfg.noise_width,
     )
 
-
-def gen_demand_proxy(cfg: MarketConfig, p) -> np.ndarray:
-    """Aggregate quantities demanded at market prices p, one per good.
-
-    Strict monotonicity of each configured demand is validated on a price
-    grid; the resulting quantities are valid price proxies whenever the
-    demand-heterogeneity distribution is held fixed across markets (which
-    holds here by construction: the demand side is a single configured law).
-    """
-    if cfg.demand_side is None:
-        raise ValidationError("no demand side configured")
-    pv = np.atleast_1d(np.asarray(p, dtype=float))
-    goods = cfg.demand_side
-    if pv.size != len(goods):
-        raise ValueError("price dimension does not match demand side")
-    grid = np.linspace(pv.min() * 0.5, pv.max() * 2.0, 64)
-    out = np.empty(pv.size)
-    for j, good in enumerate(goods):
-        q = good.quantity(grid)
-        if np.any(np.diff(q) >= 0):
-            raise ValidationError(f"configured demand for good {j+1} is not strictly decreasing")
-        out[j] = float(good.quantity(pv[j]))
-    return out
-
-
-def invert_demand(good: DemandGood, quantity: float,
-                  p_lo: float = 1e-8, p_hi: float = 1e8) -> float:
-    """Price at which the good's demand equals ``quantity`` (bisection)."""
-    lo, hi = p_lo, p_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if good.quantity(mid) > quantity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

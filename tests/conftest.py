@@ -27,6 +27,10 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def _unit(a):
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
 def unit_rays_2d(angles):
     return [np.array([np.cos(a), np.sin(a)]) for a in np.atleast_1d(angles)]
 

@@ -5,11 +5,16 @@ it shares no algorithm with ``prodenv.bounds.profit_bounds``, which it checks
 in ``test_bounds.py`` and acceptance criterion 5.  ``sweep_lp`` solves the
 fixed-quantity program at each grid ray as two linear programs with the
 coordinate pinned by its bounds; the library answers it from the support of
-one slice of the envelope.
+one slice of the envelope.  ``exact_support`` gives an envelope's support
+values in rational arithmetic, by Caratheodory enumeration: the reference
+for finite ends where a floating-point LP is not exact enough.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -162,3 +167,94 @@ def sweep_lp(data: ProfitData, coord: int, ybar: float, grid: np.ndarray,
         else:
             ok[m], (lo[m], hi[m]) = True, ends
     return ok, lo, hi
+
+
+def _exact_ints(values):
+    """Integers m and a power of two q with values == m / q exactly."""
+    fr = [Fraction(float(x)) for x in values]
+    q = lcm(*(f.denominator for f in fr))
+    return [int(f * q) for f in fr], q
+
+
+def _exact_inverse(rows):
+    """Gauss-Jordan over the rationals: (integer A, q > 0) with the inverse
+    equal to A / q, or None when the matrix is singular."""
+    n = len(rows)
+    a = [[Fraction(e) for e in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        a[c] = [e / a[c][c] for e in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [e - a[r][c] * ec for e, ec in zip(a[r], a[c])]
+    inv = [row[n:] for row in a]
+    q = lcm(*(e.denominator for row in inv for e in row))
+    return [[int(e * q) for e in row] for row in inv], q
+
+
+def _pivot_columns(rows):
+    """Columns of a row-echelon form of an integer matrix: a column basis."""
+    a = [[Fraction(e) for e in r] for r in rows]
+    cols, top = [], 0
+    for c in range(len(a[0])):
+        p = next((r for r in range(top, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            continue
+        a[top], a[p] = a[p], a[top]
+        for r in range(top + 1, len(a)):
+            f = a[r][c] / a[top][c]
+            a[r] = [e - f * e0 for e, e0 in zip(a[r], a[top])]
+        cols.append(c)
+        top += 1
+    return cols
+
+
+def exact_support(normals, offsets, U):
+    """Support values of {y : normals y <= offsets} at the rows of U in
+    rational arithmetic, independent of the package.
+
+    LP duality: h(u) = min lam . v over u = sum_j lam_j n_j, lam >= 0.  By
+    Caratheodory a minimizer uses linearly independent rows, so the r-subsets
+    (r the rank) enumerate the cone membership and the value; no
+    representation means u leaves the cone, +inf.  At full rank the value is
+    also the largest u . y over feasible vertices (d-subsets), which the
+    oracle checks against itself.  Also returns |u| times the largest |y|
+    over vertices attaining a finite value (0 without vertices): the scale
+    of the rounding in a float u . y.
+    """
+    k, d = normals.shape
+    flat, qn = _exact_ints(normals.ravel())
+    N = [flat[i * d:(i + 1) * d] for i in range(k)]
+    v, qv = _exact_ints(offsets)
+    P = _pivot_columns(N)
+    bases = [(S, inv) for S in combinations(range(k), len(P))
+             if (inv := _exact_inverse([[N[i][c] for c in P] for i in S])) is not None]
+    verts = []              # vertex y * qv / qn, exactly
+    if len(P) == d:
+        for S, (A, q) in bases:
+            y = [Fraction(sum(A[a][b] * v[S[b]] for b in range(d)), q) for a in range(d)]
+            if all(sum(nj[c] * y[c] for c in range(d)) <= vj for nj, vj in zip(N, v)):
+                verts.append(y)
+    values, reach = [], []
+    for u in U:
+        uq, qu = _exact_ints(u)
+        best = None
+        for S, (A, q) in bases:
+            # lam = L qn / (q qu) on rows S; the other columns must agree too.
+            L = [sum(A[a][i] * uq[P[a]] for a in range(len(P))) for i in range(len(S))]
+            if min(L) < 0 or any(sum(l * N[j][c] for l, j in zip(L, S)) != uq[c] * q * qn
+                                 for c in range(d) if c not in P):
+                continue
+            val = Fraction(sum(l * v[j] for l, j in zip(L, S)), q)
+            best = val if best is None or val < best else best
+        top = [y for y in verts if best is not None
+               and sum(a * b for a, b in zip(uq, y)) == best]
+        assert best is None or not verts or top        # strong duality, exactly
+        values.append(np.inf if best is None else float(best * qn / (qu * qv)))
+        reach.append(max((float(np.linalg.norm([float(c * qn / qv) for c in y])) for y in top),
+                         default=0.0) * float(np.linalg.norm(u)))
+    return np.array(values), np.array(reach)

@@ -18,9 +18,8 @@ from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, free_dispos
                               solve_lp, support_value, support_values)
 from prodenv.simulate import DiewertTech
 
-from conftest import random_admissible_b, unit_rays_2d
-from oracles import brute_force_bounds, sweep_lp
-from test_geometry import _unit, exact_support
+from conftest import _unit, random_admissible_b, unit_rays_2d
+from oracles import brute_force_bounds, exact_support, sweep_lp
 
 RT2 = np.sqrt(2.0)
 
@@ -340,6 +339,22 @@ class TestFixedQuantityBounds:
         data, _ = diewert_data([[1.2, -0.2], [-0.2, 1.0]], np.linspace(0.35, 1.2, 3))
         with pytest.raises(ValueError, match=f"^{message}"):
             profit_bounds_fixed_quantity(data, 0, 0.3, grid)
+
+    @pytest.mark.parametrize("coord, ybar, message", [
+        # A NaN pin read as infeasible, an infinite one raised numpy's
+        # "invalid value" warning, and a coord that is no integer raised
+        # numpy's IndexError or a TypeError.
+        (0, np.nan, "ybar must be finite"),
+        (0, np.inf, "ybar must be finite"),
+        (0, -np.inf, "ybar must be finite"),
+        (0.5, 0.3, "coord must be an integer"),
+        (1.0, 0.3, "coord must be an integer"),
+        ("0", 0.3, "coord must be an integer"),
+    ])
+    def test_pin_is_finite_at_an_integer_coord(self, coord, ybar, message):
+        data, _ = diewert_data([[1.2, -0.2], [-0.2, 1.0]], np.linspace(0.35, 1.2, 3))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            profit_bounds_fixed_quantity(data, coord, ybar, [[0.6, 0.8]])
 
 
 class TestBruteForce:

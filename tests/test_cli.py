@@ -2,6 +2,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -35,6 +37,21 @@ def test_every_readme_config_loads(tmp_path, monkeypatch):
         path.write_text(block)
         PipelineConfig.from_file(str(path))
     assert sorted(os.listdir(tmp_path)) == [f"readme_{i}.ini" for i in range(len(blocks))]
+
+
+def test_readme_library_example_runs(tmp_path):
+    # The README's python block as printed, with warnings as errors.  Type
+    # 3's true profit at (1, 1)/sqrt(2) is (2.95 - 2 * 0.85 + 2.35)/sqrt(2).
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    src = str(README.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", block], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    m = re.match(r"BoundResult\(lower=(\S+), upper=(\S+), feasible=True,", out)
+    assert m, out
+    lower, upper = map(float, m.groups())
+    assert lower <= 3.6 / np.sqrt(2) <= upper
 
 
 @pytest.fixture
@@ -502,6 +519,20 @@ class TestRendering:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValidationError):
             render_artifact({"schema": "prodenv.widget/9"})
+
+    @pytest.mark.parametrize("name, other, doc", [
+        ("prodenv.bounds-report", "2", {"question": "profit at p_c", "per_type": []}),
+        ("prodenv.duality-report", "7",
+         {"eta": 0.1, "d_h": 0.2, "R": 1.0, "r": 0.5, "verdict": "consistent"}),
+    ])
+    def test_report_rejects_another_major_version(self, tmp_path, capsys, name, other, doc):
+        # A minor version renders; another major version once rendered too.
+        for version, rc in (("1.2", 0), (other, 2)):
+            path = tmp_path / f"{version}.json"
+            path.write_text(json.dumps(dict(doc, schema=f"{name}/{version}")))
+            assert main(["report", str(path)]) == rc
+        err = capsys.readouterr().err
+        assert err == f"error: expected schema {name}/1, got '{name}/{other}'\n"
 
 
 class TestAdapters:

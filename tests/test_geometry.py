@@ -1,9 +1,6 @@
 import ast
 import json
 import pathlib
-from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,20 +11,23 @@ from hypothesis import strategies as st
 import prodenv.geometry
 from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
-from prodenv.estimation import diewert_value
+from prodenv.estimation import DiewertFit, diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet,
                               _support_lp, euler_residual, free_disposal_hull,
                               hausdorff_extended, hausdorff_oracle_2d,
                               recession_ok, solve_lp, support_value,
                               support_values)
+from prodenv.identify import ProfitTable
+from prodenv.proxies import ProxyModel
 
-from conftest import random_admissible_b, unit, unit_rays_2d
+from conftest import _unit, random_admissible_b, unit, unit_rays_2d
+from oracles import exact_support
 
 RT2 = np.sqrt(2.0)
 
 
 def diag_env(value=0.0):
-    return HalfspaceEnvelope.from_constraints([(np.array([1, 1]) / RT2, value)])
+    return HalfspaceEnvelope(np.array([1, 1]) / RT2, [value])
 
 
 class TestRestrictedPriceSet:
@@ -77,7 +77,7 @@ class TestSupportValue:
         angles = rng.uniform(0.2, 1.3, size=6)
         rays = [np.array([np.cos(a), np.sin(a)]) for a in angles]
         vals = [1.0 + 0.3 * np.sin(3 * a) for a in angles]  # convex? not needed
-        env = HalfspaceEnvelope.from_constraints(list(zip(rays, vals)))
+        env = HalfspaceEnvelope(rays, vals)
         for ray, val in zip(rays, vals):
             res = support_value(env, ray)
             assert res.value <= val + 1e-9
@@ -92,15 +92,14 @@ class TestSupportValue:
         # Adding a constraint never raises the support value.
         angles = np.linspace(0.3, 1.2, 5)
         rays = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-        env = HalfspaceEnvelope.from_constraints([(rays[0], 1.0), (rays[-1], 1.0)])
+        env = HalfspaceEnvelope([rays[0], rays[-1]], [1.0, 1.0])
         q = unit([1.0, 1.1])
         before = support_value(env, q).value
         env2 = HalfspaceEnvelope(np.vstack([env.normals, rays[2]]), np.append(env.offsets, 0.8))
         assert support_value(env2, q).value <= before + 1e-9
 
     def test_homogeneity_in_direction(self):
-        env = HalfspaceEnvelope.from_constraints(
-            [(np.array([np.cos(a), np.sin(a)]), 1.0) for a in (0.4, 0.8, 1.2)])
+        env = HalfspaceEnvelope(unit_rays_2d([0.4, 0.8, 1.2]), [1.0, 1.0, 1.0])
         u = np.array([0.5, 0.7])
         v1 = support_value(env, u / np.linalg.norm(u)).value
         from scipy.optimize import linprog
@@ -167,8 +166,7 @@ class TestRecession:
         assert recession_ok(env, probes)
 
     def test_spanning_constraints(self):
-        env = HalfspaceEnvelope.from_constraints(
-            [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)])
+        env = HalfspaceEnvelope(np.eye(2), [1.0, 1.0])
         assert recession_ok(env, [unit([1, 1]),
                                   unit([2, 1])])
 
@@ -221,101 +219,6 @@ def _envelope_2d(case, rng):
     if case == "slack":
         values = values + rng.uniform(0.0, 0.2, values.size) * (rng.random(values.size) < 0.5)
     return HalfspaceEnvelope(rays, values)
-
-
-def _unit(a):
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
-
-
-def _exact_ints(values):
-    """Integers m and a power of two q with values == m / q exactly."""
-    fr = [Fraction(float(x)) for x in values]
-    q = lcm(*(f.denominator for f in fr))
-    return [int(f * q) for f in fr], q
-
-
-def _exact_inverse(rows):
-    """Gauss-Jordan over the rationals: (integer A, q > 0) with the inverse
-    equal to A / q, or None when the matrix is singular."""
-    n = len(rows)
-    a = [[Fraction(e) for e in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return None
-        a[c], a[p] = a[p], a[c]
-        a[c] = [e / a[c][c] for e in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                a[r] = [e - a[r][c] * ec for e, ec in zip(a[r], a[c])]
-    inv = [row[n:] for row in a]
-    q = lcm(*(e.denominator for row in inv for e in row))
-    return [[int(e * q) for e in row] for row in inv], q
-
-
-def _pivot_columns(rows):
-    """Columns of a row-echelon form of an integer matrix: a column basis."""
-    a = [[Fraction(e) for e in r] for r in rows]
-    cols, top = [], 0
-    for c in range(len(a[0])):
-        p = next((r for r in range(top, len(a)) if a[r][c] != 0), None)
-        if p is None:
-            continue
-        a[top], a[p] = a[p], a[top]
-        for r in range(top + 1, len(a)):
-            f = a[r][c] / a[top][c]
-            a[r] = [e - f * e0 for e, e0 in zip(a[r], a[top])]
-        cols.append(c)
-        top += 1
-    return cols
-
-
-def exact_support(normals, offsets, U):
-    """Support values of {y : normals y <= offsets} at the rows of U in
-    rational arithmetic, independent of the package.
-
-    LP duality: h(u) = min lam . v over u = sum_j lam_j n_j, lam >= 0.  By
-    Caratheodory a minimizer uses linearly independent rows, so the r-subsets
-    (r the rank) enumerate the cone membership and the value; no
-    representation means u leaves the cone, +inf.  At full rank the value is
-    also the largest u . y over feasible vertices (d-subsets), which the
-    oracle checks against itself.  Also returns |u| times the largest |y|
-    over vertices attaining a finite value (0 without vertices): the scale
-    of the rounding in a float u . y.
-    """
-    k, d = normals.shape
-    flat, qn = _exact_ints(normals.ravel())
-    N = [flat[i * d:(i + 1) * d] for i in range(k)]
-    v, qv = _exact_ints(offsets)
-    P = _pivot_columns(N)
-    bases = [(S, inv) for S in combinations(range(k), len(P))
-             if (inv := _exact_inverse([[N[i][c] for c in P] for i in S])) is not None]
-    verts = []              # vertex y * qv / qn, exactly
-    if len(P) == d:
-        for S, (A, q) in bases:
-            y = [Fraction(sum(A[a][b] * v[S[b]] for b in range(d)), q) for a in range(d)]
-            if all(sum(nj[c] * y[c] for c in range(d)) <= vj for nj, vj in zip(N, v)):
-                verts.append(y)
-    values, reach = [], []
-    for u in U:
-        uq, qu = _exact_ints(u)
-        best = None
-        for S, (A, q) in bases:
-            # lam = L qn / (q qu) on rows S; the other columns must agree too.
-            L = [sum(A[a][i] * uq[P[a]] for a in range(len(P))) for i in range(len(S))]
-            if min(L) < 0 or any(sum(l * N[j][c] for l, j in zip(L, S)) != uq[c] * q * qn
-                                 for c in range(d) if c not in P):
-                continue
-            val = Fraction(sum(l * v[j] for l, j in zip(L, S)), q)
-            best = val if best is None or val < best else best
-        top = [y for y in verts if best is not None
-               and sum(a * b for a, b in zip(uq, y)) == best]
-        assert best is None or not verts or top        # strong duality, exactly
-        values.append(np.inf if best is None else float(best * qn / (qu * qv)))
-        reach.append(max((float(np.linalg.norm([float(c * qn / qv) for c in y])) for y in top),
-                         default=0.0) * float(np.linalg.norm(u)))
-    return np.array(values), np.array(reach)
 
 
 SUPPORT_CASES_ND = ("plain", "linear", "large", "near_parallel_1e-6",
@@ -540,8 +443,8 @@ class TestHausdorffOracle2D:
 
     def test_parallel_halfspaces(self):
         p = np.array([1, 1]) / RT2
-        e0 = HalfspaceEnvelope.from_constraints([(p, 0.0)])
-        e1 = HalfspaceEnvelope.from_constraints([(p, 1.0)])
+        e0 = HalfspaceEnvelope(p, [0.0])
+        e1 = HalfspaceEnvelope(p, [1.0])
         assert hausdorff_oracle_2d(e0, e1) == pytest.approx(1.0, rel=1e-6)
 
     def test_agrees_with_formula_on_convex_perturbation(self, rng):
@@ -645,20 +548,14 @@ class TestEulerResidual:
 
 
 class TestSerialization:
-    def test_envelope_round_trip(self):
-        env = HalfspaceEnvelope.from_constraints(
-            [(np.array([np.cos(a), np.sin(a)]), float(a)) for a in (0.3, 0.9)])
-        doc = json.loads(json.dumps(env.to_json_dict()))
-        back = HalfspaceEnvelope.from_json_dict(doc)
-        assert np.allclose(back.normals, env.normals)
-        assert np.allclose(back.offsets, env.offsets)
-
-    def test_unknown_version_rejected(self):
-        env = diag_env()
-        doc = env.to_json_dict()
-        doc["schema"] = "prodenv.envelope/2"
-        with pytest.raises(ValidationError):
-            HalfspaceEnvelope.from_json_dict(doc)
+    @pytest.mark.parametrize("reader, name", [
+        (ProfitTable, "prodenv.profit-table"), (ProxyModel, "prodenv.proxy-model"),
+        (DiewertFit, "prodenv.diewert-fit")], ids=["ProfitTable", "ProxyModel", "DiewertFit"])
+    def test_reader_rejects_another_major_version(self, tmp_path, reader, name):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps({"schema": f"{name}/2"}))
+        with pytest.raises(ValidationError, match=f"expected schema {name}/1, got '{name}/2'"):
+            reader.load(str(path))
 
     def test_distinct_rays_required(self):
         with pytest.raises(ValueError, match="distinct"):

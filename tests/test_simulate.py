@@ -8,12 +8,10 @@ import pytest
 
 from prodenv.errors import ValidationError
 from prodenv.simulate import _CSV_BLOCK_ROWS as B
-from prodenv.simulate import (Dataset, DemandGood, DiewertTech,
-                              HicksNeutralTech, KinkedTech, MarketConfig,
-                              PowerTech, ProxyGood, TechnologySpec,
-                              gen_demand_proxy, generate_dataset,
-                              invert_demand, nested_check, profit_oracle,
-                              profit_oracle_batch)
+from prodenv.simulate import (Dataset, DiewertTech, HicksNeutralTech,
+                              KinkedTech, MarketConfig, PowerTech, ProxyGood,
+                              TechnologySpec, generate_dataset, nested_check,
+                              profit_oracle, profit_oracle_batch)
 
 from conftest import nested_diewert, unit, unit_rays_2d
 
@@ -439,37 +437,6 @@ class TestDatasetCsv:
             assert np.array_equal(back.y_restricted, data.y_restricted)
             assert np.array_equal(back.noisy_profit, data.noisy_profit)
             assert np.array_equal(back.is_price, data.is_price)
-
-
-class TestDemandProxies:
-    def make_cfg(self, demand):
-        return MarketConfig(num_markets=10, dimension=len(demand),
-                            demand_side=demand, seed=0)
-
-    def test_direct_evaluation(self):
-        cfg = self.make_cfg((DemandGood("isoelastic", (1.0, 1.0)),))
-        assert gen_demand_proxy(cfg, [2.0])[0] == pytest.approx(0.5)
-
-    def test_same_prices_same_quantities(self):
-        cfg = self.make_cfg((DemandGood("isoelastic", (2.0, 1.5)),
-                             DemandGood("linear", (10.0, 2.0))))
-        p = np.array([1.3, 2.1])
-        assert np.allclose(gen_demand_proxy(cfg, p), gen_demand_proxy(cfg, p))
-
-    def test_round_trip_inversion(self):
-        good = DemandGood("isoelastic", (1.5, 2.0))
-        for p in (0.4, 1.0, 3.7):
-            x = good.quantity(p)
-            assert invert_demand(good, x) == pytest.approx(p, abs=1e-10)
-
-    def test_nonmonotone_rejected(self):
-        with pytest.raises(ValidationError):
-            DemandGood("linear", (10.0, -1.0))
-
-    def test_no_demand_configured(self):
-        cfg = MarketConfig(num_markets=5, dimension=2, seed=0)
-        with pytest.raises(ValidationError):
-            gen_demand_proxy(cfg, [1.0, 1.0])
 
 
 class TestKinkedFrontier:
