@@ -19,13 +19,16 @@ d >= 3 face F_p is the hull of the envelope's vertices tight on p plus its
 recession generators orthogonal to p, all from one convex hull.  The kernel
 also gives the support at p_c, its maximizer or its +inf certificate, so
 WAPM, L, the upper bound and the projection take no LP.  In d = 2 the y_c
-set is itself a polygon, whose own segments give the quantity bounds; the
+set is itself a polygon, whose own segments give the quantity bounds; in
+d >= 3 a one-dimensional dual over the hull's vertices gives them.  The
 sweep pins one coordinate and reads the support of that slice in every d.
 Linear programs (HiGHS) per question, d = 2 | d >= 3: wapm_feasible 0 | 0;
-profit_bounds 0 | 0; quantity_bounds 0 | 2; sweep 0 | 0;
+profit_bounds 0 | 0; quantity_bounds 0 | 0; sweep 0 | 0;
 project_rationalizable 0 | 0.  Without a hull (normals of rank < d, or
 a Qhull failure) each face and each support value is an LP, and a +inf bound
-takes one more for its certificate.
+takes one more for its certificate.  With a hull, a quantity bound whose
+dual the hull's weights do not certify (among rays 1e-6 apart, say) takes
+the two LPs of ``_yc_range``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .geometry import (FEAS_TOL, PARALLEL_TOL, HalfspaceEnvelope, _Hull, _Segments,
-                       _supports, first_duplicate, recession_direction,
+from .geometry import (FEAS_TOL, PARALLEL_TOL, UNIT_TOL, HalfspaceEnvelope, _Hull, _Segments,
+                       _carried, _supports, first_duplicate, recession_direction,
                        solve_lp, support_values)
 
 VALUE_TIE_TOL = 1e-9
@@ -150,16 +153,23 @@ def _faces(data: ProfitData):
     return faces
 
 
-def _face_minima(data: ProfitData, pcs: np.ndarray, name: str = "p_c"):
-    """Least p_c . y on each face (n, k), and where (n, k, d), at each row of
-    pcs (n, d), non-finite on -inf faces: closed form in d = 2, the hull's
-    vertices in d >= 3, one LP per face and row without a hull."""
+def _face_lows(data: ProfitData, pcs: np.ndarray, name: str = "p_c"):
+    """Least p_c . y on each face (n, k) at each row of pcs (n, d), -inf on
+    unbounded faces, the kernel and where the least is attained: the
+    kernel's vertices or segment parameters, or without a hull (kernel None)
+    the points of one LP per face and row."""
     if np.any(pcs < 0):
         raise ValueError(f"{name} must be componentwise nonnegative")
     faces = _faces(data)
+    return (*(_face_minima_lp(data, pcs) if faces is None else faces.minima(pcs)), faces)
+
+
+def _face_minima(data: ProfitData, pcs: np.ndarray, name: str = "p_c"):
+    """``_face_lows`` with where (n, k, d), non-finite on -inf faces: closed
+    form in d = 2, the hull's vertices in d >= 3, the LPs without a hull."""
+    lows, at, faces = _face_lows(data, pcs, name)
     if faces is None:
-        return _face_minima_lp(data, pcs)
-    lows, at = faces.minima(pcs)
+        return lows, at
     if isinstance(faces, _Hull):
         return lows, np.where(np.isfinite(lows)[..., None], faces.Y[at], np.nan)
     with np.errstate(invalid="ignore"):
@@ -274,20 +284,111 @@ def _yc_cut(data: ProfitData, pc: np.ndarray, u: np.ndarray, floor: float):
     return [(-values[0], ys[0], rays[0]), (values[1], ys[1], rays[1])]
 
 
+def _yc_dual(data: ProfitData, hull: _Hull, pc: np.ndarray, c: np.ndarray, floor: float):
+    """(sup c . y_c, y_c, ray, mu*) over the envelope cut by p_c . y >= floor
+    from the hull (d >= 3), or None where it does not certify the end.
+
+    By LP duality the sup is min over mu >= 0 of h(c + mu p_c) - mu floor
+    (Boyd & Vandenberghe 2004, ch. 5).  A recession generator w keeps
+    (c + mu p_c) . w <= 0, which bounds mu to [lo, hi]; an empty interval is
+    +inf, and the ray is the one or two generators that empty it.  Inside,
+    h is the largest (c + mu p_c) . y_F over the vertices (Rockafellar 1970,
+    sec. 13), an upper envelope of lines in mu, walked from lo to its least
+    point mu*.  y_c joins the two vertices meeting there on p_c . y = floor,
+    or a vertex and the generator bounding mu.  As in ``_Hull.sup``, the
+    weights of c + mu* p_c on a vertex's rays certify the end, here also
+    within a rounding radius of FEAS_TOL relative.  No floor leaves mu = 0:
+    h(c)."""
+    if not np.isfinite(floor):
+        (h,), (y,), (w,) = hull.sup(c[None])
+        return None if np.isnan(h) else (h, y, w, 0.0)
+    nan, W = np.full(len(c), np.nan), hull.W
+    rise, lift = W @ c, W @ pc
+    rise[np.abs(rise) <= FEAS_TOL * np.linalg.norm(c)] = 0.0
+    flat = np.abs(lift) <= UNIT_TOL * np.linalg.norm(pc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge = -rise / lift
+    up, down = ~flat & (lift > 0), ~flat & (lift < 0)
+    hi, lo = np.min(edge[up], initial=np.inf), np.max(edge[down], initial=0.0)
+    i_hi = np.flatnonzero(up)[np.argmin(edge[up])] if hi < np.inf else None
+    i_lo = np.flatnonzero(down)[np.argmax(edge[down])] if lo > 0 else None
+    leaves = flat & (rise > 0)
+    if leaves.any() or hi < lo:
+        w = (W[np.argmax(np.where(leaves, rise, -np.inf))] if leaves.any()
+             else W[i_hi] if hi < 0 else lift[i_hi] * W[i_lo] - lift[i_lo] * W[i_hi])
+        w = w / np.linalg.norm(w)
+        ok = (c @ w > FEAS_TOL * np.linalg.norm(c) and pc @ w >= -UNIT_TOL * np.linalg.norm(pc)
+              and np.all(data.rays @ w <= UNIT_TOL))
+        return (np.inf, nan, w, np.nan) if ok else None
+    # The vertices' lines; b is p_c . y_F - floor as _Hull.minima rounds it,
+    # so the vertex attaining the floor has slope 0 exactly.
+    a, b = hull.Y @ c, (pc[None] @ hull.Y.T)[0] - floor
+    vals = a + lo * b
+    mu, i, j = lo, None, np.argmax(np.where(vals == vals.max(), b, -np.inf))
+    while b[j] < 0:
+        # The next kink: where a line of larger slope overtakes line j.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(b > b[j], (a[j] - a) / (b - b[j]), np.inf)
+        step = max(mu, float(np.min(cross)))
+        if step > hi or step == np.inf:
+            break
+        mu, i, j = step, j, np.argmax(np.where(cross <= step, b, -np.inf))
+    if b[j] >= 0 and i is not None:
+        t = b[j] / (b[j] - b[i])
+        y = t * hull.Y[i] + (1.0 - t) * hull.Y[j]
+    elif b[j] >= 0:
+        y = hull.Y[j] if i_lo is None else hull.Y[j] - b[j] / lift[i_lo] * W[i_lo]
+    elif hi < np.inf:
+        mu, y = hi, hull.Y[j] - b[j] / lift[i_hi] * W[i_hi]
+    else:
+        return None             # h(p_c) below the floor: only rounding gets here
+    # Certified when a vertex's rays carry c + mu* p_c, with weights lam,
+    # and the end moves by at most FEAS_TOL relative when the data move by
+    # the weights' rounding and y_c's violation of the envelope.  The kink's
+    # own vertices come first: rounding can put either on top there, and
+    # the search over every facet costs one SVD each.
+    q, value = c + mu * pc, float(c @ y)
+    facets = np.array([j] if i is None else [j, i])
+    lam, rel = hull.weights[facets] @ q, hull.rel(facets)
+    ok = _carried(lam, rel)
+    if not ok.any():
+        _, facets, ok = hull.carriers(q[None])
+        lam, rel = hull.weights[facets] @ q, hull.rel(facets)
+    F = int(np.argmax(ok))
+    slack = (rel[F] * max(1.0, float(np.max(np.abs(data.values))))
+             + max(0.0, float(np.max(data.rays @ y - data.values))))
+    radius = np.sum(np.abs(lam[F])) * slack
+    return (value, y, nan, mu) if ok[F] and radius <= FEAS_TOL * max(1.0, abs(value)) else None
+
+
 def quantity_bounds(data: ProfitData, p_c, u) -> BoundResult:
     """Sharp bounds on u . y_c where y_c is the bundle chosen at the
     counterfactual price p_c (its profit is not pinned): y_c lies in the
-    envelope with p_c . y_c >= L(p_c).  An unbounded end is certified by a
-    ray in d = 2 and has no certificate in d >= 3.  Raises ValueError
-    unless p_c and u are ``data.dimension`` finite numbers each."""
+    envelope with p_c . y_c >= L(p_c).  A finite end is certified by its
+    y_c and an unbounded end by a ray.  In d >= 3 a finite end also carries
+    the multiplier mu* of the cut at which the hull's weights certify it
+    (``_yc_dual``); an end the hull does not certify, and data without a
+    hull, take the two LPs of ``_yc_range`` (whose unbounded ends carry no
+    ray).  Raises ValueError unless p_c and u are ``data.dimension`` finite
+    numbers each."""
     pc, u = _checked(data, p_c, "p_c"), _checked(data, u, "u")
-    floor = float(np.max(_face_minima(data, pc[None])[0]))
-    ends = (_yc_cut(data, pc, u, floor) if data.dimension == 2
-            else _yc_range(data, pc, u, floor))
-    if ends is None:
+    lows, _, faces = _face_lows(data, pc[None])
+    floor = float(np.max(lows))
+    if data.dimension == 2:
+        ends = [(*end, None) for end in _yc_cut(data, pc, u, floor) or ()]
+    else:
+        ends = [None if faces is None else _yc_dual(data, faces, pc, s * u, floor)
+                for s in (-1.0, 1.0)]
+        if ends[0] is not None:
+            ends[0] = (-ends[0][0], *ends[0][1:])
+        if any(end is None for end in ends):
+            ends = [end or (*ref, None) for end, ref in zip(ends, _yc_range(data, pc, u, floor)
+                                                            or ())]
+    if not ends:
         raise NumericFailure("counterfactual system infeasible despite WAPM holding")
-    certs = [{"y_c": y} if np.isfinite(v) else None if np.isnan(w).any()
-             else {"ray": w, "note": "unbounded direction"} for v, y, w in ends]
+    certs = [({"y_c": y} if mu is None else {"y_c": y, "mu": mu}) if np.isfinite(v)
+             else None if np.isnan(w).any() else {"ray": w, "note": "unbounded direction"}
+             for v, y, w, mu in ends]
     return BoundResult(lower=ends[0][0], upper=ends[1][0],
                        lower_certificate=certs[0], upper_certificate=certs[1])
 
@@ -350,7 +451,7 @@ def profit_bounds_fixed_quantity(data: ProfitData, coord: int, ybar: float,
         raise ValueError(f"coord must be an integer in 0..{data.dimension - 1}, got {coord!r}")
     if not np.isfinite(ybar):
         raise ValueError(f"ybar must be finite, got {ybar!r}")
-    floors = np.max(_face_minima(data, rays, "ray_grid")[0], axis=1)
+    floors = np.max(_face_lows(data, rays, "ray_grid")[0], axis=1)
     ok, lo, hi, y_lo, y_hi = _sweep(data, coord, ybar, rays, floors)
     meta = {"n_rays": len(rays), "coord": coord, "ybar": ybar,
             "n_feasible": int(np.sum(ok))}

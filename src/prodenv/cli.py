@@ -312,9 +312,14 @@ def render_artifact(doc: dict) -> str:
     schema = doc.get("schema", "")
     name = schema.partition("/")[0]
     if name not in ("prodenv.profit-table", "prodenv.bounds-report", "prodenv.proxy-model",
-                    "prodenv.duality-report", "prodenv.diewert-fit"):
+                    "prodenv.duality-report", "prodenv.diewert-fit", "prodenv.manifest"):
         raise ValidationError(f"unknown artifact schema {schema!r}")
     _check_schema(doc, name, 1)
+    if name == "prodenv.manifest":
+        versions = ", ".join(f"{k} {v}" for k, v in doc["versions"].items())
+        return "\n".join([f"run manifest: seed {doc['seed']}; {versions}",
+                          *(f"  stage {t['stage']}: {t['seconds']:.3f} s" for t in doc["stages"]),
+                          "  artifacts: " + ", ".join(doc["artifacts"])])
     if name == "prodenv.profit-table":
         lines = [f"profit table: {doc['d_e']} types, {len(doc['cells'])} cells",
                  f"anchor value {doc['anchor']['value']:.6f} "

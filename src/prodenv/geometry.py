@@ -419,16 +419,10 @@ class _Hull(NamedTuple):
         """The rounding of the weights on ``facets``: d eps cond(N_F)."""
         return self.Y.shape[1] * np.finfo(float).eps * np.linalg.cond(self.NF[facets])
 
-    def sup(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Certified support values h(u) = max_F u . y_F at the nonnegative
-        rows of U, with maximizers and +inf generators; NaN where uncertified.
-
-        Certificates (weak duality): a finite row's y_F is feasible and tight
-        on its facet's rays, and u's weights over those rays are nonnegative.
-        A +inf row has a generator w with u . w > 1e-9 |u|, which covers the
-        1e-12 slack on N w: w - 1e-12 (1, ..., 1) has N w <= 0 exactly.
-        """
-        values, (ys, dirs) = np.full(len(U), np.nan), np.full((2, *U.shape), np.nan)
+    def carriers(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gains u . y_F (n, m) at the rows of U, the best facet for each
+        row and whether its rays carry u (its weights are nonnegative, up to
+        rounding): then y_F maximizes u . y over the envelope."""
         gains = U @ self.Y.T
         best = np.argmax(gains, axis=1)
         chosen, at = np.unique(best, return_inverse=True)
@@ -441,6 +435,19 @@ class _Hull(NamedTuple):
                             self.rel(slice(None))[None, :])
             best[redo] = np.argmax(np.where(cone, gains[redo], -np.inf), axis=1)
             ok[redo] = cone[np.arange(redo.size), best[redo]]
+        return gains, best, ok
+
+    def sup(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Certified support values h(u) = max_F u . y_F at the nonnegative
+        rows of U, with maximizers and +inf generators; NaN where uncertified.
+
+        Certificates (weak duality): a finite row's y_F is feasible and tight
+        on its facet's rays, and u's weights over those rays are nonnegative.
+        A +inf row has a generator w with u . w > 1e-9 |u|, which covers the
+        1e-12 slack on N w: w - 1e-12 (1, ..., 1) has N w <= 0 exactly.
+        """
+        values, (ys, dirs) = np.full(len(U), np.nan), np.full((2, *U.shape), np.nan)
+        gains, best, ok = self.carriers(U)
         values[ok], ys[ok] = gains[ok, best[ok]], self.Y[best[ok]]
         if len(self.W):
             rise = U @ self.W.T

@@ -380,6 +380,10 @@ class MarketConfig:
             raise ValidationError(f"noise_half_width must be nonnegative, got {self.noise[0]:g}")
         if self.noise[1] not in ("uniform", "truncated-normal"):
             raise ValidationError(f"unknown noise_shape {self.noise[1]!r}")
+        law = self.price_law if isinstance(self.price_law, (tuple, list)) else ()
+        if not law or {"grid": 2, "box": 3, "endowment": 2}.get(law[0]) != len(law):
+            raise ValidationError("price_law must be ('grid', rays), ('box', lo, hi) or "
+                                  f"('endowment', sigma), got {self.price_law!r:.80}")
         if self.entry_rule[0] not in ("all", "nonneg_profit", "threshold_by_type"):
             raise ValidationError(f"unknown entry rule {self.entry_rule[0]!r}")
         if self.entry_rule[0] == "threshold_by_type":
@@ -541,11 +545,9 @@ def _draw_prices(cfg: MarketConfig, rng: np.random.Generator
         lo, hi = law[1], law[2]
         prices = rng.uniform(lo, hi, size=(m, d))
         prices /= np.linalg.norm(prices, axis=1, keepdims=True)
-    elif law[0] == "endowment":
+    else:                          # ("endowment", sigma), as MarketConfig checks
         prices = 1.0 / rng.lognormal(mean=0.0, sigma=law[1], size=(m, d))
         prices /= np.linalg.norm(prices, axis=1, keepdims=True)
-    else:
-        raise ValidationError(f"unknown price law {law[0]!r}")
     return prices, prices.copy()
 
 

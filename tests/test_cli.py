@@ -431,9 +431,14 @@ class TestCommandLine:
         manifest = run_pipeline(cfg_path)
         rc = main(["report", *(manifest["artifacts"][a] for a in (
             "profit_table", "bounds_report", "duality_report", "proxy_model",
-            "diewert_fit"))])
+            "diewert_fit")), os.path.join(out, "manifest.json")])
         assert rc == 0
         text = capsys.readouterr().out
+        assert re.search(r"(?m)^run manifest: seed 42; prodenv [^,]+, numpy [^,]+, scipy \S+$",
+                         text)
+        assert len(re.findall(r"(?m)^  stage [a-z]+: \d+\.\d{3} s$", text)) == 6
+        assert ("  artifacts: dataset, profit_table, proxy_model, bounds_report, "
+                "diewert_fit, duality_report\n") in text
         assert "profit table" in text
         assert "bounds" in text
         assert "verdict" in text
@@ -524,6 +529,8 @@ class TestRendering:
         ("prodenv.bounds-report", "2", {"question": "profit at p_c", "per_type": []}),
         ("prodenv.duality-report", "7",
          {"eta": 0.1, "d_h": 0.2, "R": 1.0, "r": 0.5, "verdict": "consistent"}),
+        ("prodenv.manifest", "2",
+         {"seed": 3, "versions": {"prodenv": "0"}, "stages": [], "artifacts": {}}),
     ])
     def test_report_rejects_another_major_version(self, tmp_path, capsys, name, other, doc):
         # A minor version renders; another major version once rendered too.

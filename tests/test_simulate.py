@@ -257,6 +257,19 @@ class TestGenerateDataset:
         data = generate_dataset(tech, self.make_cfg(price_law=("endowment", 0.4)))
         assert len(data) == 400 * 3
 
+    @pytest.mark.parametrize("law", [
+        ("box", 0.5),
+        ("grid", unit_rays_2d([0.4, 0.8]), [0.5, 0.5]),
+        ("endowment",),
+        ("lattice", 0.2, 1.0),
+        (),
+        "box",
+    ])
+    def test_malformed_price_law_names_the_field(self, law):
+        # The config is refused where it is made, not deep in the draw.
+        with pytest.raises(ValidationError, match=r"^price_law must be \('grid', rays\)"):
+            self.make_cfg(price_law=law)
+
     def test_csv_round_trip(self, rng, tmp_path):
         tech = nested_diewert(rng)
         data = generate_dataset(tech, self.make_cfg(
