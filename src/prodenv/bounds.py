@@ -80,15 +80,6 @@ class ProfitData:
     def envelope(self) -> HalfspaceEnvelope:
         return self._envelope
 
-    def with_pair(self, ray, value: float) -> "ProfitData":
-        return ProfitData(self.e, np.vstack([self.rays, ray]),
-                          np.append(self.values, float(value)))
-
-    def index_of(self, ray) -> Optional[int]:
-        close = np.all(np.abs(self.rays - np.asarray(ray, float)) < 1e-12, axis=1)
-        hits = np.nonzero(close)[0]
-        return int(hits[0]) if hits.size else None
-
 
 def _fmt_bound(v: float):
     if np.isposinf(v):
@@ -483,18 +474,3 @@ def project_rationalizable(data: ProfitData) -> tuple[ProfitData, float]:
         raise NumericFailure("projection produced an unbounded support")
     shift = float(np.max(np.abs(values - data.values)))
     return ProfitData(data.e, data.rays, values), shift
-
-
-def sharpness_check(data: ProfitData, p_c, upper: float) -> bool:
-    """A finite upper bound is attainable: appending (p_c, upper), rescaled
-    onto the sphere, keeps the dataset rationalizable (its free-disposal
-    hull generates the bound); at an observed ray, when upper is its value."""
-    if not np.isfinite(upper):
-        return True
-    scale = float(np.linalg.norm(p_c))
-    pc, upper = np.asarray(p_c, float) / scale, upper / scale
-    i = data.index_of(pc)
-    if i is not None:
-        same = abs(upper - data.values[i]) <= VALUE_TIE_TOL * max(1.0, abs(upper))
-        return same and wapm_feasible(data)[0]
-    return wapm_feasible(data.with_pair(pc, upper))[0]

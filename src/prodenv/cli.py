@@ -70,8 +70,9 @@ def profit_data_from_csv(path: str) -> dict:
     """Standalone profit pairs from a CSV with header exactly ray_1..ray_d,
     value[, type_e].  Rays may be unnormalized prices; values are rescaled onto
     the unit sphere by homogeneity.  A wrong field count, a zero, negative or
-    non-finite ray, a non-finite value, a non-integer type_e or two rows of one
-    type on one ray is a ValidationError naming the file.  Returns {type: ProfitData}."""
+    non-finite ray, a non-finite value, a type_e that is not an index from 1,
+    or two rows of one type on one ray is a ValidationError naming the file.
+    Returns {type: ProfitData}."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for h in header if h.startswith("ray_"))
@@ -85,7 +86,8 @@ def profit_data_from_csv(path: str) -> dict:
                        "a zero, negative or non-finite ray"),
                       (~np.isfinite(body[:, d]), "a non-finite value"),
                       (~np.isfinite(types) | (types != np.round(types)),
-                       "a type_e that is not an integer")):
+                       "a type_e that is not an integer"),
+                      (types < 1, "a type_e that is not an index from 1")):
         if np.any(bad):
             raise ValidationError(f"{path!r} data row {int(np.argmax(bad)) + 1} has {what}")
     types = types.astype(int)
@@ -191,6 +193,10 @@ def stage_proxies(cfg: PipelineConfig, inputs: dict) -> ProxyModel:
     x_ref = (np.array([float(np.median(a)) for a in axes])
              if s.x_ref is None else s.x_ref)
     grids = [a[s.trim:-s.trim] if s.trim > 0 else a for a in axes]
+    for j, (a, g) in enumerate(zip(axes, grids), start=1):
+        if g.size < 2:
+            raise ValidationError(f"[proxies] trim = {s.trim} leaves {g.size} of the {a.size} "
+                                  f"nodes on axis {j}; need at least 2")
     return recover_proxy_model(pi_tilde, grids, x_ref, anchors,
                                (s.anchor_x, s.anchor_p), observed_index=obs)
 

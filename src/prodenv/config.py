@@ -314,6 +314,8 @@ def _proxies_settings(sec: SectionView, seed: int) -> SimpleNamespace:
     s.anchor_p = sec.get_vector("anchor_p", required=True)
     s.x_ref = sec.get_vector("x_ref")
     s.trim = sec.get_int("trim", 1)
+    if s.trim < 0:
+        raise ValidationError(f"[proxies] trim must be nonnegative, got {s.trim}")
     return s
 
 

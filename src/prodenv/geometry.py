@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -88,10 +88,6 @@ class HalfspaceEnvelope:
         for arr in kernel or ():
             arr.flags.writeable = False
         return kernel
-
-    def contains(self, y, tol: float = FEAS_TOL) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(self.normals @ y <= self.offsets + tol))
 
 
 def _check_schema(doc: dict, name: str, major: int) -> None:
@@ -280,16 +276,6 @@ def recession_direction(env: HalfspaceEnvelope, c, along=None) -> np.ndarray:
     if state != "optimal" or -value <= FEAS_TOL:
         raise NumericFailure("unbounded LP without a recession certificate")
     return w / np.linalg.norm(w)
-
-
-def recession_ok(env: HalfspaceEnvelope, probe_rays: Sequence) -> bool:
-    """True iff the support value is finite at every probe ray.
-
-    Finite profits on a finite probe grid are the operational stand-in for
-    the recession-cone property; a full certificate over all positive prices
-    is not decidable from finitely many probes.
-    """
-    return not len(probe_rays) or bool(np.all(np.isfinite(support_values(env, probe_rays))))
 
 
 def hausdorff_extended(a, b, price_set: RestrictedPriceSet) -> float:
@@ -605,33 +591,3 @@ def free_disposal_hull(points: Sequence) -> HalfspaceEnvelope:
         normals.append(nrm)
         values.append(float(np.max(pts @ nrm)))
     return HalfspaceEnvelope(np.array(normals), np.array(values))
-
-
-# ---------------------------------------------------------------------------
-# Homogeneity diagnostics
-# ---------------------------------------------------------------------------
-
-
-def central_diff(f: Callable[[np.ndarray], float], x: np.ndarray, j: int,
-                 step: float) -> float:
-    """``d f / d x_j`` at x by a central difference of the given step."""
-    hi, lo = x.copy(), x.copy()
-    hi[j] += step
-    lo[j] -= step
-    return (float(f(hi)) - float(f(lo))) / (2.0 * step)
-
-
-def euler_residual(f: Callable[[np.ndarray], float], p, h: float = 1e-5) -> float:
-    """``sum_j d f/d p_j * p_j - f(p)`` with central differences of step h*p_j.
-
-    Zero (to truncation error) exactly when f is homogeneous of degree 1
-    around p.
-    """
-    pv = np.asarray(p, dtype=float)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    f0 = float(f(pv))
-    res = sum(central_diff(f, pv, j, h * pv[j]) * pv[j] for j in range(pv.size)) - f0
-    if not np.isfinite(res):
-        raise NumericFailure("euler_residual: non-finite evaluation")
-    return res

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import IntegrationError, RankConditionError
-from .geometry import _Artifact, _check_schema, central_diff
+from .geometry import _Artifact, _check_schema
 
 DERIV_BLOWUP = 1e12          # |t| beyond this flags a vanishing g' (warning state)
 COND_THRESHOLD = 1e8         # nonsingularity verdict cutoff
@@ -34,7 +34,9 @@ COND_THRESHOLD = 1e8         # nonsingularity verdict cutoff
 
 def _partial(f: Callable, x: np.ndarray, j: int) -> float:
     """``d f / d x_j`` by a central difference of step 1e-5 * max(|x_j|, 1e-3)."""
-    return central_diff(f, x, j, 1e-5 * max(abs(float(x[j])), 1e-3))
+    h = np.zeros(x.size)
+    h[j] = 1e-5 * max(abs(float(x[j])), 1e-3)
+    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h[j])
 
 
 @dataclass(frozen=True)

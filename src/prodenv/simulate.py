@@ -2,13 +2,12 @@
 variation, entry rules, price proxies and noisy observation generation.
 
 A firm type is a ``Technology`` whose profit maximization has an exact
-solution: power, kinked-power and generalized-Leontief in closed form, a
-tabulated concave frontier at its best grid node.  Each type has one profit
-formula, evaluated for a whole batch of price vectors at once;
-``profit_oracle`` is one row of ``profit_oracle_batch``.  Nestedness across
-types (a more productive firm can do everything a less productive one can,
-and more) is the maintained ranking restriction and is checked on a probe
-grid before any dataset is generated.
+solution: power, kinked-power and generalized-Leontief in closed form.
+Each type has one profit formula, evaluated for a whole batch of price
+vectors at once; ``profit_oracle`` is one row of ``profit_oracle_batch``.
+Nestedness across types (a more productive firm can do everything a less
+productive one can, and more) is the maintained ranking restriction and is
+checked on a probe grid before any dataset is generated.
 
 Price variation across markets is drawn directly as a distribution over price
 rays; the endowment field parameterizes one such law but no market-clearing
@@ -169,39 +168,6 @@ def diewert_supply(b: np.ndarray, prices: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HicksNeutralTech(Technology):
-    """Output scaling scale * fbar(l) with fbar tabulated on a grid.
-
-    fbar must be concave on the grid, so the profit on its piecewise-linear
-    interpolant is concave and piecewise linear, and its maximum over the
-    grid's range is at the best grid node.
-    """
-
-    scale: float
-    grid_l: np.ndarray
-    grid_f: np.ndarray
-
-    def __post_init__(self):
-        gl = np.asarray(self.grid_l, dtype=float)
-        gf = np.asarray(self.grid_f, dtype=float)
-        if gl.ndim != 1 or gl.size < 3 or gl.shape != gf.shape:
-            raise ValidationError("need matching 1-d grids of length >= 3")
-        if np.any(np.diff(gl) <= 0):
-            raise ValidationError("input grid must be strictly increasing")
-        slopes = np.diff(gf) / np.diff(gl)
-        if np.any(np.diff(slopes) > 1e-9):
-            raise ValidationError("tabulated frontier must be concave")
-        object.__setattr__(self, "grid_l", gl)
-        object.__setattr__(self, "grid_f", gf)
-
-    def profit(self, P) -> tuple[np.ndarray, np.ndarray]:
-        p_out, p_in = np.moveaxis(np.asarray(P, dtype=float), -1, 0)
-        ys = self.scale * self.grid_f
-        return _best(p_out[..., None] * ys - p_in[..., None] * self.grid_l,
-                     self.grid_l, ys)
-
-
-@dataclass(frozen=True)
 class TechnologySpec:
     """A family of technologies indexed by the discrete productivity type.
 
@@ -322,11 +288,14 @@ class ProxyGood:
     form: str
     params: tuple = ()
     x_range: tuple = (0.5, 2.0)
-    lattice: int = 0          # >0: draw x from a regular lattice (discrete law)
+    lattice: int = 0          # 0: a continuous draw; >= 2: a lattice of that many nodes
 
     def __post_init__(self):
         if self.form not in _PROXY_FORMS:
             raise ValidationError(f"unknown proxy form {self.form!r}")
+        if self.lattice < 0 or self.lattice == 1:
+            raise ValidationError(f"lattice must be 0 (a continuous draw) or at least 2, "
+                                  f"got {self.lattice}")
         lo, hi = self.x_range
         if not lo < hi:
             raise ValidationError("proxy range must satisfy lo < hi")

@@ -8,6 +8,10 @@ coordinate pinned by its bounds; the library answers it from the support of
 one slice of the envelope.  ``exact_support`` gives an envelope's support
 values in rational arithmetic, by Caratheodory enumeration: the reference
 for finite ends where a floating-point LP is not exact enough.
+``sharpness_check`` asks whether a finite upper bound is attained by some
+rationalizing production set, through ``with_pair`` (the data with one more
+pair); ``euler_residual`` is Euler's identity for degree-1 homogeneity by
+central differences.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from prodenv.bounds import BoundResult, ProfitData
-from prodenv.errors import ValidationError
+from prodenv.bounds import VALUE_TIE_TOL, BoundResult, ProfitData, wapm_feasible
+from prodenv.errors import NumericFailure, ValidationError
 from prodenv.geometry import solve_lp
 
 
@@ -246,7 +250,7 @@ def exact_support(normals, offsets, U):
         for S, (A, q) in bases:
             # lam = L qn / (q qu) on rows S; the other columns must agree too.
             L = [sum(A[a][i] * uq[P[a]] for a in range(len(P))) for i in range(len(S))]
-            if min(L) < 0 or any(sum(l * N[j][c] for l, j in zip(L, S)) != uq[c] * q * qn
+            if min(L) < 0 or any(sum(l * N[j][c] for l, j in zip(L, S)) != uq[c] * q
                                  for c in range(d) if c not in P):
                 continue
             val = Fraction(sum(l * v[j] for l, j in zip(L, S)), q)
@@ -258,3 +262,43 @@ def exact_support(normals, offsets, U):
         reach.append(max((float(np.linalg.norm([float(c * qn / qv) for c in y])) for y in top),
                          default=0.0) * float(np.linalg.norm(u)))
     return np.array(values), np.array(reach)
+
+
+def with_pair(data: ProfitData, ray, value: float) -> ProfitData:
+    """``data`` with the pair (ray, value) appended."""
+    return ProfitData(data.e, np.vstack([data.rays, ray]), np.append(data.values, float(value)))
+
+
+def sharpness_check(data: ProfitData, p_c, upper: float) -> bool:
+    """A finite upper bound is attainable: appending (p_c, upper), rescaled
+    onto the sphere, keeps the dataset rationalizable (its free-disposal
+    hull generates the bound); at an observed ray, when upper is its value."""
+    if not np.isfinite(upper):
+        return True
+    scale = float(np.linalg.norm(p_c))
+    pc, upper = np.asarray(p_c, float) / scale, upper / scale
+    hits = np.flatnonzero(np.all(np.abs(data.rays - pc) < 1e-12, axis=1))
+    if hits.size:
+        same = abs(upper - data.values[hits[0]]) <= VALUE_TIE_TOL * max(1.0, abs(upper))
+        return same and wapm_feasible(data)[0]
+    return wapm_feasible(with_pair(data, pc, upper))[0]
+
+
+def euler_residual(f, p, h: float = 1e-5) -> float:
+    """``sum_j d f/d p_j * p_j - f(p)`` with central differences of step
+    h p_j: zero (to truncation error) exactly when f is homogeneous of
+    degree 1 around p."""
+    pv = np.asarray(p, dtype=float)
+    if h <= 0:
+        raise ValueError("step h must be positive")
+
+    def partial(j):
+        hi, lo = pv.copy(), pv.copy()
+        hi[j] += h * pv[j]
+        lo[j] -= h * pv[j]
+        return (float(f(hi)) - float(f(lo))) / (2.0 * h * pv[j])
+
+    res = sum(partial(j) * pv[j] for j in range(pv.size)) - float(f(pv))
+    if not np.isfinite(res):
+        raise NumericFailure("euler_residual: non-finite evaluation")
+    return res

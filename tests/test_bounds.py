@@ -9,8 +9,7 @@ from scipy.optimize import linprog
 
 import prodenv.geometry
 from prodenv.bounds import (ProfitData, profit_bounds, profit_bounds_fixed_quantity,
-                            project_rationalizable, quantity_bounds,
-                            sharpness_check, wapm_feasible)
+                            project_rationalizable, quantity_bounds, wapm_feasible)
 from prodenv.bounds import _face_minima, _face_minima_lp, _faces, _sweep, _yc_range
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import diewert_supply, diewert_value, duality_check
@@ -19,7 +18,7 @@ from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet, free_dispos
 from prodenv.simulate import DiewertTech
 
 from conftest import _unit, random_admissible_b, unit_rays_2d
-from oracles import brute_force_bounds, exact_support, sweep_lp
+from oracles import brute_force_bounds, exact_support, sharpness_check, sweep_lp, with_pair
 
 RT2 = np.sqrt(2.0)
 
@@ -117,8 +116,8 @@ class TestProfitBounds:
         data, tech = diewert_data(b, np.array([0.4, 1.2]))
         pc = np.array([np.cos(0.8), np.sin(0.8)])
         before = profit_bounds(data, pc)
-        more = data.with_pair(np.array([np.cos(0.9), np.sin(0.9)]),
-                              tech.profit(np.array([np.cos(0.9), np.sin(0.9)]))[0])
+        more = with_pair(data, np.array([np.cos(0.9), np.sin(0.9)]),
+                         tech.profit(np.array([np.cos(0.9), np.sin(0.9)]))[0])
         after = profit_bounds(more, pc)
         assert after.lower >= before.lower - 1e-9
         assert after.upper <= before.upper + 1e-9
@@ -636,7 +635,7 @@ class TestClosedFormMatchesLp:
 # ---------------------------------------------------------------------------
 
 HULL_CASES = ("plain", "near_parallel", "linear", "free_disposal", "violating",
-              "rank_deficient")
+              "rank_deficient", "rank_deficient_oblique")
 
 
 def _dyadic(a, bits):
@@ -650,8 +649,9 @@ def _case_nd(case, rng, d):
     holds in rational arithmetic).  Partners 1e-6 away from half the rays;
     a linear profit (one point: coplanar lifted points); a free-disposal
     hull (normals on the orthant boundary, coplanar facets); one more ray
-    whose value its envelope cannot reach (a WAPM violation); or normals
-    with a zero last coordinate (rank d - 1: no hull)."""
+    whose value its envelope cannot reach (a WAPM violation); normals with
+    a zero last coordinate (rank d - 1: no hull); or normals (a, b, a[, b])
+    (rank 2, in a span off the coordinate axes: no hull)."""
     pts = _dyadic(rng.uniform(-2.0, 2.0, (1 if case == "linear" else 5, d)), 10)
     if case == "free_disposal":
         pts = pts[:int(rng.integers(2, 4))]
@@ -664,11 +664,13 @@ def _case_nd(case, rng, d):
         if case == "rank_deficient":
             rays[:, -1] = 0.0
             rays = _unit(rays)
-    rays = _dyadic(rays, 32)
+        if case == "rank_deficient_oblique":
+            rays = _unit(np.tile(rays[:, :2], d)[:, :d])
+    rays = _dyadic(rays, 32)      # equal coordinates round alike: the span holds
     data = ProfitData(1, rays, np.max(rays @ pts.T, axis=1))
     if case == "violating":
         mid = _dyadic(_unit(rays.mean(axis=0)), 32)
-        data = data.with_pair(mid, float(np.max(mid @ pts.T)) + 0.5)
+        data = with_pair(data, mid, float(np.max(mid @ pts.T)) + 0.5)
     return data
 
 
@@ -705,7 +707,7 @@ class TestHullFacesMatchLp:
                     minima(data, pc[None])
             return
         faces = _faces(data)
-        assert (faces is None) == (case == "rank_deficient")
+        assert (faces is None) == case.startswith("rank_deficient")
         for i, y in cert.items():
             _check_face_point(data, y, i, data.rays[i], data.values[i])
 
@@ -885,8 +887,8 @@ class TestQuantityDualMatchesLp:
                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
             res = quantity_bounds(data, pc, u)
         # Without a hull one LP per face finds the floor and two LPs answer.
-        assert (_faces(data) is None) == (case == "rank_deficient")
-        if case == "rank_deficient":
+        assert (_faces(data) is None) == case.startswith("rank_deficient")
+        if case.startswith("rank_deficient"):
             assert len(calls) == data.k + 2
         floor = float(np.max(_face_minima(data, pc[None])[0]))
         rows, offsets = data.rays, data.values
@@ -967,7 +969,7 @@ class TestThreeGoods:
         mid /= np.linalg.norm(mid)
         # A ray inside the cone of the others, with a value far above what
         # their envelope allows there.
-        bad = data.with_pair(mid, 2.0 * (1.0 + np.max(np.abs(data.values))))
+        bad = with_pair(data, mid, 2.0 * (1.0 + np.max(np.abs(data.values))))
         pc = np.array([1.0, 2.0, 2.0]) / 3.0
         assert not wapm_feasible(bad)[0]
         with pytest.raises(ValidationError):

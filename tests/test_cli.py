@@ -189,6 +189,15 @@ class TestPipeline:
         # With proxies the proxies draw the prices: a law's keys would do nothing.
         (("entry = all\n", "entry = all\nprice_law = grid\ngrid = 0.2:1.3:5\n"),
          "[simulate] price_law does nothing when proxy_* keys are set"),
+        # A negative lattice once drew continuous proxies, and a lattice of
+        # 1 a constant price.
+        (("proxy_1 = square_plus:1.0:0.6,1.4:3", "proxy_1 = square_plus:1.0:0.6,1.4:-3"),
+         "[simulate] proxy_1 must be form[:params]:lo,hi[:lattice]: lattice must be 0 "
+         "(a continuous draw) or at least 2, got -3"),
+        (("proxy_1 = square_plus:1.0:0.6,1.4:3", "proxy_1 = square_plus:1.0:0.6,1.4:1"),
+         "[simulate] proxy_1 must be form[:params]:lo,hi[:lattice]: lattice must be 0 "
+         "(a continuous draw) or at least 2, got 1"),
+        (("trim = 0\n", "trim = -1\n"), "[proxies] trim must be nonnegative, got -1"),
     ])
     def test_bad_config_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                 capsys, edit, named):
@@ -217,6 +226,12 @@ class TestPipeline:
          "[bounds] coord = 3, but the price rays have 2"),
         (("b_true = 2.8 -0.3 ; -0.3 2.2", "b_true = 2.8 -0.3 0 ; -0.3 2.2 0 ; 0 0 1"),
          "[duality] b_true is 3 x 3, but the fit prices 2 goods"),
+        # The lattice has 3 nodes on axis 1: trim 1 once left good 1 a
+        # constant price, and trim 2 exited 4.
+        (("trim = 0\n", "trim = 1\n"),
+         "[proxies] trim = 1 leaves 1 of the 3 nodes on axis 1; need at least 2"),
+        (("trim = 0\n", "trim = 2\n"),
+         "[proxies] trim = 2 leaves 0 of the 3 nodes on axis 1; need at least 2"),
     ])
     def test_index_past_the_data_exits_2_naming_the_key(self, tmp_path, capsys,
                                                           edit, named):
@@ -844,6 +859,18 @@ class TestCsvProfitInput:
         assert main(["estimate", "--profits", str(path),
                      "--out", str(tmp_path / "f.json")]) == 2
         assert ("typed.csv' data row 2 has a type_e that is not an integer"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("type_e", ["0", "-2"])
+    def test_type_below_one_is_named(self, tmp_path, capsys, type_e):
+        # These rows once gave a bounds report of "type": 0 or -2.
+        path = tmp_path / "typed.csv"
+        path.write_text(f"ray_1,ray_2,value,type_e\n1.0,0.0,1.0,1\n0.0,1.0,1.0,{type_e}\n")
+        q = tmp_path / "q.ini"
+        q.write_text("[bounds]\nquestion = profit\np_c = 1.0 1.0\n")
+        assert main(["bounds", "--profits", str(path), "--question", str(q),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert ("typed.csv' data row 2 has a type_e that is not an index from 1"
                 in capsys.readouterr().err)
 
     def _duality_on_pbar(self, tmp_path, rows):

@@ -10,6 +10,7 @@ from prodenv.estimation import (DiewertFit, diewert_supply, diewert_value,
 from prodenv.geometry import RestrictedPriceSet, support_value
 
 from conftest import random_admissible_b, unit, unit_rays_2d
+from oracles import euler_residual
 
 
 def random_rays(rng, n, d):
@@ -264,7 +265,6 @@ class TestFitHomogeneity:
     def test_euler_residual_of_fitted_profit(self, rng):
         # The fitted family is degree-1 homogeneous by construction; the
         # homogeneity diagnostic sees only finite-difference noise.
-        from prodenv.geometry import euler_residual
         truth = nested_b_stack(rng, d=2, d_e=2)
         rays = random_rays(rng, 10, 2)
         fit = fit_diewert([(rays, diewert_value(b, rays)) for b in truth], d_y=2)

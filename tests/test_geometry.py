@@ -1,6 +1,8 @@
 import ast
+import inspect
 import json
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,15 +15,14 @@ from prodenv.bounds import ProfitData, profit_bounds
 from prodenv.errors import NumericFailure, ValidationError
 from prodenv.estimation import DiewertFit, diewert_value
 from prodenv.geometry import (HalfspaceEnvelope, RestrictedPriceSet,
-                              _support_lp, euler_residual, free_disposal_hull,
-                              hausdorff_extended, hausdorff_oracle_2d,
-                              recession_ok, solve_lp, support_value,
+                              _support_lp, free_disposal_hull, hausdorff_extended,
+                              hausdorff_oracle_2d, solve_lp, support_value,
                               support_values)
 from prodenv.identify import ProfitTable
 from prodenv.proxies import ProxyModel
 
 from conftest import _unit, random_admissible_b, unit, unit_rays_2d
-from oracles import exact_support
+from oracles import euler_residual, exact_support
 
 RT2 = np.sqrt(2.0)
 
@@ -155,20 +156,34 @@ class TestSolveLp:
         assert lp_entry_violations(pathlib.Path(prodenv.__file__).parent) == []
 
 
-class TestRecession:
-    def test_violating_envelope(self):
-        assert not recession_ok(diag_env(), [unit([1, 2])])
+def code_reads(paths) -> set:
+    """The names and attributes that the code in ``paths`` reads, each
+    outside the top-level definition of that name."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        own = {id(n): top.name for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for n in ast.walk(top)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and own.get(id(node)) != name:
+                found.add(name)
+    return found
 
-    def test_free_disposal_hull_passes(self, rng):
-        pts = rng.normal(size=(6, 2))
-        env = free_disposal_hull(pts)
-        probes = [unit(rng.uniform(0.05, 1, 2)) for _ in range(25)]
-        assert recession_ok(env, probes)
 
-    def test_spanning_constraints(self):
-        env = HalfspaceEnvelope(np.eye(2), [1.0, 1.0])
-        assert recession_ok(env, [unit([1, 1]),
-                                  unit([2, 1])])
+def test_every_export_has_a_reader():
+    # A stage, the benchmark or the README reads each export; a helper that
+    # only tests read belongs in tests/oracles.py.  Docstrings and error
+    # messages do not count.  euler_system_residual waits on the proxy
+    # diagnostics of ROADMAP item 14.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = [p for p in pathlib.Path(prodenv.__file__).parent.glob("*.py")
+           if p.name != "__init__.py"]
+    read = code_reads(src) | code_reads((root / "perfbench").glob("*.py"))
+    read |= set(re.findall(r"\w+", (root / "README.md").read_text()))
+    exports = {n for n in prodenv.__all__ if not inspect.ismodule(getattr(prodenv, n))}
+    assert sorted(exports - read - {"euler_system_residual"}) == []
 
 
 class TestHausdorffExtended:
@@ -497,8 +512,8 @@ class TestFreeDisposalHull:
         res = support_value(env, unit([1, 1]))
         assert res.value == pytest.approx(0.0, abs=1e-12)
         # The set is exactly the negative orthant.
-        assert env.contains([-1.0, -0.5])
-        assert not env.contains([0.1, -5.0])
+        assert np.all(env.normals @ [-1.0, -0.5] <= env.offsets + 1e-9)
+        assert not np.all(env.normals @ [0.1, -5.0] <= env.offsets + 1e-9)
 
     def test_two_points_cross_ray(self):
         env = free_disposal_hull([[1.0, 0.0], [0.0, 1.0]])
@@ -520,7 +535,7 @@ class TestFreeDisposalHull:
         for _ in range(50):
             y = pts[rng.integers(len(pts))]
             below = y - rng.uniform(0, 3, size=2)
-            assert env.contains(below)
+            assert np.all(env.normals @ below <= env.offsets + 1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,9 @@ import pytest
 
 from prodenv.errors import ValidationError
 from prodenv.simulate import _CSV_BLOCK_ROWS as B
-from prodenv.simulate import (Dataset, DiewertTech, HicksNeutralTech,
-                              KinkedTech, MarketConfig, PowerTech, ProxyGood,
-                              TechnologySpec, generate_dataset, nested_check,
-                              profit_oracle, profit_oracle_batch)
+from prodenv.simulate import (Dataset, DiewertTech, KinkedTech, MarketConfig,
+                              PowerTech, ProxyGood, TechnologySpec, generate_dataset,
+                              nested_check, profit_oracle, profit_oracle_batch)
 
 from conftest import nested_diewert, unit, unit_rays_2d
 
@@ -46,19 +45,6 @@ class TestProfitOracle:
         assert value == pytest.approx(float(sq @ b @ sq))
         assert float(p @ supply) == pytest.approx(value)     # Euler identity
 
-    def test_hicks_neutral_grid_refinement(self):
-        grid = np.linspace(0.0, 4.0, 200)
-        tech = TechnologySpec(types=(
-            HicksNeutralTech(scale=1.0, grid_l=grid, grid_f=np.sqrt(grid)),
-            HicksNeutralTech(scale=2.0, grid_l=grid, grid_f=np.sqrt(grid)),
-        ))
-        p = np.array([1.0, 1.0])
-        v1, o1 = profit_oracle(tech, 1, p)
-        # Against the smooth closed form: l* = 1/4, value = 1/4.
-        assert v1 == pytest.approx(0.25, abs=2e-3)
-        v2, _ = profit_oracle(tech, 2, p)
-        assert v2 > v1
-
     def test_restricted_capacity_scaling(self):
         b = np.array([[1.0, -0.2], [-0.2, 0.9]])
         tech = TechnologySpec(types=(DiewertTech(b, restricted_scales=True),))
@@ -81,17 +67,10 @@ class TestProfitOracle:
             DiewertTech(np.array([[1.0, -0.3], [-0.2, 1.0]]))
 
 
-def _hicks_pair(rng):
-    grid = np.linspace(0.0, 4.0, 60)
-    return TechnologySpec(types=tuple(
-        HicksNeutralTech(scale=s, grid_l=grid, grid_f=np.sqrt(grid)) for s in (1.0, 2.0)))
-
-
 TECHNOLOGIES = {
     "power": lambda rng: TechnologySpec(types=(
         PowerTech(1.0, 0.4), PowerTech(2.0, 0.4), PowerTech(3.5, 0.45))),
     "triple": lambda rng: TechnologySpec.nonmonotone_supply_triple(),
-    "hicks": _hicks_pair,
     "diewert": lambda rng: nested_diewert(rng, d=3),
     "diewert-restricted": lambda rng: TechnologySpec.diewert_family(
         [t.b for t in nested_diewert(rng, d=3).types], restricted_scales=True),
@@ -115,15 +94,6 @@ class TestOneProfitFormula:
                 off_euler += abs(P[i] @ netput - value) > 1e-12 * abs(value)
         assert unequal == 0, f"{unequal} of {batch.size} oracle values differ from the batch"
         assert off_euler == 0, f"{off_euler} netputs do not price to their value"
-        if name == "hicks":
-            # A concave piecewise-linear profit peaks at a grid node.
-            dense = np.linspace(0.0, 4.0, 4001)
-            for e, t in enumerate(tech.types, start=1):
-                nodes = P[:, :1] * (t.scale * t.grid_f) - P[:, 1:] * t.grid_l
-                assert np.array_equal(batch[:, e - 1], nodes.max(axis=1))
-                between = (P[:, :1] * t.scale * np.interp(dense, t.grid_l, t.grid_f)
-                           - P[:, 1:] * dense)
-                assert np.all(between.max(axis=1) <= batch[:, e - 1] + 1e-12)
         if name.startswith("diewert"):
             value, supply = tech.types[0].profit(P[0])
             assert np.isscalar(value) and supply.shape == (3,)
