@@ -271,7 +271,13 @@ def _yc_cut(data: ProfitData, pc: np.ndarray, u: np.ndarray, floor: float):
     cut = _Segments.cut(P, v, F, f)
     if not np.any(cut.nonempty):
         return None
-    values, ys, rays = cut.sup(np.vstack([-u, u]))
+    # Where the nonempty faces end, again in extended precision: where two
+    # meet at an angle of 1e-6 their vertex moves along them by their
+    # rounding over the angle, 1e-10 in double precision.
+    keep = cut.nonempty
+    fine = _Segments.cut(*(np.asarray(a, np.longdouble) for a in (P, v, F[keep], f[keep])))
+    fine = fine._replace(nonempty=np.ones(np.count_nonzero(keep), bool))
+    values, ys, rays = (a.astype(float) for a in fine.sup(np.vstack([-u, u]).astype(np.longdouble)))
     return [(-values[0], ys[0], rays[0]), (values[1], ys[1], rays[1])]
 
 

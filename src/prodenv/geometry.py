@@ -306,6 +306,7 @@ class _Segments(NamedTuple):
     lo: np.ndarray            # (m,) -inf when the segment is unbounded that way
     hi: np.ndarray
     nonempty: np.ndarray      # (m,) bool
+    offsets: np.ndarray       # (m,) f_i
 
     @classmethod
     def cut(cls, P: np.ndarray, v: np.ndarray, F: np.ndarray | None = None,
@@ -325,13 +326,19 @@ class _Segments(NamedTuple):
         lo = np.max(np.where(down, q, -np.inf), axis=1)
         tol = FEAS_TOL * max(1.0, float(np.max(np.abs(v))))
         nonempty = (lo <= hi + tol) & np.all(up | down | (r >= -tol), axis=1)
-        return cls(bases, taus, lo, hi, nonempty)
+        return cls(bases, taus, lo, hi, nonempty, f)
 
     def minima(self, pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least p_c . y on each segment for each row of pcs (n, 2): values
-        (n, m) and attaining parameters t (n, m), +/-inf on a -inf side."""
+        (n, m) and attaining parameters t (n, m), +/-inf on a -inf side.
+        Along a segment parallel to p_c the value is f_i (p_c . F_i) / |F_i|^2:
+        f_i itself at p_c = F_i, which p_c . base_i would round."""
         slope, offset = pcs @ self.taus.T, pcs @ self.bases.T
         flat = np.abs(slope) <= PARALLEL_TOL
+        if flat.any():
+            m, i = np.nonzero(flat)
+            F = self.taus[i, ::-1] * [1.0, -1.0]
+            offset[m, i] = self.offsets[i] * np.sum(pcs[m] * F, axis=1) / np.sum(F * F, axis=1)
         t = np.where(flat, np.clip(0.0, self.lo, self.hi),
                      np.where(slope > 0, self.lo, self.hi))
         with np.errstate(invalid="ignore"):

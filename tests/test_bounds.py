@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -530,6 +530,10 @@ class TestClosedFormMatchesLp:
             assert err <= (1e-7 if seed == 1 else 1e-3) * scale, (seed, err)
 
     @given(st.sampled_from(CASES), st.booleans(), st.integers(0, 10_000))
+    # At p_c's own face, where a constraint 1e-6 rad away meets it: in double
+    # precision its vertex came out up to 2.7e-10 off the exact one.
+    @example("near_parallel", True, 607)
+    @example("near_parallel", True, 7378)
     @settings(max_examples=70, deadline=None)
     def test_quantity_bounds(self, case, at_ray, seed):
         # The y_c polygon's segments against its two LPs, at p_c between the
