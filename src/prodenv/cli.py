@@ -3,8 +3,8 @@
 Subcommands: simulate, identify, proxies, bounds, estimate, duality, report,
 and run (the whole pipeline from one config).  A ``stage_<name>`` returns its
 artifact and opens no file: ``_input`` loads the files it reads, and only the
-runner writes, through ``_save``.  Exit codes: 0 success, 2 validation,
-3 identification failure, 4 numeric failure.
+runner writes, through ``_save`` (``run`` forks a child to save a dataset).
+Exit codes: 0 success, 2 validation, 3 identification or 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -323,8 +323,10 @@ def render_artifact(doc: dict) -> str:
     _check_schema(doc, name, 1)
     if name == "prodenv.manifest":
         versions = ", ".join(f"{k} {v}" for k, v in doc["versions"].items())
-        return "\n".join([f"run manifest: seed {doc['seed']}; {versions}",
-                          *(f"  stage {t['stage']}: {t['seconds']:.3f} s" for t in doc["stages"]),
+        stages = [f"  stage {t['stage']}: {t['seconds']:.3f} s" + (
+            f"\n    dataset written in {t['write_s']:.3f} s, waited for {t['wait_s']:.3f} s"
+            if "write_s" in t else "") for t in doc["stages"]]
+        return "\n".join([f"run manifest: seed {doc['seed']}; {versions}", *stages,
                           "  artifacts: " + ", ".join(doc["artifacts"])])
     if name == "prodenv.profit-table":
         lines = [f"profit table: {doc['d_e']} types, {len(doc['cells'])} cells",
@@ -380,6 +382,23 @@ def _save(value, path: str, debug: bool = False) -> None:
         _write_json(path, value if isinstance(value, dict) else value.to_json_dict())
 
 
+def _fork_save(value, path: str, debug: bool) -> tuple:
+    """Forks a child that runs ``_save`` and exits, sending the text of any
+    error down a pipe first; returns its pid and the pipe's read end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:                  # the child never returns into its caller's stack
+        try:
+            _save(value, path, debug)
+            os._exit(0)
+        except BaseException as exc:
+            os.write(w, f"writing {path}: {exc}".encode())
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, r
+
+
 def run_pipeline(config_path: str, out_dir: Optional[str] = None,
                  debug: bool = False) -> dict:
     cfg = PipelineConfig.from_file(config_path)
@@ -390,18 +409,36 @@ def run_pipeline(config_path: str, out_dir: Optional[str] = None,
 
     values: dict = {}             # artifact -> the value its stage made
     timings = []
-    for stage in cfg.stages:
-        made = STAGES[stage].makes
-        t0 = time.perf_counter()
-        try:
-            # Looked up by name at call time, so a wrapper set on this
-            # module's stage_<name> is the one that runs.
-            values[made] = globals()["stage_" + stage](cfg, values)
-            _save(values[made], os.path.join(out, artifact_file(made)), debug)
-        except ProdenvError as exc:
-            exc.args = (f"stage {stage!r}: {exc}",)
-            raise
-        timings.append({"stage": stage, "seconds": time.perf_counter() - t0})
+    child = None                  # fork time, pid, pipe and timing of the dataset's writer
+    try:
+        for stage in cfg.stages:
+            made = STAGES[stage].makes
+            path = os.path.join(out, artifact_file(made))
+            timings.append({"stage": stage})
+            t0 = time.perf_counter()
+            try:
+                # Looked up by name at call time, so a wrapper set on this
+                # module's stage_<name> is the one that runs.
+                values[made] = globals()["stage_" + stage](cfg, values)
+                if isinstance(values[made], Dataset) and hasattr(os, "fork"):
+                    # No stage reads the file, so a child writes it meanwhile.
+                    child = time.perf_counter(), *_fork_save(values[made], path, debug), timings[-1]
+                else:
+                    _save(values[made], path, debug)
+            except ProdenvError as exc:
+                exc.args = (f"stage {stage!r}: {exc}",)
+                raise
+            timings[-1]["seconds"] = time.perf_counter() - t0
+    finally:                      # reap the writer before the manifest or a stage's error
+        if child:
+            t_fork, pid, pipe, timing = child
+            t = time.perf_counter()
+            with os.fdopen(pipe) as fh:
+                error = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            timing.update(write_s=time.perf_counter() - t_fork, wait_s=time.perf_counter() - t)
+    if child and status:
+        raise OSError(error or f"the dataset's writer ended with wait status {status}")
 
     import scipy
     manifest = {

@@ -533,6 +533,13 @@ class TestClosedFormMatchesLp:
     # At p_c's own face, where a constraint 1e-6 rad away meets it: in double
     # precision its vertex came out up to 2.7e-10 off the exact one.
     @example("near_parallel", True, 607)
+    @example("near_parallel", True, 673)
+    @example("near_parallel", True, 724)
+    @example("near_parallel", True, 1223)
+    @example("near_parallel", True, 1239)
+    @example("near_parallel", True, 1554)
+    @example("near_parallel", True, 1706)
+    @example("near_parallel", True, 1876)
     @example("near_parallel", True, 7378)
     @settings(max_examples=70, deadline=None)
     def test_quantity_bounds(self, case, at_ray, seed):

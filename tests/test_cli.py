@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -54,6 +55,12 @@ def test_readme_library_example_runs(tmp_path):
     assert lower <= 3.6 / np.sqrt(2) <= upper
 
 
+def assert_no_child():
+    # A child still running or not yet reaped would be returned here.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def demo_config(tmp_path):
     out = tmp_path / "run"
@@ -73,6 +80,51 @@ class TestPipeline:
         assert len(manifest["config_sha256"]) == 64
         assert {t["stage"] for t in manifest["stages"]} == {
             "simulate", "identify", "proxies", "bounds", "estimate", "duality"}
+        assert_no_child()
+
+    @pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+    def test_dataset_written_by_a_child_has_the_library_bytes(self, demo_config, debug):
+        # run forks a child to write the dataset while the later stages run:
+        # the file is Dataset.to_csv's text for the same seed, and the
+        # manifest times the write and the wait for it.
+        cfg_path, _ = demo_config
+        manifest = run_pipeline(cfg_path, debug=debug)
+        assert_no_child()
+        s = PipelineConfig.from_file(cfg_path).settings["simulate"]
+        buf = io.StringIO()
+        generate_dataset(s.tech, s.market).to_csv(buf, debug=debug)
+        assert (pathlib.Path(manifest["artifacts"]["dataset"]).read_bytes()
+                == buf.getvalue().encode())
+        simulate = manifest["stages"][0]
+        assert simulate["stage"] == "simulate"
+        assert 0 <= simulate["wait_s"] <= simulate["write_s"]
+        assert all("write_s" not in t for t in manifest["stages"][1:])
+
+    def test_without_fork_the_dataset_is_written_inline(self, demo_config, tmp_path,
+                                                        monkeypatch):
+        cfg_path, _ = demo_config
+        forked = run_pipeline(cfg_path)
+        monkeypatch.delattr(os, "fork")
+        inline = run_pipeline(cfg_path, out_dir=str(tmp_path / "inline"))
+        assert all("write_s" not in t for t in inline["stages"])
+        for name, path in forked["artifacts"].items():
+            assert (pathlib.Path(path).read_bytes()
+                    == pathlib.Path(inline["artifacts"][name]).read_bytes()), name
+
+    def test_write_failure_in_the_child_exits_2(self, demo_config, capsys):
+        # The child cannot open dataset.csv.partial.  The later stages run;
+        # then the run reaps the child and fails with its error, so there is
+        # no dataset.csv and no manifest.
+        cfg_path, out = demo_config
+        os.makedirs(os.path.join(out, "dataset.csv.partial"))
+        assert main(["run", "--config", cfg_path]) == 2
+        assert_no_child()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: writing \S+dataset\.csv: \[Errno \d+\] Is a directory: "
+                            r"\S+dataset\.csv\.partial'\n", err), err
+        assert os.path.exists(os.path.join(out, "duality_report.json"))
+        assert not os.path.exists(os.path.join(out, "dataset.csv"))
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
 
     def test_rerun_is_identical(self, demo_config, tmp_path):
         # Every content artifact; the manifest holds timings.
@@ -364,7 +416,7 @@ seed = 1
 [simulate]
 technology = diewert
 b_1 = 1.0 -0.2 ; -0.2 0.8
-markets = 50
+markets = 20000
 entry = all
 noise_half_width = 0.4
 
@@ -377,7 +429,10 @@ min_anchor_count = 100000
         with pytest.raises(ProdenvError) as exc_info:
             run_pipeline(str(cfg))
         assert "identify" in str(exc_info.value)
-        assert os.path.exists(out / "dataset.csv")       # finished stage kept
+        assert_no_child()
+        # The finished stage's file is kept, and whole: the run waited for
+        # the child writing it before the error went on.
+        assert len(Dataset.from_csv(str(out / "dataset.csv"))) == 20000
         assert not os.path.exists(out / "profit_table.json")
 
 
@@ -452,6 +507,8 @@ class TestCommandLine:
         assert re.search(r"(?m)^run manifest: seed 42; prodenv [^,]+, numpy [^,]+, scipy \S+$",
                          text)
         assert len(re.findall(r"(?m)^  stage [a-z]+: \d+\.\d{3} s$", text)) == 6
+        assert re.search(r"(?m)^  stage simulate: .*\n    dataset written in \d+\.\d{3} s, "
+                         r"waited for \d+\.\d{3} s$", text)
         assert ("  artifacts: dataset, profit_table, proxy_model, bounds_report, "
                 "diewert_fit, duality_report\n") in text
         assert "profit table" in text
